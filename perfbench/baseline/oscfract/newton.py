@@ -1,0 +1,489 @@
+"""Newton polyhedron geometry of a polynomial phase at its critical point.
+
+The polyhedron is conv(reduced support) + non-negative orthant.  Everything
+that feeds exponents downstream (distance c, remoteness beta = -1/c, the
+multiplicity of the face met by the bisector) is computed in exact rational
+arithmetic; floating point appears only in the nondegeneracy sampler.
+
+Face enumeration is exact for n <= 3 via candidate supporting hyperplanes
+spanned by support points and coordinate directions.  For n > 3 only c,
+beta and the multiplicity are computed, by enumerating basic solutions of
+the equivalent min-max program max_{w >= 0, sum w = 1} min_k <w, k>.
+
+Remoteness here is that of the supplied coordinates.  The coordinate-free
+quantity is a supremum over coordinate systems with no known algorithm; the
+caller must supply adapted coordinates for the predictions to be sharp.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Iterable, Optional, Sequence
+
+import numpy as np
+
+from oscfract.phases import MultiIndex, PolynomialPhase, partial_derivative
+
+Inequality = tuple[tuple[Fraction, ...], Fraction]  # (w, ell): <w, k> >= ell on P
+
+
+@dataclass(frozen=True)
+class CompactFace:
+    """Compact face of the polyhedron with a strictly positive supporting functional."""
+
+    dim: int
+    points: tuple[MultiIndex, ...]  # support points lying on the face
+    weights: tuple[Fraction, ...]  # strictly positive, normalized to level 1
+    level: Fraction
+
+    def polynomial(self, phase: PolynomialPhase) -> PolynomialPhase:
+        terms = {k: c for k, c in phase.terms.items() if k in self.points}
+        return PolynomialPhase(phase.dimension, terms)
+
+
+@dataclass(frozen=True)
+class NewtonPolyhedron:
+    dimension: int
+    minimal_points: tuple[MultiIndex, ...]
+    inequalities: tuple[Inequality, ...]
+
+
+@dataclass(frozen=True)
+class DiagramInfo:
+    dimension: int
+    faces: tuple[CompactFace, ...]
+    distance: Fraction
+    remoteness: Fraction
+    multiplicity: int
+    is_remote: bool
+    center_points: tuple[MultiIndex, ...]  # support points on the face met by the bisector
+    center_codim: int
+
+    @property
+    def center_face(self) -> Optional[CompactFace]:
+        """The compact face met by the bisector, or None if that face is unbounded."""
+        target = frozenset(self.center_points)
+        for face in self.faces:
+            if frozenset(face.points) == target and face.dim == self.dimension - self.center_codim:
+                return face
+        return None
+
+    def to_dict(self) -> dict:
+        return {
+            "c": str(self.distance),
+            "beta": str(self.remoteness),
+            "multiplicity": self.multiplicity,
+            "remote": self.is_remote,
+            "faces": [
+                {
+                    "dim": f.dim,
+                    "points": [list(p) for p in f.points],
+                    "weights": [str(w) for w in f.weights],
+                    "level": str(f.level),
+                }
+                for f in self.faces
+            ],
+        }
+
+
+def reduced_support(phase: PolynomialPhase) -> frozenset[MultiIndex]:
+    """Support of f - f(0): all non-constant monomial exponents."""
+    origin = (0,) * phase.dimension
+    pts = frozenset(k for k in phase.terms if k != origin)
+    if not pts:
+        raise ValueError("phase is constant; reduced support is empty")
+    return pts
+
+
+def dominance_minimal(points: Iterable[MultiIndex]) -> tuple[MultiIndex, ...]:
+    """Drop every point k with k' <= k componentwise for some other point k'."""
+    pts = sorted(set(points))
+    keep = []
+    for k in pts:
+        dominated = any(
+            other != k and all(o <= e for o, e in zip(other, k)) for other in pts
+        )
+        if not dominated:
+            keep.append(k)
+    return tuple(keep)
+
+
+def _normalize_inequality(w: Sequence[int], ell: int) -> Optional[Inequality]:
+    if all(x == 0 for x in w):
+        return None
+    g = 0
+    for x in w:
+        g = math.gcd(g, abs(x))
+    g = math.gcd(g, abs(ell))
+    return tuple(Fraction(x, g) for x in w), Fraction(ell, g)
+
+
+def _cross(a: Sequence[int], b: Sequence[int]) -> tuple[int, int, int]:
+    return (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    )
+
+
+def _candidate_inequalities(pts: Sequence[MultiIndex], n: int) -> list[Inequality]:
+    """All valid inequalities <w,k> >= ell, w >= 0, spanned by points and axes.
+
+    Every facet of conv(pts) + orthant is supported by n - m points and m
+    coordinate directions for some m, so the candidate set contains all
+    facets; extra valid (non-facet) supporting hyperplanes are harmless for
+    the quantities computed from the set.
+    """
+    cands: dict = {}
+
+    def add(w: Sequence[int], ell: int) -> None:
+        if any(x < 0 for x in w):
+            w = tuple(-x for x in w)
+            ell = -ell
+        if any(x < 0 for x in w):
+            return
+        if all(sum(wi * ki for wi, ki in zip(w, k)) >= ell for k in pts):
+            norm = _normalize_inequality(w, ell)
+            if norm is not None:
+                cands[norm] = True
+
+    # Coordinate facets.
+    for i in range(n):
+        w = [0] * n
+        w[i] = 1
+        add(w, min(k[i] for k in pts))
+
+    if n == 2:
+        for a, b in itertools.combinations(pts, 2):
+            w = (a[1] - b[1], b[0] - a[0])
+            add(w, w[0] * a[0] + w[1] * a[1])
+    elif n == 3:
+        axes = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        for a, b in itertools.combinations(pts, 2):
+            d = tuple(bi - ai for ai, bi in zip(a, b))
+            for e in axes:
+                w = _cross(d, e)
+                add(w, sum(wi * ki for wi, ki in zip(w, a)))
+        for a, b, c in itertools.combinations(pts, 3):
+            d1 = tuple(bi - ai for ai, bi in zip(a, b))
+            d2 = tuple(ci - ai for ai, ci in zip(a, c))
+            w = _cross(d1, d2)
+            add(w, sum(wi * ki for wi, ki in zip(w, a)))
+    return list(cands)
+
+
+def newton_polyhedron(support: Iterable[MultiIndex]) -> NewtonPolyhedron:
+    """Polyhedron conv(support) + orthant, as minimal points plus inequalities."""
+    pts = list(support)
+    if not pts:
+        raise ValueError("empty support")
+    n = len(pts[0])
+    if any(len(k) != n for k in pts):
+        raise ValueError("support points of mixed dimension")
+    if n > 3:
+        raise ValueError("exact face enumeration supports n <= 3")
+    minimal = dominance_minimal(pts)
+    ineqs = _candidate_inequalities(minimal, n)
+    return NewtonPolyhedron(n, minimal, tuple(sorted(ineqs)))
+
+
+def _rank(rows: list[tuple[Fraction, ...]]) -> int:
+    """Exact rank over the rationals by Gaussian elimination."""
+    mat = [list(r) for r in rows]
+    rank = 0
+    cols = len(mat[0]) if mat else 0
+    for col in range(cols):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        pv = mat[rank][col]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col] != 0:
+                factor = mat[r][col] / pv
+                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
+        rank += 1
+        if rank == len(mat):
+            break
+    return rank
+
+
+def distance_and_remoteness(poly: NewtonPolyhedron) -> tuple[Fraction, Fraction]:
+    """c = min{t : t(1,..,1) in P} and beta = -1/c, exact."""
+    c = max(ell / sum(w) for w, ell in poly.inequalities)
+    if c <= 0:
+        raise ValueError("degenerate polyhedron: non-positive distance")
+    return c, Fraction(-1, 1) / c
+
+
+def _tight_at(poly: NewtonPolyhedron, point: Sequence[Fraction]) -> list[Inequality]:
+    out = []
+    for w, ell in poly.inequalities:
+        if sum(wi * pi for wi, pi in zip(w, point)) == ell:
+            out.append((w, ell))
+    return out
+
+
+def multiplicity_of_remoteness(poly: NewtonPolyhedron, c: Fraction) -> int:
+    """Codimension of the open face met by the bisector at (c,...,c), less one."""
+    center = (c,) * poly.dimension
+    tight = _tight_at(poly, center)
+    return _rank([w for w, _ in tight]) - 1
+
+
+def _vertices(poly: NewtonPolyhedron) -> list[MultiIndex]:
+    out = []
+    for p in poly.minimal_points:
+        tight = _tight_at(poly, tuple(Fraction(e) for e in p))
+        if _rank([w for w, _ in tight]) == poly.dimension:
+            out.append(p)
+    return out
+
+
+def _face_from_tight_set(
+    poly: NewtonPolyhedron, tight: list[Inequality]
+) -> Optional[CompactFace]:
+    """Build the compact face cut out by a set of tight inequalities, if compact."""
+    n = poly.dimension
+    wsum = [Fraction(0)] * n
+    for w, _ in tight:
+        wsum = [a + b for a, b in zip(wsum, w)]
+    if any(x == 0 for x in wsum):
+        return None  # no strictly positive supporting functional: unbounded face
+    codim = _rank([w for w, _ in tight])
+    pts = [
+        p
+        for p in poly.minimal_points
+        if all(sum(wi * pi for wi, pi in zip(w, p)) == ell for w, ell in tight)
+    ]
+    if not pts:
+        return None
+    level = sum(wi * pi for wi, pi in zip(wsum, pts[0]))
+    weights = tuple(w / level for w in wsum)
+    return CompactFace(n - codim, tuple(sorted(pts)), weights, Fraction(1))
+
+
+def compact_faces(poly: NewtonPolyhedron) -> tuple[CompactFace, ...]:
+    """All faces with a strictly positive supporting functional, vertices included."""
+    n = poly.dimension
+    verts = _vertices(poly)
+    faces: dict[tuple, CompactFace] = {}
+
+    def record(face: Optional[CompactFace]) -> None:
+        if face is not None:
+            faces.setdefault((face.dim, face.points), face)
+
+    for v in verts:
+        record(_face_from_tight_set(poly, _tight_at(poly, tuple(Fraction(e) for e in v))))
+    for a, b in itertools.combinations(verts, 2):
+        ta = _tight_at(poly, tuple(Fraction(e) for e in a))
+        tb = set(_tight_at(poly, tuple(Fraction(e) for e in b)))
+        common = [iq for iq in ta if iq in tb]
+        if common and _rank([w for w, _ in common]) == n - 1:
+            record(_face_from_tight_set(poly, common))
+    if n == 3:
+        for w, ell in poly.inequalities:
+            if all(x > 0 for x in w):
+                pts = [
+                    p
+                    for p in poly.minimal_points
+                    if sum(wi * pi for wi, pi in zip(w, p)) == ell
+                ]
+                if len(pts) >= 3:
+                    record(_face_from_tight_set(poly, [(w, ell)]))
+    return tuple(sorted(faces.values(), key=lambda f: (f.dim, f.points)))
+
+
+def principal_part(phase: PolynomialPhase, faces: Sequence[CompactFace]) -> PolynomialPhase:
+    """Sum of the monomials whose exponent lies on some compact face."""
+    on_diagram = set()
+    for f in faces:
+        on_diagram.update(f.points)
+    terms = {k: c for k, c in phase.terms.items() if k in on_diagram}
+    return PolynomialPhase(phase.dimension, terms)
+
+
+def _game_distance(pts: Sequence[MultiIndex], n: int) -> tuple[Fraction, int]:
+    """Exact c and multiplicity for any n via basic solutions of the min-max program.
+
+    max_{w >= 0, sum w = 1} min_k <w, k> equals c; the rank of the set of
+    optimal basic w equals the codimension of the face met by the bisector.
+    """
+    best_c: Optional[Fraction] = None
+    optima: list[tuple[Fraction, ...]] = []
+    idx = list(range(n))
+    for t_size in range(1, n + 1):
+        for tight in itertools.combinations(range(len(pts)), t_size):
+            for zero in itertools.combinations(idx, n - t_size):
+                # Unknowns w_0..w_{n-1}, c; equations: sum w = 1, <w,k> = c (k tight),
+                # w_j = 0 (j in zero).
+                rows = []
+                rhs = []
+                rows.append([Fraction(1)] * n + [Fraction(0)])
+                rhs.append(Fraction(1))
+                for ti in tight:
+                    rows.append([Fraction(e) for e in pts[ti]] + [Fraction(-1)])
+                    rhs.append(Fraction(0))
+                for j in zero:
+                    row = [Fraction(0)] * (n + 1)
+                    row[j] = Fraction(1)
+                    rows.append(row)
+                    rhs.append(Fraction(0))
+                sol = _solve_square(rows, rhs)
+                if sol is None:
+                    continue
+                w, c = sol[:n], sol[n]
+                if any(x < 0 for x in w):
+                    continue
+                if any(
+                    sum(wi * Fraction(ki) for wi, ki in zip(w, k)) < c for k in pts
+                ):
+                    continue
+                if best_c is None or c > best_c:
+                    best_c = c
+                    optima = [tuple(w)]
+                elif c == best_c:
+                    optima.append(tuple(w))
+    if best_c is None:
+        raise ValueError("min-max program has no basic solution; malformed support")
+    return best_c, _rank(optima) - 1
+
+
+def r_nondegeneracy_check(
+    phase: PolynomialPhase,
+    faces: Optional[Sequence[CompactFace]] = None,
+    samples: int = 24,
+):
+    """Sample the face polynomials' gradients for common zeros off the axes.
+
+    For each compact face gamma the partials of f_gamma are evaluated over a
+    fundamental domain (each |x_i| in [1/2, 2], all sign patterns), with local
+    refinement around the smallest normalized residual.  Diagnostic only: a
+    pass means no counterexample was found at this resolution.
+    """
+    if faces is None:
+        faces = compact_faces(newton_polyhedron(reduced_support(phase)))
+    n = phase.dimension
+    if n > 3:
+        raise ValueError("nondegeneracy sampling supports n <= 3")
+    reports = []
+    mags = np.geomspace(0.5, 2.0, samples)
+    grids = []
+    for signs in itertools.product((-1.0, 1.0), repeat=n):
+        axes = [s * mags for s in signs]
+        grids.append(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n))
+    domain = np.concatenate(grids, axis=0)
+
+    for face in faces:
+        fg = face.polynomial(phase)
+        parts = [partial_derivative(fg, i) for i in range(n)]
+
+        def residual(pts: np.ndarray) -> np.ndarray:
+            # |grad f_gamma| over its triangle-inequality envelope: scale-free in
+            # both the coefficients and the quasi-homogeneous dilations.
+            num = np.zeros(pts.shape[:-1])
+            den = np.zeros(pts.shape[:-1])
+            for gp in parts:
+                val = np.zeros(pts.shape[:-1])
+                env = np.zeros(pts.shape[:-1])
+                for k, c in gp.terms.items():
+                    mono = np.full(pts.shape[:-1], 1.0)
+                    for i, e in enumerate(k):
+                        if e:
+                            mono = mono * pts[..., i] ** e
+                    val += c * mono
+                    env += abs(c) * np.abs(mono)
+                num += val**2
+                den += env**2
+            den[den == 0.0] = 1.0
+            return np.sqrt(num / den)
+
+        res = residual(domain)
+        order = np.argsort(res)[:8]
+        cand = domain[order]
+        spacing = float(mags[1] - mags[0])
+        local = np.stack(
+            np.meshgrid(*([np.linspace(-1.0, 1.0, 5)] * n), indexing="ij"), axis=-1
+        ).reshape(-1, n)
+        for _ in range(12):
+            pts = (cand[:, None, :] + spacing * local[None, :, :]).reshape(-1, n)
+            pts = pts[np.all(np.abs(pts) >= 1e-9, axis=-1)]
+            r = residual(pts)
+            order = np.argsort(r)[:8]
+            cand = pts[order]
+            spacing /= 4.0
+        final = residual(cand)
+        i = int(np.argmin(final))
+        passed = bool(final[i] > 1e-6)
+        reports.append(
+            FaceCheck(face, passed, float(final[i]), tuple(float(x) for x in cand[i]))
+        )
+    return NondegeneracyReport(all(r.passed for r in reports), tuple(reports), samples)
+
+
+@dataclass(frozen=True)
+class FaceCheck:
+    face: CompactFace
+    passed: bool
+    min_residual: float
+    witness: tuple[float, ...]
+
+
+@dataclass(frozen=True)
+class NondegeneracyReport:
+    passed: bool
+    checks: tuple[FaceCheck, ...]
+    samples: int
+
+
+def _solve_square(
+    rows: list[list[Fraction]], rhs: list[Fraction]
+) -> Optional[list[Fraction]]:
+    """Solve a square rational system; None if singular or inconsistent size."""
+    m = len(rows)
+    if m == 0 or m != len(rows[0]):
+        return None
+    mat = [list(r) + [b] for r, b in zip(rows, rhs)]
+    for col in range(m):
+        pivot = next((r for r in range(col, m) if mat[r][col] != 0), None)
+        if pivot is None:
+            return None
+        mat[col], mat[pivot] = mat[pivot], mat[col]
+        pv = mat[col][col]
+        mat[col] = [a / pv for a in mat[col]]
+        for r in range(m):
+            if r != col and mat[r][col] != 0:
+                factor = mat[r][col]
+                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[col])]
+    return [mat[r][m] for r in range(m)]
+
+
+def newton_diagram(phase: PolynomialPhase) -> DiagramInfo:
+    """Full diagram data for a phase: faces, c, beta, multiplicity, bisector face.
+
+    For n > 3 the face list is empty and only c, beta and multiplicity are
+    populated (via the exact min-max program); that is all the n > 2
+    prediction route consumes.
+    """
+    support = reduced_support(phase)
+    n = phase.dimension
+    if n > 3:
+        minimal = dominance_minimal(support)
+        c, mult = _game_distance(minimal, n)
+        beta = Fraction(-1, 1) / c
+        return DiagramInfo(n, (), c, beta, mult, c > 1, (), mult + 1)
+    poly = newton_polyhedron(support)
+    c, beta = distance_and_remoteness(poly)
+    center = (c,) * n
+    tight = _tight_at(poly, center)
+    codim = _rank([w for w, _ in tight])
+    center_pts = tuple(
+        p
+        for p in poly.minimal_points
+        if all(sum(wi * pi for wi, pi in zip(w, p)) == ell for w, ell in tight)
+    )
+    faces = compact_faces(poly)
+    return DiagramInfo(n, faces, c, beta, codim - 1, c > 1, center_pts, codim)
