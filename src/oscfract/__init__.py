@@ -43,7 +43,6 @@ from oscfract.integrals import (
     curve_from_samples,
     eval_integral,
     leading_term_fit,
-    reflected_graph,
     reflected_pair,
     sample_integral,
 )
@@ -107,7 +106,6 @@ __all__ = [
     "predict_nd",
     "predict_no_critical_point",
     "r_nondegeneracy_check",
-    "reflected_graph",
     "reflected_pair",
     "sample_integral",
     "sausage_area",

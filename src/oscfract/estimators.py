@@ -119,11 +119,13 @@ def _finite_rows(polyline: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pts[ok], seg
 
 
-def _supercover_count(P: np.ndarray, Q: np.ndarray, pts: np.ndarray, width: int) -> int:
+def _supercover_count(P: np.ndarray, Q: np.ndarray, pts: np.ndarray, height: int) -> int:
     """Number of distinct half-open unit cells touched by segments P->Q plus pts.
 
     Cells are recovered exactly: every integer gridline crossing splits the
-    segment, and the midpoint of each piece identifies its cell.
+    segment, and the midpoint of each piece identifies its cell.  height
+    bounds the y cell index (with a margin of 2 either side), so the packed
+    key x * (height + 4) + y is distinct for distinct cells.
     """
     cells = [np.floor(pts).astype(np.int64)]
     if len(P):
@@ -151,7 +153,7 @@ def _supercover_count(P: np.ndarray, Q: np.ndarray, pts: np.ndarray, width: int)
         ss = sid[:-1][same]
         cells.append(np.floor(P[ss] + tm[:, None] * d[ss]).astype(np.int64))
     cc = np.concatenate(cells)
-    packed = (cc[:, 0] + 2) * np.int64(width + 4) + (cc[:, 1] + 2)
+    packed = (cc[:, 0] + 2) * np.int64(height + 4) + (cc[:, 1] + 2)
     return int(np.unique(packed).size)
 
 
@@ -187,11 +189,11 @@ def box_count(
     counts = np.empty(len(epsilons))
     for i, eps in enumerate(epsilons):
         U = (pts - lo) / eps
-        width = int(np.ceil(U[:, 0].max())) + 3
+        height = int(np.ceil(U[:, 1].max())) + 3
         acc = 0
         for off in shifts[:offsets]:
             V = U + off
-            acc += _supercover_count(V[seg[:, 0]], V[seg[:, 1]], V, width)
+            acc += _supercover_count(V[seg[:, 0]], V[seg[:, 1]], V, height)
         counts[i] = acc / offsets
     return counts
 

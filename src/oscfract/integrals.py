@@ -7,21 +7,28 @@ O(tau) per evaluation in 1D, O(tau^2) worth of nodes in 2D) is chosen over
 Filon/Levin schemes: those are delicate exactly where this package operates,
 near degenerate stationary points.
 
-Three structural shortcuts keep desk-scale runs cheap without changing the
+Four structural shortcuts keep desk-scale runs cheap without changing the
 computed sum:
 
 * a tau grid is evaluated on shared per-octave node grids (a grid built for
   the octave's top tau is valid, merely finer than required, for the rest);
+* each octave grid takes all of its taus in one batched pass.  Within a
+  run of uniformly spaced taus (refinement fills every gap with one) the
+  node phases advance by rotation, E_{k+1} = E_k e^{i dtau f}: one complex
+  multiply per node instead of an exp.  A direct exp re-seeds the rotation
+  at every run start and at least every 256 steps, which bounds the
+  rounding drift to a few hundred ulps per node;
 * separable phases (every monomial touches one variable) factorize
-  e^{i tau f} across axes, reducing the tensor sum to matrix-vector
-  products against a cached amplitude table;
+  e^{i tau f} across axes, reducing the tensor sum to matrix products
+  against a cached amplitude table, one product per batch of taus;
 * in 3D the radial amplitude is binned over r^2 = x^2 + y^2 with an in-bin
-  linear correction, replacing the n^3 tensor by bincounts plus an
+  linear correction, replacing the n^3 tensor by per-bin sums plus an
   (n x bins) product.  The binning error is quadratic in the bin width and
   sits orders of magnitude below the quadrature tolerance at the tau
   ranges used (documented in the tests).
 
-Everything here is pure: grids are built per call chain and never mutated.
+Everything here is pure: grids are built per call chain, and the only
+state a grid changes is the batch that values() hands out through value().
 """
 
 from __future__ import annotations
@@ -70,6 +77,8 @@ class IntegralSamples:
     phase: PolynomialPhase
     amp: AmplitudeSpec
     cfg: QuadratureConfig
+    # max |grad f| the grids were sized with; refinement reuses it
+    grad_bound: float
 
 
 @dataclass(frozen=True)
@@ -107,6 +116,90 @@ def gradient_bound(phase: PolynomialPhase, amp: AmplitudeSpec) -> float:
     for i in range(n):
         g2 += eval_phase_array(partial_derivative(phase, i), pts) ** 2
     return 1.05 * float(np.sqrt(g2.max()))
+
+
+# A rotated phase E_{k+1} = E_k e^{i dtau g} gains about one rounding error
+# per step, so a direct exp re-seeds it at least this often.
+_RESEED = 256
+# Working arrays of one batch of taus stay near this size, so batching does
+# not raise peak memory above what the grid tables already take.
+_BATCH_BYTES = 8 * 2**20
+# OpenBLAS runs a complex dot of at most 10^4 terms on one thread.  Longer
+# dots wake its worker threads, which on 2 CPUs doubled the CPU time and
+# saved no wall time (1d grid at tau 2000, 42,784 nodes: 316 against 151 us
+# CPU per tau), so the weighted sums below dot slices of at most this many.
+_DOT_TERMS = 10_000
+
+
+def _batch_rows(bytes_per_tau: int) -> int:
+    return max(1, _BATCH_BYTES // bytes_per_tau)
+
+
+def _rotation_steps(taus: np.ndarray) -> np.ndarray:
+    """Per tau, the step it is rotated by from the tau before it; NaN = direct exp.
+
+    A run of equal steps (to rounding), such as one gap that _refined_taus
+    fills with a linspace, is cut into segments of at most _RESEED steps.
+    Every segment of three or more taus rotates by its mean step, so a
+    rotated tau stays within a few ulps of the given one; shorter segments
+    gain nothing and are computed directly.
+    """
+    n = taus.size
+    steps = np.full(n, np.nan)
+    d = np.diff(taus).tolist()
+    tol = 16.0 * np.finfo(float).eps * float(np.abs(taus).max(initial=0.0))
+    lo = 0
+    while lo < n:
+        hi = lo + 1
+        while hi < n and hi - lo <= _RESEED and abs(d[hi - 1] - d[lo]) <= tol:
+            hi += 1
+        if hi - lo >= 3:
+            steps[lo + 1 : hi] = (taus[hi - 1] - taus[lo]) / (hi - 1 - lo)
+        lo = hi
+    return steps
+
+
+def _phase_rows(taus: np.ndarray, steps: np.ndarray, g: np.ndarray, rows: int):
+    """Yield (lo, hi, E) with E = exp(i taus[lo:hi, None] g), rows taus at a time.
+
+    Where steps[k] is set, row k is row k-1 times exp(i steps[k] g) instead of
+    a fresh exp.  Every block is written into the same buffer, so the caller
+    must be done with E before it asks for the next block.
+    """
+    n = taus.size
+    taus, steps = taus.tolist(), steps.tolist()  # cheap scalar access per row
+    buf = np.empty((min(rows, n), g.size), dtype=complex)
+    r = None
+    for lo in range(0, n, rows):
+        hi = min(n, lo + rows)
+        for k in range(lo, hi):
+            # blocks start at multiples of rows, so tau k sits in row k % rows
+            row = buf[k % rows]
+            if math.isnan(steps[k]):
+                np.exp(1j * taus[k] * g, out=row)
+            else:
+                if math.isnan(steps[k - 1]):
+                    r = np.exp(1j * steps[k] * g)
+                np.multiply(buf[(k - 1) % rows], r, out=row)
+        yield lo, hi, buf[: hi - lo]
+
+
+def _weighted_sums(taus: np.ndarray, steps: np.ndarray, blocks) -> np.ndarray:
+    """Sum over (g, a) blocks of sum(a * exp(i tau g)), for every tau.
+
+    Each block is cut into slices of at most _DOT_TERMS nodes, and each
+    slice takes one dot per tau.  A matrix-vector product over a batch of
+    taus woke BLAS's worker threads too, whose spin-wait added about 15%
+    CPU time to a fold-verify pass.
+    """
+    core = np.zeros(taus.size, dtype=complex)
+    for g, a in blocks:
+        for s in range(0, g.size, _DOT_TERMS):
+            gs, a_s = g[s : s + _DOT_TERMS], a[s : s + _DOT_TERMS].astype(complex)
+            for lo, hi, E in _phase_rows(taus, steps, gs, _batch_rows(16 * gs.size)):
+                for k in range(hi - lo):
+                    core[lo + k] += E[k] @ a_s
+    return core
 
 
 def _axis_nodes(R: float, panels: int, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -158,6 +251,7 @@ class _QuadGrid:
             raise ValueError("quadrature supports n <= 3")
         self.phase, self.amp, self.cfg = phase, amp, cfg
         self.tau_ref = float(tau_ref)
+        self._batch: dict[float, complex] = {}
         self.f0 = phase.value_at_origin
         R = amp.radius
         L = gradient_bound(phase, amp) if grad_bound is None else grad_bound
@@ -185,8 +279,8 @@ class _QuadGrid:
         elif split is not None and n == 2:
             self.mode = "sep2d"
             self._x, self._wx = x, w
-            self._gx = _eval_axis_poly(split[0], x)
-            self._hy = _eval_axis_poly(split[1], x)
+            # phases of the u and v factors, rotated together
+            self._g = np.concatenate([_eval_axis_poly(split[i], x) for i in range(2)])
             m = x.size
             need64 = m * m * 8
             if need64 <= budget:
@@ -203,20 +297,23 @@ class _QuadGrid:
         elif split is not None and n == 3:
             self.mode = "sep3d"
             self._x, self._wx = x, w
-            self._gx = _eval_axis_poly(split[0], x)
-            self._hy = _eval_axis_poly(split[1], x)
-            self._lz = _eval_axis_poly(split[2], x)
+            # phases of the u, v and wz factors, rotated together
+            self._g = np.concatenate([_eval_axis_poly(split[i], x) for i in range(3)])
             s = x[:, None] ** 2 + x[None, :] ** 2
             keep = s <= R * R
             ii, jj = np.nonzero(keep)
-            self._ii, self._jj = ii.astype(np.int32), jj.astype(np.int32)
             s_flat = s[keep]
             nb = cfg.radial_bins
             width = R * R / nb
             idx = np.minimum((s_flat / width).astype(np.int64), nb - 1)
-            self._bin_idx = idx
             centers = (np.arange(nb) + 0.5) * width
-            self._s_off = s_flat - centers[idx]
+            # pairs sorted by bin: each occupied bin's sum is one reduceat segment
+            order = np.argsort(idx, kind="stable")
+            self._ii, self._jj = ii[order], jj[order]
+            self._s_off = (s_flat - centers[idx])[order]
+            idx = idx[order]
+            self._bin_starts = np.flatnonzero(np.diff(idx, prepend=-1))
+            self._bins = idx[self._bin_starts]
             zz2 = x**2
             r2 = (zz2[:, None] + centers[None, :]) / R**2  # (nodes_z, nb)
             G0 = amp.phi0 * bump_profile(r2)
@@ -279,45 +376,74 @@ class _QuadGrid:
             yield f, ww * self.amp.phi0 * bump_profile(u2)
 
     def value(self, tau: float) -> complex:
-        if abs(tau) > self.tau_ref * (1.0 + 1e-9):
-            raise ValueError(f"grid built for |tau| <= {self.tau_ref}, got {tau}")
+        """I(tau), from the batch values() is handing out, else as a batch of one."""
+        v = self._batch.get(float(tau))
+        return complex(self._evaluate(np.array([tau], dtype=float))[0]) if v is None else v
+
+    def values(self, taus: np.ndarray) -> np.ndarray:
+        """I at every tau in the 1D array taus, from one batched pass over the grid.
+
+        Each result is handed out through value(), one call per tau, so
+        every evaluation passes through one method where it can be counted
+        (the benchmark's self-tests count evaluations there).
+        """
+        taus = np.asarray(taus, dtype=float).tolist()
+        self._batch = dict(zip(taus, self._evaluate(np.array(taus)).tolist()))
+        out = np.array([self.value(t) for t in taus], dtype=complex)
+        self._batch = {}
+        return out
+
+    def _evaluate(self, taus: np.ndarray) -> np.ndarray:
+        taus = np.asarray(taus, dtype=float)
+        worst = float(np.abs(taus).max(initial=0.0))
+        if worst > self.tau_ref * (1.0 + 1e-9):
+            raise ValueError(f"grid built for |tau| <= {self.tau_ref}, got {worst}")
+        steps = _rotation_steps(taus)
         if self.mode == "1d":
-            core = complex(np.sum(self._wphi * np.exp(1j * tau * self._f)))
+            core = _weighted_sums(taus, steps, [(self._f, self._wphi)])
         elif self.mode == "sep2d":
-            u = self._wx * np.exp(1j * tau * self._gx)
-            v = self._wx * np.exp(1j * tau * self._hy)
-            tbl = self._table
-            dt = tbl.dtype.type
-            tv = tbl @ v.real.astype(dt) + 1j * (tbl @ v.imag.astype(dt))
-            core = complex(u @ tv)
+            core = self._core_sep2d(taus, steps)
         elif self.mode == "sep3d":
-            u = self._wx * np.exp(1j * tau * self._gx)
-            v = self._wx * np.exp(1j * tau * self._hy)
-            pair = u[self._ii] * v[self._jj]
-            nb = self._nb
-            w0 = np.bincount(self._bin_idx, pair.real, nb) + 1j * np.bincount(
-                self._bin_idx, pair.imag, nb
-            )
-            po = pair * self._s_off
-            w1 = np.bincount(self._bin_idx, po.real, nb) + 1j * np.bincount(
-                self._bin_idx, po.imag, nb
-            )
-            dt = self._G0.dtype.type
-            slab = (
-                self._G0 @ w0.real.astype(dt)
-                + 1j * (self._G0 @ w0.imag.astype(dt))
-                + self._G1 @ w1.real.astype(dt)
-                + 1j * (self._G1 @ w1.imag.astype(dt))
-            )
-            wz = self._wx * np.exp(1j * tau * self._lz)
-            core = complex(wz @ slab)
+            core = self._core_sep3d(taus, steps)
         else:
-            acc = 0.0 + 0.0j
             blocks = self._blocks if self._blocks is not None else self._iter_blocks()
-            for f, a in blocks:
-                acc += np.sum(a * np.exp(1j * tau * f))
-            core = complex(acc)
-        return core * complex(np.exp(1j * tau * self.f0))
+            flat = ((f.ravel(), a.ravel()) for f, a in blocks)
+            core = _weighted_sums(taus, steps, flat)
+        return core * np.exp(1j * taus * self.f0)
+
+    def _core_sep2d(self, taus: np.ndarray, steps: np.ndarray) -> np.ndarray:
+        m, wx, tbl = self._x.size, self._wx, self._table
+        core = np.empty(taus.size, dtype=complex)
+        # phase row, u, v, stacked real parts, product, tv: ~8 complex per node
+        rows = _batch_rows(128 * m)
+        for lo, hi, E in _phase_rows(taus, steps, self._g, rows):
+            b = hi - lo
+            u, v = E[:, :m] * wx, E[:, m:] * wx
+            tv = np.concatenate([v.real, v.imag]).astype(tbl.dtype) @ tbl.T
+            core[lo:hi] = np.sum(u * (tv[:b] + 1j * tv[b:]), axis=1)
+        return core
+
+    def _core_sep3d(self, taus: np.ndarray, steps: np.ndarray) -> np.ndarray:
+        m, wx, nb = self._x.size, self._wx, self._nb
+        bins, starts, G0, G1 = self._bins, self._bin_starts, self._G0, self._G1
+        core = np.empty(taus.size, dtype=complex)
+        # four real rows of bin sums plus their cast copies: ~48 bytes per bin
+        rows = _batch_rows(48 * nb + 48 * m)
+        for lo, hi, E in _phase_rows(taus, steps, self._g, rows):
+            b = hi - lo
+            u, v = E[:, :m] * wx, E[:, m : 2 * m] * wx
+            w = np.zeros((4 * b, nb))  # rows: Re w0, Im w0, Re w1, Im w1
+            for k in range(b):
+                pair = u[k][self._ii] * v[k][self._jj]
+                w0 = np.add.reduceat(pair, starts)
+                w1 = np.add.reduceat(pair * self._s_off, starts)
+                w[k, bins], w[b + k, bins] = w0.real, w0.imag
+                w[2 * b + k, bins], w[3 * b + k, bins] = w1.real, w1.imag
+            dt = G0.dtype
+            slab = w[: 2 * b].astype(dt) @ G0.T + w[2 * b :].astype(dt) @ G1.T
+            wz = E[:, 2 * m :] * wx
+            core[lo:hi] = np.sum(wz * (slab[:b] + 1j * slab[b:]), axis=1)
+        return core
 
 
 def eval_integral(
@@ -336,30 +462,30 @@ def _eval_many(
     amp: AmplitudeSpec,
     cfg: QuadratureConfig,
     taus: np.ndarray,
+    grad_bound: float,
 ) -> np.ndarray:
-    """Evaluate I at many tau, sharing one grid per octave of |tau|."""
+    """Evaluate I at many tau, one batched pass per octave grid of |tau|."""
     taus = np.asarray(taus, dtype=float)
+    refs = _octave_refs(taus)
     out = np.empty(taus.shape, dtype=complex)
+    for ref in np.unique(refs):
+        sel = refs == ref
+        # no name holds the grid, so it is freed before the next one is built
+        out[sel] = _QuadGrid(phase, amp, cfg, float(ref), grad_bound).values(taus[sel])
+    return out
+
+
+def _octave_refs(taus: np.ndarray) -> np.ndarray:
+    """Per tau, the tau_ref of its shared grid: top/2^k, the smallest >= |tau|."""
     mags = np.abs(taus)
     top = float(mags.max(initial=0.0))
-    L = gradient_bound(phase, amp)
     if top == 0.0:
-        grid = _QuadGrid(phase, amp, cfg, 0.0, L)
-        for i, t in enumerate(taus):
-            out[i] = grid.value(t)
-        return out
+        return np.zeros_like(mags)
     with np.errstate(divide="ignore"):
         g = np.floor(np.log2(np.where(mags > 0, top / np.maximum(mags, 1e-300), 1.0)))
-    g = np.clip(g, 0, 60).astype(int)
+    g = np.clip(g, 0, 60)
     g[mags == 0.0] = 60
-    for gi in np.unique(g):
-        sel = g == gi
-        ref = top / 2.0**gi
-        grid = _QuadGrid(phase, amp, cfg, ref, L)
-        idx = np.nonzero(sel)[0]
-        for i in idx:
-            out[i] = grid.value(taus[i])
-    return out
+    return top / 2.0**g
 
 
 def sample_integral(
@@ -377,8 +503,9 @@ def sample_integral(
         raise ValueError(f"count must be >= 2, got {count}")
     cfg = cfg or QuadratureConfig()
     taus = np.geomspace(tau_min, tau_max, count)
-    values = _eval_many(phase, amp, cfg, taus)
-    return IntegralSamples(taus, values, phase, amp, cfg)
+    L = gradient_bound(phase, amp)
+    values = _eval_many(phase, amp, cfg, taus, L)
+    return IntegralSamples(taus, values, phase, amp, cfg, L)
 
 
 def _refined_taus(taus: np.ndarray, max_step: float, cap: int) -> np.ndarray:
@@ -428,32 +555,15 @@ def curve_from_samples(
     return CurvePolyline(pts, full)
 
 
-def reflected_graph(
-    samples: IntegralSamples, component: str = "re", max_points: int = 2_000_000
-) -> ReflectedGraph:
-    """Graph (t, Re/Im I(1/t)) with the chirp resolved: t steps <= t^2/(8 f(0)).
-
-    Equivalently uniform tau steps of 1/(8 f(0)): the oscillation e^{i tau f(0)}
-    advances at most 1/8 radian between points.
-    """
-    if component not in ("re", "im"):
-        raise ValueError(f"component must be 're' or 'im', got {component!r}")
-    f0 = abs(samples.phase.value_at_origin)
-    taus = samples.tau
-    if f0 > 0:
-        full = _refined_taus(taus, 1.0 / (8.0 * f0), max_points)
-    else:
-        full = taus
-    values = _merge_eval(samples, full)
-    x = values.real if component == "re" else values.imag
-    t = 1.0 / full[::-1]
-    return ReflectedGraph(t, x[::-1], component)
-
-
 def reflected_pair(
     samples: IntegralSamples, max_points: int = 2_000_000
 ) -> tuple[ReflectedGraph, ReflectedGraph]:
-    """Both reflected graphs (Re and Im) from a single refinement pass."""
+    """Graphs (t, Re I(1/t)) and (t, Im I(1/t)) from one refinement pass.
+
+    The chirp is resolved by uniform tau steps of at most 1/(8 f(0)), i.e.
+    t steps <= t^2/(8 f(0)): the oscillation e^{i tau f(0)} advances at most
+    1/8 radian between points.
+    """
     f0 = abs(samples.phase.value_at_origin)
     taus = samples.tau
     if f0 > 0:
@@ -473,7 +583,7 @@ def _merge_eval(samples: IntegralSamples, full: np.ndarray) -> np.ndarray:
     known = {float(t): v for t, v in zip(samples.tau, samples.values)}
     missing = np.array([t for t in full if float(t) not in known], dtype=float)
     if missing.size:
-        vals = _eval_many(samples.phase, samples.amp, samples.cfg, missing)
+        vals = _eval_many(samples.phase, samples.amp, samples.cfg, missing, samples.grad_bound)
         known.update({float(t): v for t, v in zip(missing, vals)})
     return np.array([known[float(t)] for t in full], dtype=complex)
 

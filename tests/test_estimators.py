@@ -5,7 +5,8 @@ Verified here:
 * geometric_epsilons ordering and input validation;
 * box_count against hand-counted supercover oracles (single point, axis
   segment, corner-touching diagonal), NaN subpath splitting, connect=False,
-  seed determinism, scale invariance, and the exact grid-nesting inequalities
+  seed determinism, scale and axis-swap invariance (tall polylines count
+  like wide ones), and the exact grid-nesting inequalities
   N(2 eps) <= N(eps) <= 4 N(2 eps) for halved anchored grids;
 * estimate_dimension on exact power laws (recovered to machine precision),
   plateau selection across a regime crossover, the smallest-eps tiebreak,
@@ -23,7 +24,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oscfract.estimators import (
@@ -131,6 +132,24 @@ def test_counts_invariant_under_dyadic_similarity(k):
     base = box_count(pts, eps, offsets=2, seed=3)
     scaled = box_count(pts * lam, eps * lam, offsets=2, seed=3)
     assert np.array_equal(base, scaled)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=2, max_size=12
+    ),
+    st.floats(1e-2, 1e2),
+)
+def test_counts_invariant_under_axis_swap(raw, aspect):
+    # the anchored grid maps onto itself when x and y trade places, so the
+    # cell counts must too, for tall and for wide polylines alike
+    pts = np.array(raw) * [1.0, aspect]
+    diam = float(np.hypot(*np.ptp(pts, axis=0)))
+    assume(diam > 1e-3)  # keeps eps = diam / 160 clear of underflow
+    eps = diam / np.array([3.0, 40.0, 160.0])
+    counts = box_count(pts, eps, offsets=1)
+    assert np.array_equal(counts, box_count(pts[:, ::-1], eps, offsets=1))
 
 
 def test_counts_stable_under_generic_similarity():

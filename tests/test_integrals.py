@@ -9,7 +9,9 @@ Verified here:
   rotation-equivalent phases ((x+y)^2 is 2u^2 in rotated coordinates and the
   bump amplitude is rotation invariant);
 * the 3D radial binning is insensitive to the bin count and the panel order;
-* per-octave shared grids reproduce single-tau evaluations;
+* per-octave shared grids reproduce single-tau evaluations, and the
+  batched, phase-rotated pass over refined taus matches per-tau evaluation
+  on the same octave grid to 1e-12 in every grid mode, across re-seeds;
 * winding refinement: phase advance per step bounded, original samples
   reused exactly, t-grid of the reflected graphs increasing with both
   components extracted from one pass;
@@ -30,10 +32,12 @@ from oscfract.integrals import (
     NumericBudgetError,
     QuadratureConfig,
     curve_from_samples,
+    _RESEED,
+    _octave_refs,
+    _QuadGrid,
     eval_integral,
     gradient_bound,
     leading_term_fit,
-    reflected_graph,
     reflected_pair,
     sample_integral,
 )
@@ -166,31 +170,62 @@ def test_refined_values_match_direct_evaluation():
     got = complex(curve.points[i, 0], curve.points[i, 1])
     assert abs(got - direct) <= 1e-7 * abs(direct)
 
+    # every refined point, batched and phase-rotated, against a per-tau
+    # evaluation on the same octave grid, in each grid mode
+    sphere = PolynomialPhase(
+        3, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0, (0, 0, 0): 1.0}
+    )
+    mixed = PolynomialPhase(2, {(2, 0): 1.0, (1, 1): 2.0, (0, 2): 1.0, (0, 0): 1.0})
+    cases = [
+        # one gap refined in steps of pi/64: its top octave is a single
+        # uniform run several re-seed intervals long
+        ("1d", X2, A1, (10.0, 60.0, 2), math.pi / 64.0, None),
+        ("sep2d", PolynomialPhase(2, {(2, 0): 1.0, (0, 4): 1.0, (0, 0): 1.0}),
+         AmplitudeSpec(2, radius=0.6), (5.0, 20.0, 3), math.pi / 8.0, None),
+        ("sep3d", sphere, AmplitudeSpec(3), (3.0, 12.0, 3), math.pi / 8.0,
+         QuadratureConfig(panel_order=2)),
+        ("gen2d", mixed, AmplitudeSpec(2), (5.0, 15.0, 3), math.pi / 8.0, None),
+    ]
+    for mode, phase, amp, (lo, hi, count), step, cfg in cases:
+        samples = sample_integral(phase, amp, lo, hi, count, cfg)
+        curve = curve_from_samples(samples, max_step=step)
+        new = ~np.isin(curve.tau, samples.tau)
+        taus = curve.tau[new]
+        got = curve.points[new, 0] + 1j * curve.points[new, 1]
+        refs = _octave_refs(taus)
+        if mode == "1d":
+            assert np.sum(refs == refs.max()) > 2 * _RESEED
+        for ref in np.unique(refs):
+            grid = _QuadGrid(phase, amp, samples.cfg, ref, samples.grad_bound)
+            assert grid.mode == mode
+            sel = refs == ref
+            direct = np.array([grid.value(t) for t in taus[sel]])
+            assert np.max(np.abs(got[sel] - direct) / np.abs(direct)) <= 1e-12, mode
+
 
 def test_zero_critical_value_skips_refinement():
     phase = PolynomialPhase(1, {(2,): 1.0})  # f(0) = 0
     samples = sample_integral(phase, A1, 10.0, 100.0, 7)
     curve = curve_from_samples(samples)
     assert len(curve.tau) == 7
-    graph = reflected_graph(samples, "re")
-    assert len(graph.t) == 7
+    re, im = reflected_pair(samples)
+    assert len(re.t) == 7 and len(im.t) == 7
 
 
 def test_reflected_graphs():
     samples = sample_integral(X2, A1, 5.0, 10.0, 4)
-    re = reflected_graph(samples, "re")
-    im = reflected_graph(samples, "im")
+    re, im = reflected_pair(samples)
     assert np.all(np.diff(re.t) > 0)
     assert re.t[0] == pytest.approx(0.1) and re.t[-1] == pytest.approx(0.2)
     # uniform tau spacing 1/(8 f0) resolves the e^{i tau f0} oscillation
     taus = 1.0 / re.t[::-1]
     assert np.diff(taus).max() <= 0.125 * (1.0 + 1e-9)
-    pair_re, pair_im = reflected_pair(samples)
-    assert np.array_equal(pair_re.x, re.x) and np.array_equal(pair_im.x, im.x)
-    assert np.array_equal(pair_re.t, re.t)
-    assert pair_re.component == "re" and pair_im.component == "im"
-    with pytest.raises(ValueError):
-        reflected_graph(samples, "abs")
+    assert np.array_equal(im.t, re.t)
+    assert re.component == "re" and im.component == "im"
+    # both components come from the same evaluations of I
+    values = curve_from_samples(samples, max_step=0.125).points
+    assert np.array_equal(re.x[::-1], values[:, 0])
+    assert np.array_equal(im.x[::-1], values[:, 1])
 
 
 def test_budget_panels():
@@ -231,7 +266,12 @@ def test_gradient_bound_hits_support_extremes():
 
 def _synthetic_samples(taus, values):
     return IntegralSamples(
-        np.asarray(taus, float), np.asarray(values, complex), X2, A1, QuadratureConfig()
+        np.asarray(taus, float),
+        np.asarray(values, complex),
+        X2,
+        A1,
+        QuadratureConfig(),
+        gradient_bound(X2, A1),
     )
 
 
