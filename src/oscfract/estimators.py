@@ -8,7 +8,11 @@ two routes must not share assumptions.
 Measurement pipeline:
 
 * box_count     exact cell counts N(eps) for a family of grids, averaged
-                over random grid translations to suppress lattice bias;
+                over random grid translations to suppress lattice bias; a
+                segment touches the cells of the pieces between its
+                gridline crossings (and, at an exact corner crossing, the
+                corner's cell), found without sorting and deduplicated in a
+                bitmap with one bit per grid cell;
 * estimate_dimension
                 log N vs log(1/eps) slope over an automatically selected
                 plateau (curves built from integrals cross over from a
@@ -119,42 +123,100 @@ def _finite_rows(polyline: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pts[ok], seg
 
 
-def _supercover_count(P: np.ndarray, Q: np.ndarray, pts: np.ndarray, height: int) -> int:
+# gridline crossings handled per block of segments: bounds the working arrays
+_CROSSING_BLOCK = 1 << 16
+
+
+def _supercover_count(
+    P: np.ndarray, Q: np.ndarray, pts: np.ndarray, width: int, height: int
+) -> int:
     """Number of distinct half-open unit cells touched by segments P->Q plus pts.
 
-    Cells are recovered exactly: every integer gridline crossing splits the
-    segment, and the midpoint of each piece identifies its cell.  height
-    bounds the y cell index (with a margin of 2 either side), so the packed
-    key x * (height + 4) + y is distinct for distinct cells.
+    Arrays are axis first: P and Q are (2, M), pts is (2, N).  The gridline
+    crossings at t = (k - P) / (Q - P), clipped to [0, 1], cut each segment
+    into pieces; a piece's cell is the floor of its midpoint, and a
+    zero-length piece (crossings of both axes at one t, or a crossing at
+    t = 1) contributes the floor of P + t (Q - P), so a segment through a
+    cell corner touches the corner's cell too.  No sort: the piece after a
+    crossing ends at the nearer of the next crossing on the same axis (the
+    next one generated) and the next on the other axis, found by comparing
+    the parameters of the two or three gridlines around the crossing point
+    with t.  Comparing parameters rather than reading floor(y) keeps exact
+    corner passes exact when rounding moves the crossing point off the
+    corner.  Cells are marked in a bitmap with one bit per cell of the
+    (width + 4) x (height + 4) grid (a margin of 2 either side of the cell
+    indices) and the set bits are counted.
     """
-    cells = [np.floor(pts).astype(np.int64)]
-    if len(P):
-        d = Q - P
-        parts = [np.zeros(len(P)), np.ones(len(P))]
-        seg_ids = [np.arange(len(P)), np.arange(len(P))]
+    stride = height + 4
+    bitmap = np.zeros(((width + 4) * stride + 63) // 64, np.uint64)
+
+    def mark(x: np.ndarray, y: np.ndarray) -> None:
+        key = (np.floor(x) * stride + np.floor(y) + (2 * stride + 2)).astype(np.uint64)
+        np.bitwise_or.at(bitmap, key >> 6, np.left_shift(np.uint64(1), key & 63))
+
+    mark(*pts)
+    d = Q - P
+    lo = np.ceil(np.minimum(P, Q))
+    hi = np.floor(np.maximum(P, Q))
+    cnt = np.where(d != 0, np.maximum(0, hi - lo + 1), 0).astype(np.int64)
+    # first gridline crossed, in the order of t
+    first = np.where(d > 0, lo, hi)
+    # blocks of whole segments with about _CROSSING_BLOCK crossings each
+    ends = np.cumsum(cnt.sum(axis=0))
+    total = int(ends[-1]) if len(ends) else 0
+    cuts = np.searchsorted(ends, np.arange(_CROSSING_BLOCK, total, _CROSSING_BLOCK))
+    bounds = [0, *np.unique(cuts), P.shape[1]]
+    for s0, s1 in zip(bounds[:-1], bounds[1:]):
+        Pb, db = P[:, s0:s1], d[:, s0:s1]
+        # end of the first piece: the first crossing with t > 0, or 1
+        t_first = np.ones(s1 - s0)
         for ax in range(2):
-            lo = np.ceil(np.minimum(P[:, ax], Q[:, ax]))
-            hi = np.floor(np.maximum(P[:, ax], Q[:, ax]))
-            cnt = np.where(d[:, ax] != 0, np.maximum(0, hi - lo + 1), 0).astype(np.int64)
-            tot = int(cnt.sum())
-            if tot:
-                sid = np.repeat(np.arange(len(P)), cnt)
-                start = np.concatenate([[0], np.cumsum(cnt)[:-1]])
-                k = np.repeat(lo, cnt) + (np.arange(tot) - np.repeat(start, cnt))
-                t = (k - P[sid, ax]) / d[sid, ax]
-                parts.append(np.clip(t, 0.0, 1.0))
-                seg_ids.append(sid)
-        t = np.concatenate(parts)
-        sid = np.concatenate(seg_ids)
-        order = np.lexsort((t, sid))
-        t, sid = t[order], sid[order]
-        same = sid[:-1] == sid[1:]
-        tm = 0.5 * (t[:-1] + t[1:])[same]
-        ss = sid[:-1][same]
-        cells.append(np.floor(P[ss] + tm[:, None] * d[ss]).astype(np.int64))
-    cc = np.concatenate(cells)
-    packed = (cc[:, 0] + 2) * np.int64(height + 4) + (cc[:, 1] + 2)
-    return int(np.unique(packed).size)
+            o = 1 - ax
+            n = cnt[ax, s0:s1]
+            tot = int(n.sum())
+            if not tot:
+                continue
+            end = np.cumsum(n)
+            start = end - n
+            Pa, da = np.repeat(Pb[ax], n), np.repeat(db[ax], n)
+            Po, do = np.repeat(Pb[o], n), np.repeat(db[o], n)
+            # gridline k of each crossing: first + step * (its index in the segment)
+            step = np.sign(db[ax])
+            k = np.repeat(first[ax, s0:s1] - step * start, n) + np.repeat(step, n) * np.arange(tot)
+            t = np.clip((k - Pa) / da, 0.0, 1.0)
+            t_next = np.empty(tot)
+            t_next[:-1] = t[1:]
+            crossed = n > 0
+            t_next[end[crossed] - 1] = 1.0
+            head = start[crossed]
+            t_first[crossed] = np.minimum(
+                t_first[crossed], np.where(t[head] > 0, t[head], t_next[head])
+            )
+            # gridlines of the other axis around the crossing point, in the
+            # order they are crossed; those beyond the segment clip to 0 or
+            # 1 and never end a piece early, and with no motion along the
+            # other axis (d = 0, or so little that the quotient overflows)
+            # the next one divides to +inf and clips to 1
+            back = do < 0
+            so = np.where(back, -1.0, 1.0)
+            j0 = np.floor(Po + t * do) + back
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                t0 = np.clip((j0 - Po) / do, 0.0, 1.0)
+                t1 = np.clip((j0 + so - Po) / do, 0.0, 1.0)
+                late = np.nonzero(t1 <= t)[0]
+                t2 = np.clip((j0[late] + 2.0 * so[late] - Po[late]) / do[late], 0.0, 1.0)
+            t_other = np.where(t0 > t, t0, t1)
+            t_other[late] = t2
+            corner = np.nonzero((t0 == t) | (t1 == t))[0]
+            np.minimum(t_next, t_other, out=t_next)
+            tm = 0.5 * (t + t_next)
+            cells = (Pa + tm * da, Po + tm * do)
+            mark(*cells[:: 1 - 2 * ax])  # in (x, y) order
+            tc = t[corner]
+            cells = (Pa[corner] + tc * da[corner], Po[corner] + tc * do[corner])
+            mark(*cells[:: 1 - 2 * ax])
+        mark(*(Pb + (0.5 * t_first) * db))
+    return int(np.bitwise_count(bitmap).sum())
 
 
 def box_count(
@@ -168,9 +230,14 @@ def box_count(
 
     The grid is anchored at the bounding-box corner, so scaling the polyline
     and the eps values together reproduces the counts exactly.  offsets > 1
-    adds random sub-cell grid translations (seeded) and averages.
+    adds random sub-cell grid translations (seeded) and averages.  Every
+    eps must be finite and positive, and offsets at least 1.
     """
     epsilons = np.asarray(epsilons, dtype=float)
+    if not np.all(np.isfinite(epsilons) & (epsilons > 0)):
+        raise ValueError(f"every eps must be finite and positive, got {epsilons}")
+    if offsets < 1:
+        raise ValueError(f"offsets must be >= 1, got {offsets}")
     pts, seg = _finite_rows(polyline)
     if len(pts) < 1:
         raise ValueError("polyline has no finite points")
@@ -183,17 +250,17 @@ def box_count(
             f"eps {epsilons.max():g} exceeds bounding-box diameter {diam:g}"
         )
     rng = np.random.default_rng(seed)
-    shifts = np.vstack([[0.0, 0.0], rng.random((max(0, offsets - 1), 2))])
+    shifts = np.vstack([[0.0, 0.0], rng.random((offsets - 1, 2))])[:, :, None]
     if not connect:
         seg = seg[:0]
     counts = np.empty(len(epsilons))
     for i, eps in enumerate(epsilons):
-        U = (pts - lo) / eps
-        height = int(np.ceil(U[:, 1].max())) + 3
+        U = ((pts - lo) / eps).T
+        width, height = (int(c) + 3 for c in np.ceil(U.max(axis=1)))
+        UP, UQ = U[:, seg[:, 0]], U[:, seg[:, 1]]
         acc = 0
-        for off in shifts[:offsets]:
-            V = U + off
-            acc += _supercover_count(V[seg[:, 0]], V[seg[:, 1]], V, height)
+        for off in shifts:
+            acc += _supercover_count(UP + off, UQ + off, U + off, width, height)
         counts[i] = acc / offsets
     return counts
 

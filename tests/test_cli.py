@@ -7,7 +7,8 @@ Verified here:
 * predict: 1D report on stdout, 2D report with the closed-form coefficient;
 * integrate / curve: CSV header and row count, SVG path structure;
 * dim / content: polyline CSV round trips (named re/im and x/y columns,
-  bare numeric), estimates near known values, seeded determinism;
+  bare numeric), estimates near known values, seeded determinism, exit 2
+  on grid offsets below 1;
 * calibrate: table assembly and exit codes on a stubbed miniature zoo;
 * verify: exit 0 on a calibrated rectifiable pipeline, tolerance-profile
   wiring (desk passes where strict fails), exit 1 when the window is forced
@@ -219,6 +220,16 @@ def test_dim_rejects_unusable_columns(tmp_path):
 
 def test_dim_requires_polyline_key(tmp_path):
     assert main(["dim", "--config", _cfg(tmp_path, {})]) == 2
+
+
+@pytest.mark.parametrize("offsets", [0, -1])
+def test_dim_rejects_nonpositive_offsets(tmp_path, capsys, offsets):
+    t = np.linspace(0.0, 1.0, 64)
+    csv = tmp_path / "line.csv"
+    np.savetxt(csv, np.column_stack([t, t**2]), delimiter=",")
+    cfg = _cfg(tmp_path, {"polyline_csv": str(csv), "offsets": offsets})
+    assert main(["dim", "--config", cfg]) == 2
+    assert "offsets" in capsys.readouterr().err
 
 
 def test_content_on_segment_csv(tmp_path):

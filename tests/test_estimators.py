@@ -8,6 +8,13 @@ Verified here:
   seed determinism, scale and axis-swap invariance (tall polylines count
   like wide ones), and the exact grid-nesting inequalities
   N(2 eps) <= N(eps) <= 4 N(2 eps) for halved anchored grids;
+* box_count equal, count for count, to a reference supercover that sorts
+  the crossing parameters and floors piece midpoints, on lattice,
+  half-lattice, gridline-aligned and generic polylines with NaN splits,
+  repeated points and connect=False, on a lattice diagonal whose computed
+  crossing points round off their corners, on vertices a few ulps from a
+  cell corner, and on a chirp with four offsets, whole or split into blocks;
+* box_count input validation (eps finite and positive, offsets >= 1);
 * estimate_dimension on exact power laws (recovered to machine precision),
   plateau selection across a regime crossover, the smallest-eps tiebreak,
   the inconclusive fallback on drifting slopes, and input validation;
@@ -27,7 +34,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oscfract import estimators
 from oscfract.estimators import (
+    _finite_rows,
     box_count,
     estimate_content,
     estimate_dimension,
@@ -150,6 +159,171 @@ def test_counts_invariant_under_axis_swap(raw, aspect):
     eps = diam / np.array([3.0, 40.0, 160.0])
     counts = box_count(pts, eps, offsets=1)
     assert np.array_equal(counts, box_count(pts[:, ::-1], eps, offsets=1))
+
+
+def _reference_supercover(P, Q, pts, height):
+    """Distinct cells touched by segments P->Q plus pts, by sorting.
+
+    Every gridline crossing splits its segment; the crossing parameters are
+    sorted per segment and the floor of each piece's midpoint is its cell.
+    Kept as the reference for box_count's sort-free count.
+    """
+    cells = [np.floor(pts).astype(np.int64)]
+    if len(P):
+        d = Q - P
+        parts = [np.zeros(len(P)), np.ones(len(P))]
+        seg_ids = [np.arange(len(P)), np.arange(len(P))]
+        for ax in range(2):
+            lo = np.ceil(np.minimum(P[:, ax], Q[:, ax]))
+            hi = np.floor(np.maximum(P[:, ax], Q[:, ax]))
+            cnt = np.where(d[:, ax] != 0, np.maximum(0, hi - lo + 1), 0).astype(np.int64)
+            tot = int(cnt.sum())
+            if tot:
+                sid = np.repeat(np.arange(len(P)), cnt)
+                start = np.concatenate([[0], np.cumsum(cnt)[:-1]])
+                k = np.repeat(lo, cnt) + (np.arange(tot) - np.repeat(start, cnt))
+                t = (k - P[sid, ax]) / d[sid, ax]
+                parts.append(np.clip(t, 0.0, 1.0))
+                seg_ids.append(sid)
+        t = np.concatenate(parts)
+        sid = np.concatenate(seg_ids)
+        order = np.lexsort((t, sid))
+        t, sid = t[order], sid[order]
+        same = sid[:-1] == sid[1:]
+        tm = 0.5 * (t[:-1] + t[1:])[same]
+        ss = sid[:-1][same]
+        cells.append(np.floor(P[ss] + tm[:, None] * d[ss]).astype(np.int64))
+    cc = np.concatenate(cells)
+    packed = (cc[:, 0] + 2) * np.int64(height + 4) + (cc[:, 1] + 2)
+    return int(np.unique(packed).size)
+
+
+def _reference_box_count(polyline, epsilons, offsets, seed, connect=True):
+    """box_count's grids and offsets, counted by _reference_supercover."""
+    pts, seg = _finite_rows(polyline)
+    if not connect:
+        seg = seg[:0]
+    lo = pts.min(axis=0)
+    rng = np.random.default_rng(seed)
+    shifts = np.vstack([[0.0, 0.0], rng.random((offsets - 1, 2))])
+    counts = []
+    for eps in epsilons:
+        U = (pts - lo) / eps
+        height = int(np.ceil(U[:, 1].max())) + 3
+        total = 0
+        for off in shifts:
+            V = U + off
+            total += _reference_supercover(V[seg[:, 0]], V[seg[:, 1]], V, height)
+        counts.append(total / offsets)
+    return np.array(counts)
+
+
+_LATTICE = st.integers(0, 60).map(float)
+_GENERIC = st.floats(0.0, 60.0, allow_nan=False, allow_infinity=False)
+# coordinates of one point, per kind: on the integer lattice (dyadic eps
+# keep it there), on the half-lattice, on gridlines of one axis only, or
+# anywhere; lattice polylines pass exactly through cell corners, where
+# rounding can move the computed crossing point off the corner
+_POINTS = {
+    "lattice": st.tuples(_LATTICE, _LATTICE),
+    "half-lattice": st.tuples(_LATTICE.map(lambda v: v / 2.0), _LATTICE.map(lambda v: v / 2.0)),
+    "x-gridlines": st.tuples(_LATTICE, _GENERIC),
+    "y-gridlines": st.tuples(_GENERIC, _LATTICE),
+    "generic": st.tuples(_GENERIC, _GENERIC),
+}
+
+
+@st.composite
+def _polylines(draw):
+    """(N, 2) polyline of one kind, with NaN splits and repeated points."""
+    point = _POINTS[draw(st.sampled_from(sorted(_POINTS)))]
+    rows = draw(st.lists(st.one_of(point, st.just("nan"), st.just("repeat")), min_size=1, max_size=12))
+    out = []
+    for row in rows:
+        if row == "nan":
+            out.append((math.nan, math.nan))
+        elif row == "repeat":
+            out.append(out[-1] if out else (0.0, 0.0))
+        else:
+            out.append(row)
+    return np.array(out)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    _polylines(),
+    st.sampled_from([1, 1, 2, 3]),
+    st.integers(0, 2**16),
+    st.booleans(),
+)
+def test_counts_match_sorting_reference(pts, offsets, seed, connect):
+    finite = pts[np.isfinite(pts).all(axis=1)]
+    assume(len(finite) > 0)
+    diam = float(np.hypot(*np.ptp(finite, axis=0)))
+    eps = np.array([e for e in (4.0, 1.0, 0.5, 0.25, 0.3) if diam == 0.0 or e <= diam])
+    assume(len(eps) > 0)
+    counts = box_count(pts, eps, offsets=offsets, seed=seed, connect=connect)
+    assert np.array_equal(counts, _reference_box_count(pts, eps, offsets, seed, connect))
+
+
+@pytest.mark.parametrize(
+    "start, end",
+    [
+        ((0.9999999999999998, 0.9999999999999999), (2.999999999999999, 2.0)),
+        ((0.9999999999999998, 1.9999999999999998), (3.999999999999999, 5.000000000000002)),
+    ],
+)
+def test_vertex_ulps_from_a_corner_matches_sorting_reference(start, end):
+    # the segment's first piece, up to the nearby gridlines, is a few ulps
+    # long, and its midpoint rounds into a cell of its own; the isolated
+    # origin pins the grid so the vertices keep their exact coordinates
+    pts = np.array([(0.0, 0.0), (math.nan, math.nan), start, end])
+    counts = box_count(pts, np.array([1.0]), offsets=1)
+    assert np.array_equal(counts, _reference_box_count(pts, [1.0], 1, 0))
+
+
+def test_diagonal_through_lattice_corners_counts_diagonal_cells():
+    # 1/49 * 49 rounds below 1, so each computed crossing point lies just
+    # off its lattice corner; the count must not pick up the cells beside
+    # the diagonal
+    pts = np.array([[0.0, 0.0], [49.0, 49.0]])
+    counts = box_count(pts, np.array([1.0]), offsets=1)
+    assert counts[0] == 50.0
+    assert np.array_equal(counts, _reference_box_count(pts, [1.0], 1, 0))
+
+
+def test_chirp_counts_match_sorting_reference():
+    pts = gen_chirp(0.5, 1.0, t_min=0.01)
+    eps = geometric_epsilons(0.05, 0.002, 6)
+    counts = box_count(pts, eps, offsets=4, seed=11)
+    assert np.array_equal(counts, _reference_box_count(pts, eps, 4, 11))
+
+
+def test_crossing_blocks_do_not_change_counts(monkeypatch):
+    # crossings are handled a block of segments at a time; tiny blocks split
+    # the chirp's segments over many of them
+    pts = gen_chirp(0.5, 1.0, t_min=0.01)
+    eps = geometric_epsilons(0.05, 0.002, 4)
+    whole = box_count(pts, eps, offsets=2, seed=5)
+    monkeypatch.setattr(estimators, "_CROSSING_BLOCK", 7)
+    assert np.array_equal(box_count(pts, eps, offsets=2, seed=5), whole)
+
+
+@pytest.mark.parametrize(
+    "eps, offsets",
+    [
+        ([0.1], 0),
+        ([0.1], -1),
+        ([-0.01, 0.1], 4),
+        ([0.0], 1),
+        ([np.nan], 1),
+        ([np.inf], 1),
+    ],
+)
+def test_box_count_validates_inputs(eps, offsets):
+    pts = gen_chirp(0.5, 1.0, t_min=0.05)
+    with pytest.raises(ValueError):
+        box_count(pts, np.array(eps), offsets=offsets)
 
 
 def test_counts_stable_under_generic_similarity():
