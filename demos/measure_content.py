@@ -2,9 +2,9 @@
 
 For the fold phase x^2 + 1 the leading coefficient is explicit, and the
 d-dimensional content of the spiral (Re I, Im I) has the closed value
-3 * 2^(2/3) * pi.  The measurement dilates the polyline by eps, rasterizes
-the sausage area A(eps), and averages rho(eps) = A(eps) / eps^(2-d) over a
-window; the trend of rho against log(1/eps) doubles as a degeneracy
+3 * 2^(2/3) * pi.  The measurement dilates the polyline by eps, sums the
+sausage area A(eps) row by row, and averages rho(eps) = A(eps) / eps^(2-d)
+over a window; the trend of rho against log(1/eps) doubles as a degeneracy
 detector (rho drifting up or down at a log rate means the content is
 infinite or zero even though the dimension is right).
 

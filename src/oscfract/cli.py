@@ -417,7 +417,7 @@ _ZOO_DIMS = (
 )
 
 # Degeneracy pairs: the log factor flips the verdict at the same dimension.
-# Each fixture carries its own eps grid and raster cap: the drift detector
+# Each fixture carries its own eps grid and interval cap: the drift detector
 # needs windows where its asymptotic signature beats finite-size artifacts.
 _ZOO_VERDICTS = (
     (

@@ -18,9 +18,9 @@ Measurement pipeline:
                 plateau (curves built from integrals cross over from a
                 rectifiable regime at coarse scales to the fractal regime,
                 so fitting all scales would bias the slope);
-* sausage_area  area of the eps-neighborhood on a raster, distance
-                transform for the bulk and exact point-to-segment distance
-                near the boundary;
+* sausage_area  area of the eps-neighborhood, a union of capsules: rows
+                eps/8 apart cut each capsule in one closed-form interval,
+                and the area sums the lengths of each row's union;
 * estimate_content
                 normalized areas rho(eps) = |A_eps| / eps^(2-d) and a
                 verdict on Minkowski degeneracy from their drift in
@@ -42,8 +42,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import ndimage
-from scipy.spatial import cKDTree
 
 from oscfract.integrals import NumericBudgetError
 
@@ -321,76 +319,85 @@ def estimate_dimension(
     )
 
 
-def _point_segment_dist2(X: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    AB = B - A
-    den = np.sum(AB * AB, axis=-1)
-    t = np.sum((X - A) * AB, axis=-1) / np.where(den > 0, den, 1.0)
-    t = np.clip(t, 0.0, 1.0)
-    proj = A + t[..., None] * AB
-    return np.sum((X - proj) ** 2, axis=-1)
+# sausage-area rows lie eps * _ROW_STEP apart; blocks of whole capsules with
+# about _INTERVAL_BLOCK row intervals each bound the working arrays
+_ROW_STEP = 1.0 / 8.0
+_INTERVAL_BLOCK = 1 << 16
+
+
+def _union(L: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The disjoint runs [L, R], in order, whose union is that of the intervals."""
+    order = np.argsort(L)
+    L, R = L[order], np.maximum.accumulate(R[order])
+    first = np.flatnonzero(np.append(True, L[1:] > R[:-1]))
+    return L[first], R[np.append(first[1:], len(L)) - 1]
 
 
 def sausage_area(polyline: np.ndarray, eps: float, cell_cap: int = 120_000_000) -> float:
-    """Area of the eps-neighborhood of the polyline (2% relative target).
+    """Area of the eps-neighborhood of the polyline, a union of capsules.
 
-    Raster of cell size eps/8.  The polyline is resampled to spacing eps/16;
-    a distance transform from the occupied cells classifies everything far
-    from the boundary, and band cells get the exact distance to the segments
-    adjacent to their two nearest samples.  Each band cell then contributes
-    the fraction of its area on the inside, modeling the boundary as locally
-    straight, which keeps the error per boundary cell at a few percent of
-    h^2 rather than h^2 itself.
+    Each segment's neighborhood is a capsule, and each lone vertex's (one
+    that no segment uses) a disk, a capsule of length zero.  Rows spaced
+    h = eps/8 cut each capsule in one interval whose ends have a closed
+    form, so the area is h times the summed lengths of each row's union of
+    intervals: exact along the rows, the midpoint rule across them.
+    Against exact shapes: a single segment of any angle and length is
+    within 0.6% of 2 eps L + pi eps^2; a disk alone reads 0.5% high, and
+    between 1.7% low and 0.5% high where other geometry sets its rows; the
+    neighborhood of a 512-gon circle of radius 12.5 eps is within 0.003%
+    of its annulus.  cell_cap bounds the number of row intervals (one per
+    capsule per row it meets); above it NumericBudgetError is raised.
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     pts, seg = _finite_rows(polyline)
     if len(pts) == 0:
         raise ValueError("polyline has no finite points")
-    A, B = (pts[seg[:, 0]], pts[seg[:, 1]]) if len(seg) else (pts, pts)
-    h = eps / 8.0
-    lo = pts.min(axis=0) - eps - 2 * h
-    hi = pts.max(axis=0) + eps + 2 * h
-    nx, ny = (int(np.ceil((hi[k] - lo[k]) / h)) + 1 for k in (0, 1))
-    if nx * ny > cell_cap:
+    lone = np.ones(len(pts), dtype=bool)
+    lone[seg.ravel()] = False
+    A = np.concatenate([pts[seg[:, 0]], pts[lone]])
+    D = np.concatenate([pts[seg[:, 1]], pts[lone]]) - A
+    h = eps * _ROW_STEP
+    lo = pts.min(axis=0) - eps
+    # row j, at y = lo_y + (j + 1/2) h, meets the capsules within eps of it
+    ybot = np.minimum(A[:, 1], A[:, 1] + D[:, 1]) - lo[1]
+    first = np.ceil((ybot - eps) / h - 0.5)
+    n = (np.floor((ybot + np.abs(D[:, 1]) + eps) / h - 0.5) - first + 1).astype(np.int64)
+    ends = np.cumsum(n)
+    if ends[-1] > cell_cap:
         raise NumericBudgetError(
-            f"sausage raster {nx}x{ny} exceeds cap {cell_cap}; raise eps or the cap"
+            f"sausage area needs {ends[-1]} row intervals, over the cap {cell_cap}; "
+            "raise eps or the cap"
         )
-    # resampled chain: spacing <= h/2, sample s covers chain segments (s-1, s)
-    seglen = np.hypot(*(B - A).T)
-    m = np.maximum(1, np.ceil(seglen / (h / 2.0)).astype(int))
-    sid = np.repeat(np.arange(len(A)), m + 1)
-    start = np.concatenate([[0], np.cumsum(m + 1)[:-1]])
-    frac = (np.arange(len(sid)) - start[sid]) / m[sid]
-    samples = A[sid] + frac[:, None] * (B[sid] - A[sid])
-    linked = sid[1:] == sid[:-1]  # consecutive samples on the same input segment
-    occ = np.zeros((nx, ny), dtype=bool)
-    ij = np.floor((samples - lo) / h).astype(int)
-    occ[ij[:, 0], ij[:, 1]] = True
-    dist = ndimage.distance_transform_edt(~occ, sampling=h)
-    slack = h * (math.sqrt(2.0) / 2.0 + 0.25) + 1e-12
-    inside = dist <= eps - slack - h
-    band = (dist > eps - slack - h) & (dist < eps + slack + h)
-    area = float(np.count_nonzero(inside)) * h * h
-    bi, bj = np.nonzero(band)
-    if bi.size:
-        X = np.stack([lo[0] + (bi + 0.5) * h, lo[1] + (bj + 0.5) * h], axis=-1)
-        tree = cKDTree(samples)
-        _, nn = tree.query(X, k=2 if len(samples) > 1 else 1)
-        nn = nn.reshape(len(X), -1)
-        d2 = np.full(len(X), np.inf)
-        for col in range(nn.shape[1]):
-            s = nn[:, col]
-            for shift in (0, 1):  # chain segments (s-1, s) and (s, s+1)
-                a_idx = s - 1 + shift
-                ok = (a_idx >= 0) & (a_idx < len(samples) - 1) & linked[np.clip(a_idx, 0, len(linked) - 1)]
-                cand = np.where(ok, a_idx, 0)
-                dd = _point_segment_dist2(X, samples[cand], samples[cand + 1])
-                dd = np.where(ok, dd, np.inf)
-                d2 = np.minimum(d2, dd)
-            d2 = np.minimum(d2, np.sum((X - samples[s]) ** 2, axis=-1))
-        fracs = np.clip(0.5 + (eps - np.sqrt(d2)) / h, 0.0, 1.0)
-        area += float(fracs.sum()) * h * h
-    return area
+    # rows laid end to end, span apart: one sort orders every row's intervals
+    span = float(np.ptp(pts[:, 0])) + 4.0 * eps
+    cuts = np.searchsorted(ends, np.arange(_INTERVAL_BLOCK, ends[-1], _INTERVAL_BLOCK))
+    bounds = np.unique(np.concatenate([[0], cuts, [len(A)]]))
+    runs = []
+    for b0, b1 in zip(bounds[:-1], bounds[1:]):
+        nb = n[b0:b1]
+        c = np.repeat(np.arange(b0, b1), nb)
+        j = np.arange(len(c)) - np.repeat(np.cumsum(nb) - nb - first[b0:b1], nb)
+        (ax, ay), (dx, dy) = A[c].T, D[c].T
+        v = lo[1] - ay + (j + 0.5) * h  # the row's height above A
+        # over the disks centred at A + s D, the interval's left end
+        # ax + s dx - sqrt(eps^2 - (v - s dy)^2) is convex in s, least at
+        # v - s dy = eps dx sgn(dy) / |D|; clipped to [0, 1], that s stays on
+        # a disk that reaches the row, for every row the capsule meets.  The
+        # right end mirrors it.  A flat capsule (|dy| <= 1e-12 (|dx| + eps),
+        # where 1 / dy could overflow) takes each end from A or A + D, outward
+        flat = np.abs(dy) <= 1e-12 * (np.abs(dx) + eps)
+        inv = 1.0 / np.where(flat, 1.0, dy)
+        u = eps * dx * np.sign(dy) / np.where(flat, 1.0, np.hypot(dx, dy))
+        x = []
+        for side, s in ((-1.0, np.where(flat, dx < 0, (v - u) * inv)),
+                        (1.0, np.where(flat, dx > 0, (v + u) * inv))):
+            s = np.clip(s, 0.0, 1.0)
+            w = np.sqrt(np.maximum(eps * eps - (v - s * dy) ** 2, 0.0))
+            x.append(ax + s * dx + side * w + (j * span - lo[0]))
+        runs.append(_union(*x))
+    L, R = _union(*map(np.concatenate, zip(*runs)))
+    return float(np.sum(R - L)) * h
 
 
 def estimate_content(
@@ -408,6 +415,8 @@ def estimate_content(
     (l <= -0.5, rho falling); anything between is inconclusive.
     """
     epsilons = np.asarray(epsilons, dtype=float)
+    if not np.all(np.isfinite(epsilons) & (epsilons > 0)):
+        raise ValueError(f"every eps must be finite and positive, got {epsilons}")
     if np.any(epsilons >= 1.0 / math.e):
         raise ValueError("content grid needs eps < 1/e so log log(1/eps) > 0")
     areas = np.array([sausage_area(polyline, e, cell_cap) for e in epsilons])
@@ -479,17 +488,8 @@ def spiral_radial_analysis(
             radii = radii[np.isfinite(radii)]
             if radii.size == 0:
                 continue
-            a = np.maximum(radii - eps, 0.0)[::-1]
-            b = (radii + eps)[::-1]
-            # union of sorted intervals, integrating rho d rho
-            keep_a, keep_b = [a[0]], [b[0]]
-            for lo2, hi2 in zip(a[1:], b[1:]):
-                if lo2 <= keep_b[-1]:
-                    keep_b[-1] = max(keep_b[-1], hi2)
-                else:
-                    keep_a.append(lo2)
-                    keep_b.append(hi2)
-            ka, kb = np.array(keep_a), np.array(keep_b)
+            # union of the intervals, integrating rho d rho
+            ka, kb = _union(np.maximum(radii - eps, 0.0), radii + eps)
             total += 0.5 * float(np.sum(kb**2 - ka**2)) * (2.0 * math.pi / nturn)
         radial[idx] = total
     return SpiralRadialReport(epsilons, phi2, nucleus, tail, radial)

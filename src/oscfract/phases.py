@@ -59,10 +59,6 @@ class PolynomialPhase:
     def value_at_origin(self) -> float:
         return self.terms.get((0,) * self.dimension, 0.0)
 
-    @property
-    def max_degree(self) -> int:
-        return max((max(k) for k in self.terms), default=0)
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"

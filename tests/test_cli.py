@@ -8,7 +8,7 @@ Verified here:
 * integrate / curve: CSV header and row count, SVG path structure;
 * dim / content: polyline CSV round trips (named re/im and x/y columns,
   bare numeric), estimates near known values, seeded determinism, exit 2
-  on grid offsets below 1;
+  on grid offsets below 1, exit 3 when content exceeds its row-interval cap;
 * calibrate: table assembly and exit codes on a stubbed miniature zoo;
 * verify: exit 0 on a calibrated rectifiable pipeline, tolerance-profile
   wiring (desk passes where strict fails), exit 1 when the window is forced
@@ -248,6 +248,14 @@ def test_content_on_segment_csv(tmp_path):
     out = json.loads((tmp_path / "out" / "content.json").read_text())
     assert out["estimate"]["M_hat"] == pytest.approx(2.0, rel=0.03)
     assert out["estimate"]["degenerate_verdict"] == "nondegenerate"
+
+
+def test_content_interval_cap_maps_to_exit_3(tmp_path, capsys):
+    csv = tmp_path / "seg.csv"
+    csv.write_text("x,y\n0,0\n1,0\n", encoding="utf-8")
+    cfg = _cfg(tmp_path, {"polyline_csv": str(csv), "d": 1.0, "cell_cap": 10})
+    assert main(["content", "--config", cfg]) == 3
+    capsys.readouterr()
 
 
 def test_content_requires_dimension(tmp_path):

@@ -65,7 +65,6 @@ def test_from_dict_malformed():
 def test_value_at_origin_and_degree():
     p = PolynomialPhase(1, {(3,): 2.0, (0,): 5.0})
     assert p.value_at_origin == 5.0
-    assert p.max_degree == 3
     assert PolynomialPhase(1, {(2,): 1.0}).value_at_origin == 0.0
 
 
