@@ -13,13 +13,11 @@ from oscfract.phases import (
     AmplitudeSpec,
     PolynomialPhase,
     critical_order_1d,
-    eval_amplitude,
-    eval_phase,
     partial_derivative,
     verify_isolated_critical_point,
 )
 from oscfract.newton import DiagramInfo, newton_diagram, r_nondegeneracy_check
-from oscfract.specfun import beta, gamma, log_gamma
+from oscfract.specfun import gamma
 from oscfract.predict import (
     AsymptoticPrediction,
     CausticType,
@@ -78,7 +76,6 @@ __all__ = [
     "QuadratureConfig",
     "ReflectedGraph",
     "SpiralRadialReport",
-    "beta",
     "box_count",
     "caustic_prediction",
     "content_1d",
@@ -87,9 +84,7 @@ __all__ = [
     "curve_from_samples",
     "estimate_content",
     "estimate_dimension",
-    "eval_amplitude",
     "eval_integral",
-    "eval_phase",
     "gamma",
     "gen_astring",
     "gen_chirp",
@@ -98,7 +93,6 @@ __all__ = [
     "greenblatt_closed_form",
     "greenblatt_coefficient",
     "leading_term_fit",
-    "log_gamma",
     "newton_diagram",
     "partial_derivative",
     "predict_1d",

@@ -104,6 +104,16 @@ def _load_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
+def _section(cfg: dict, key: str) -> dict:
+    """The JSON object under cfg[key]; {} when the key is absent or null."""
+    sec = cfg.get(key)
+    if sec is None:
+        return {}
+    if not isinstance(sec, dict):
+        raise ValueError(f'config "{key}" must be a JSON object, got {json.dumps(sec)}')
+    return sec
+
+
 def _phase_from(cfg: dict) -> PolynomialPhase:
     if "phase" not in cfg:
         raise ValueError('config needs a "phase" entry: {"n": ..., "terms": [...]}')
@@ -111,12 +121,12 @@ def _phase_from(cfg: dict) -> PolynomialPhase:
 
 
 def _amp_from(cfg: dict, n: int) -> AmplitudeSpec:
-    return AmplitudeSpec.from_dict(cfg.get("amplitude", {}), n)
+    return AmplitudeSpec.from_dict(_section(cfg, "amplitude"), n)
 
 
 def _quad_from(cfg: dict, n: int) -> QuadratureConfig:
     # panel_order 2 suffices in 3D and keeps the radial tables small
-    q = dict(cfg.get("quadrature", {}))
+    q = dict(_section(cfg, "quadrature"))
     if n >= 3:
         q.setdefault("panel_order", 2)
     try:
@@ -132,12 +142,11 @@ def _tau_from(cfg: dict, n: int, rectifiable: bool = False) -> tuple[float, floa
         lo, hi, count = 20.0, 300.0, 40
     else:
         lo, hi, count = 8.0, 150.0, 30
-    t = cfg.get("tau", {})
+    t = _section(cfg, "tau")
     return float(t.get("min", lo)), float(t.get("max", hi)), int(t.get("count", count))
 
 
-def _eps_from(spec: Optional[dict], fallback: tuple[float, float, int]) -> np.ndarray:
-    spec = spec or {}
+def _eps_from(spec: dict, fallback: tuple[float, float, int]) -> np.ndarray:
     mx, mn, ct = fallback
     return geometric_epsilons(
         float(spec.get("max", mx)), float(spec.get("min", mn)), int(spec.get("count", ct))
@@ -341,7 +350,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
     with _stage("curve"):
         n = samples.phase.dimension
         default_step = math.pi / 16 if n == 1 else math.pi / 8
-        max_step = float(cfg.get("curve", {}).get("max_step", default_step))
+        max_step = float(_section(cfg, "curve").get("max_step", default_step))
         curve = curve_from_samples(samples, max_step=max_step)
     _emit(args, "curve.csv", _csv_text(curve.tau, curve.points[:, 0] + 1j * curve.points[:, 1]))
     _emit(args, "curve.svg", _svg_text(curve.points))
@@ -356,7 +365,7 @@ def cmd_dim(args: argparse.Namespace) -> int:
         pts = _read_polyline(cfg["polyline_csv"])
     with _stage("estimate"):
         diam = _diameter(pts)
-        eps = _eps_from(cfg.get("eps"), (diam / 150.0, diam / 3600.0, 12))
+        eps = _eps_from(_section(cfg, "eps"), (diam / 150.0, diam / 3600.0, 12))
         counts = box_count(
             pts,
             eps,
@@ -384,7 +393,7 @@ def cmd_content(args: argparse.Namespace) -> int:
         pts = _read_polyline(cfg["polyline_csv"])
     with _stage("estimate"):
         diam = _diameter(pts)
-        eps = _eps_from(cfg.get("eps"), (diam / 150.0, diam / 700.0, 10))
+        eps = _eps_from(_section(cfg, "eps"), (diam / 150.0, diam / 700.0, 10))
         est = estimate_content(
             pts, float(cfg["d"]), eps, cell_cap=int(cfg.get("cell_cap", 120_000_000))
         )
@@ -562,7 +571,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         samples = sample_integral(phase, amp, lo, hi, count, quad)
     with _stage("curve"):
         default_step = math.pi / 16 if n == 1 else math.pi / 8
-        max_step = float(cfg.get("curve", {}).get("max_step", default_step))
+        max_step = float(_section(cfg, "curve").get("max_step", default_step))
         curve = curve_from_samples(samples, max_step=max_step)
         graph_re, graph_im = reflected_pair(samples)
     with _stage("estimate"):
@@ -579,14 +588,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 diam / 3600.0,
                 12,
             )
-            eps = _eps_from(cfg.get("eps", {}).get(key), fallback)
+            eps = _eps_from(_section(_section(cfg, "eps"), key), fallback)
             counts = box_count(pts, eps, seed=args.seed)
             estimates[key] = estimate_dimension(eps, counts)
         content_est = None
-        ccfg = cfg.get("content", {})
+        ccfg = _section(cfg, "content")
         if ccfg.get("enabled", False):
             diam = _diameter(curve.points)
-            eps_c = _eps_from(ccfg.get("eps"), (diam / 150.0, diam / 700.0, 10))
+            eps_c = _eps_from(_section(ccfg, "eps"), (diam / 150.0, diam / 700.0, 10))
             content_est = estimate_content(
                 curve.points,
                 float(ccfg.get("d", float(pred.curve_dim))),

@@ -42,10 +42,11 @@ import numpy as np
 
 from oscfract.phases import (
     AmplitudeSpec,
+    MultiIndex,
     PolynomialPhase,
     bump_profile,
     eval_phase_array,
-    partial_derivative,
+    gradient_norm,
 )
 
 
@@ -106,16 +107,15 @@ class FitResult:
 def gradient_bound(phase: PolynomialPhase, amp: AmplitudeSpec) -> float:
     """max |grad f| over the support ball, by dense sampling plus 5% headroom."""
     n = phase.dimension
+    if n > 3:
+        raise ValueError(f"quadrature supports n <= 3, got a phase with n = {n}")
     R = amp.radius
     per_axis = {1: 4097, 2: 301, 3: 101}[n]
     ax = np.linspace(-R, R, per_axis)
     pts = np.stack(np.meshgrid(*([ax] * n), indexing="ij"), axis=-1).reshape(-1, n)
     if n > 1:
         pts = pts[np.sum(pts**2, axis=-1) <= R * R]
-    g2 = np.zeros(len(pts))
-    for i in range(n):
-        g2 += eval_phase_array(partial_derivative(phase, i), pts) ** 2
-    return 1.05 * float(np.sqrt(g2.max()))
+    return 1.05 * float(gradient_norm(phase, pts).max())
 
 
 # A rotated phase E_{k+1} = E_k e^{i dtau g} gains about one rounding error
@@ -212,25 +212,17 @@ def _axis_nodes(R: float, panels: int, order: int) -> tuple[np.ndarray, np.ndarr
     return x, w
 
 
-def _separable_split(phase: PolynomialPhase) -> Optional[list[dict[int, float]]]:
-    """Per-axis exponent->coefficient maps if no monomial mixes variables."""
+def _separable_split(phase: PolynomialPhase) -> Optional[list[PolynomialPhase]]:
+    """One 1-D phase per axis, without constants, if no monomial mixes variables."""
     n = phase.dimension
-    out: list[dict[int, float]] = [dict() for _ in range(n)]
+    out: list[dict[MultiIndex, float]] = [dict() for _ in range(n)]
     for k, c in phase.terms.items():
         live = [i for i, e in enumerate(k) if e > 0]
         if len(live) > 1:
             return None
         if live:
-            i = live[0]
-            out[i][k[i]] = out[i].get(k[i], 0.0) + c
-    return out
-
-
-def _eval_axis_poly(poly: dict[int, float], x: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(x)
-    for e, c in poly.items():
-        out += c * x**e
-    return out
+            out[live[0]][(k[live[0]],)] = c
+    return [PolynomialPhase(1, terms) for terms in out]
 
 
 class _QuadGrid:
@@ -280,7 +272,7 @@ class _QuadGrid:
             self.mode = "sep2d"
             self._x, self._wx = x, w
             # phases of the u and v factors, rotated together
-            self._g = np.concatenate([_eval_axis_poly(split[i], x) for i in range(2)])
+            self._g = np.concatenate([eval_phase_array(p, x[:, None]) for p in split])
             m = x.size
             need64 = m * m * 8
             if need64 <= budget:
@@ -298,7 +290,7 @@ class _QuadGrid:
             self.mode = "sep3d"
             self._x, self._wx = x, w
             # phases of the u, v and wz factors, rotated together
-            self._g = np.concatenate([_eval_axis_poly(split[i], x) for i in range(3)])
+            self._g = np.concatenate([eval_phase_array(p, x[:, None]) for p in split])
             s = x[:, None] ** 2 + x[None, :] ** 2
             keep = s <= R * R
             ii, jj = np.nonzero(keep)

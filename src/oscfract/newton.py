@@ -5,10 +5,11 @@ that feeds exponents downstream (distance c, remoteness beta = -1/c, the
 multiplicity of the face met by the bisector) is computed in exact rational
 arithmetic; floating point appears only in the nondegeneracy sampler.
 
-Face enumeration is exact for n <= 3 via candidate supporting hyperplanes
-spanned by support points and coordinate directions.  For n > 3 only c,
-beta and the multiplicity are computed, by enumerating basic solutions of
-the equivalent min-max program max_{w >= 0, sum w = 1} min_k <w, k>.
+One route serves every n: the polyhedron is described by the candidate
+supporting hyperplanes spanned by support points and coordinate directions,
+and c, beta, the multiplicity and the support points on the bisector face
+are read off those inequalities.  Only the enumeration of compact faces is
+limited to n <= 3; for n > 3 the face list is empty.
 
 Remoteness here is that of the supplied coordinates.  The coordinate-free
 quantity is a supremum over coordinate systems with no known algorithm; the
@@ -25,7 +26,13 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from oscfract.phases import MultiIndex, PolynomialPhase, partial_derivative
+from oscfract.phases import (
+    MultiIndex,
+    PolynomialPhase,
+    eval_phase_array,
+    partial_derivative,
+    scan_and_refine,
+)
 
 Inequality = tuple[tuple[Fraction, ...], Fraction]  # (w, ell): <w, k> >= ell on P
 
@@ -121,57 +128,46 @@ def _normalize_inequality(w: Sequence[int], ell: int) -> Optional[Inequality]:
     return tuple(Fraction(x, g) for x in w), Fraction(ell, g)
 
 
-def _cross(a: Sequence[int], b: Sequence[int]) -> tuple[int, int, int]:
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
+def _det(rows: Sequence[Sequence[int]]) -> int:
+    """Integer determinant by cofactor expansion along the first row."""
+    if not rows:
+        return 1
+    head, rest = rows[0], rows[1:]
+    return sum(
+        (-1) ** j * x * _det([r[:j] + r[j + 1 :] for r in rest])
+        for j, x in enumerate(head)
+        if x
     )
 
 
 def _candidate_inequalities(pts: Sequence[MultiIndex], n: int) -> list[Inequality]:
     """All valid inequalities <w,k> >= ell, w >= 0, spanned by points and axes.
 
-    Every facet of conv(pts) + orthant is supported by n - m points and m
-    coordinate directions for some m, so the candidate set contains all
-    facets; extra valid (non-facet) supporting hyperplanes are harmless for
-    the quantities computed from the set.
+    Every facet of conv(pts) + orthant is spanned by k support points and
+    n - k coordinate directions for some k >= 1, so the candidate set
+    contains all facets; extra valid (non-facet) supporting hyperplanes are
+    harmless for the quantities computed from the set.  The hyperplane
+    through points a, b, ... along the axes outside `free` has w = 0 off
+    `free`, and on `free` the signed (k-1)-minors of the differences b - a,
+    ...: a generalised cross product, in integers.
     """
     cands: dict = {}
-
-    def add(w: Sequence[int], ell: int) -> None:
-        if any(x < 0 for x in w):
-            w = tuple(-x for x in w)
-            ell = -ell
-        if any(x < 0 for x in w):
-            return
-        if all(sum(wi * ki for wi, ki in zip(w, k)) >= ell for k in pts):
-            norm = _normalize_inequality(w, ell)
-            if norm is not None:
-                cands[norm] = True
-
-    # Coordinate facets.
-    for i in range(n):
-        w = [0] * n
-        w[i] = 1
-        add(w, min(k[i] for k in pts))
-
-    if n == 2:
-        for a, b in itertools.combinations(pts, 2):
-            w = (a[1] - b[1], b[0] - a[0])
-            add(w, w[0] * a[0] + w[1] * a[1])
-    elif n == 3:
-        axes = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-        for a, b in itertools.combinations(pts, 2):
-            d = tuple(bi - ai for ai, bi in zip(a, b))
-            for e in axes:
-                w = _cross(d, e)
-                add(w, sum(wi * ki for wi, ki in zip(w, a)))
-        for a, b, c in itertools.combinations(pts, 3):
-            d1 = tuple(bi - ai for ai, bi in zip(a, b))
-            d2 = tuple(ci - ai for ai, ci in zip(a, c))
-            w = _cross(d1, d2)
-            add(w, sum(wi * ki for wi, ki in zip(w, a)))
+    for k in range(1, n + 1):
+        for free in itertools.combinations(range(n), k):
+            for a, *rest in itertools.combinations(pts, k):
+                diffs = [tuple(b[i] - a[i] for i in free) for b in rest]
+                w = [0] * n
+                for j, i in enumerate(free):
+                    w[i] = (-1) ** j * _det([d[:j] + d[j + 1 :] for d in diffs])
+                if any(x < 0 for x in w):
+                    w = [-x for x in w]
+                if any(x < 0 for x in w):
+                    continue
+                ell = sum(wi * ai for wi, ai in zip(w, a))
+                if all(sum(wi * ki for wi, ki in zip(w, p)) >= ell for p in pts):
+                    norm = _normalize_inequality(w, ell)
+                    if norm is not None:
+                        cands[norm] = True
     return list(cands)
 
 
@@ -183,8 +179,6 @@ def newton_polyhedron(support: Iterable[MultiIndex]) -> NewtonPolyhedron:
     n = len(pts[0])
     if any(len(k) != n for k in pts):
         raise ValueError("support points of mixed dimension")
-    if n > 3:
-        raise ValueError("exact face enumeration supports n <= 3")
     minimal = dominance_minimal(pts)
     ineqs = _candidate_inequalities(minimal, n)
     return NewtonPolyhedron(n, minimal, tuple(sorted(ineqs)))
@@ -227,13 +221,6 @@ def _tight_at(poly: NewtonPolyhedron, point: Sequence[Fraction]) -> list[Inequal
     return out
 
 
-def multiplicity_of_remoteness(poly: NewtonPolyhedron, c: Fraction) -> int:
-    """Codimension of the open face met by the bisector at (c,...,c), less one."""
-    center = (c,) * poly.dimension
-    tight = _tight_at(poly, center)
-    return _rank([w for w, _ in tight]) - 1
-
-
 def _vertices(poly: NewtonPolyhedron) -> list[MultiIndex]:
     out = []
     for p in poly.minimal_points:
@@ -267,8 +254,14 @@ def _face_from_tight_set(
 
 
 def compact_faces(poly: NewtonPolyhedron) -> tuple[CompactFace, ...]:
-    """All faces with a strictly positive supporting functional, vertices included."""
+    """All faces with a strictly positive supporting functional, vertices included.
+
+    Vertices, edges and (in 3D) facets make up every face for n <= 3; higher
+    dimensions would need the faces of dimension 2 to n - 2 as well.
+    """
     n = poly.dimension
+    if n > 3:
+        raise ValueError("compact face enumeration supports n <= 3")
     verts = _vertices(poly)
     faces: dict[tuple, CompactFace] = {}
 
@@ -306,52 +299,6 @@ def principal_part(phase: PolynomialPhase, faces: Sequence[CompactFace]) -> Poly
     return PolynomialPhase(phase.dimension, terms)
 
 
-def _game_distance(pts: Sequence[MultiIndex], n: int) -> tuple[Fraction, int]:
-    """Exact c and multiplicity for any n via basic solutions of the min-max program.
-
-    max_{w >= 0, sum w = 1} min_k <w, k> equals c; the rank of the set of
-    optimal basic w equals the codimension of the face met by the bisector.
-    """
-    best_c: Optional[Fraction] = None
-    optima: list[tuple[Fraction, ...]] = []
-    idx = list(range(n))
-    for t_size in range(1, n + 1):
-        for tight in itertools.combinations(range(len(pts)), t_size):
-            for zero in itertools.combinations(idx, n - t_size):
-                # Unknowns w_0..w_{n-1}, c; equations: sum w = 1, <w,k> = c (k tight),
-                # w_j = 0 (j in zero).
-                rows = []
-                rhs = []
-                rows.append([Fraction(1)] * n + [Fraction(0)])
-                rhs.append(Fraction(1))
-                for ti in tight:
-                    rows.append([Fraction(e) for e in pts[ti]] + [Fraction(-1)])
-                    rhs.append(Fraction(0))
-                for j in zero:
-                    row = [Fraction(0)] * (n + 1)
-                    row[j] = Fraction(1)
-                    rows.append(row)
-                    rhs.append(Fraction(0))
-                sol = _solve_square(rows, rhs)
-                if sol is None:
-                    continue
-                w, c = sol[:n], sol[n]
-                if any(x < 0 for x in w):
-                    continue
-                if any(
-                    sum(wi * Fraction(ki) for wi, ki in zip(w, k)) < c for k in pts
-                ):
-                    continue
-                if best_c is None or c > best_c:
-                    best_c = c
-                    optima = [tuple(w)]
-                elif c == best_c:
-                    optima.append(tuple(w))
-    if best_c is None:
-        raise ValueError("min-max program has no basic solution; malformed support")
-    return best_c, _rank(optima) - 1
-
-
 def r_nondegeneracy_check(
     phase: PolynomialPhase,
     faces: Optional[Sequence[CompactFace]] = None,
@@ -364,11 +311,11 @@ def r_nondegeneracy_check(
     refinement around the smallest normalized residual.  Diagnostic only: a
     pass means no counterexample was found at this resolution.
     """
-    if faces is None:
-        faces = compact_faces(newton_polyhedron(reduced_support(phase)))
     n = phase.dimension
     if n > 3:
         raise ValueError("nondegeneracy sampling supports n <= 3")
+    if faces is None:
+        faces = compact_faces(newton_polyhedron(reduced_support(phase)))
     reports = []
     mags = np.geomspace(0.5, 2.0, samples)
     grids = []
@@ -377,49 +324,30 @@ def r_nondegeneracy_check(
         grids.append(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n))
     domain = np.concatenate(grids, axis=0)
 
+    def off_axes(pts: np.ndarray) -> np.ndarray:
+        return np.all(np.abs(pts) >= 1e-9, axis=-1)
+
     for face in faces:
         fg = face.polynomial(phase)
         parts = [partial_derivative(fg, i) for i in range(n)]
+        envelopes = [
+            PolynomialPhase(n, {k: abs(c) for k, c in gp.terms.items()}) for gp in parts
+        ]
 
         def residual(pts: np.ndarray) -> np.ndarray:
             # |grad f_gamma| over its triangle-inequality envelope: scale-free in
             # both the coefficients and the quasi-homogeneous dilations.
-            num = np.zeros(pts.shape[:-1])
-            den = np.zeros(pts.shape[:-1])
-            for gp in parts:
-                val = np.zeros(pts.shape[:-1])
-                env = np.zeros(pts.shape[:-1])
-                for k, c in gp.terms.items():
-                    mono = np.full(pts.shape[:-1], 1.0)
-                    for i, e in enumerate(k):
-                        if e:
-                            mono = mono * pts[..., i] ** e
-                    val += c * mono
-                    env += abs(c) * np.abs(mono)
-                num += val**2
-                den += env**2
+            num = sum(eval_phase_array(gp, pts) ** 2 for gp in parts)
+            abs_pts = np.abs(pts)
+            den = sum(eval_phase_array(env, abs_pts) ** 2 for env in envelopes)
             den[den == 0.0] = 1.0
             return np.sqrt(num / den)
 
-        res = residual(domain)
-        order = np.argsort(res)[:8]
-        cand = domain[order]
-        spacing = float(mags[1] - mags[0])
-        local = np.stack(
-            np.meshgrid(*([np.linspace(-1.0, 1.0, 5)] * n), indexing="ij"), axis=-1
-        ).reshape(-1, n)
-        for _ in range(12):
-            pts = (cand[:, None, :] + spacing * local[None, :, :]).reshape(-1, n)
-            pts = pts[np.all(np.abs(pts) >= 1e-9, axis=-1)]
-            r = residual(pts)
-            order = np.argsort(r)[:8]
-            cand = pts[order]
-            spacing /= 4.0
-        final = residual(cand)
-        i = int(np.argmin(final))
-        passed = bool(final[i] > 1e-6)
+        res, witness, _ = scan_and_refine(
+            residual, domain, float(mags[1] - mags[0]), 12, off_axes
+        )
         reports.append(
-            FaceCheck(face, passed, float(final[i]), tuple(float(x) for x in cand[i]))
+            FaceCheck(face, bool(res > 1e-6), res, tuple(float(x) for x in witness))
         )
     return NondegeneracyReport(all(r.passed for r in reports), tuple(reports), samples)
 
@@ -439,43 +367,15 @@ class NondegeneracyReport:
     samples: int
 
 
-def _solve_square(
-    rows: list[list[Fraction]], rhs: list[Fraction]
-) -> Optional[list[Fraction]]:
-    """Solve a square rational system; None if singular or inconsistent size."""
-    m = len(rows)
-    if m == 0 or m != len(rows[0]):
-        return None
-    mat = [list(r) + [b] for r, b in zip(rows, rhs)]
-    for col in range(m):
-        pivot = next((r for r in range(col, m) if mat[r][col] != 0), None)
-        if pivot is None:
-            return None
-        mat[col], mat[pivot] = mat[pivot], mat[col]
-        pv = mat[col][col]
-        mat[col] = [a / pv for a in mat[col]]
-        for r in range(m):
-            if r != col and mat[r][col] != 0:
-                factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[col])]
-    return [mat[r][m] for r in range(m)]
-
-
 def newton_diagram(phase: PolynomialPhase) -> DiagramInfo:
     """Full diagram data for a phase: faces, c, beta, multiplicity, bisector face.
 
-    For n > 3 the face list is empty and only c, beta and multiplicity are
-    populated (via the exact min-max program); that is all the n > 2
-    prediction route consumes.
+    For n > 3 the face list is empty; c, beta, the multiplicity and the
+    bisector face's support points are exact for every n, and they are all
+    that the n > 2 prediction route consumes.
     """
-    support = reduced_support(phase)
     n = phase.dimension
-    if n > 3:
-        minimal = dominance_minimal(support)
-        c, mult = _game_distance(minimal, n)
-        beta = Fraction(-1, 1) / c
-        return DiagramInfo(n, (), c, beta, mult, c > 1, (), mult + 1)
-    poly = newton_polyhedron(support)
+    poly = newton_polyhedron(reduced_support(phase))
     c, beta = distance_and_remoteness(poly)
     center = (c,) * n
     tight = _tight_at(poly, center)
@@ -485,5 +385,5 @@ def newton_diagram(phase: PolynomialPhase) -> DiagramInfo:
         for p in poly.minimal_points
         if all(sum(wi * pi for wi, pi in zip(w, p)) == ell for w, ell in tight)
     )
-    faces = compact_faces(poly)
+    faces = compact_faces(poly) if n <= 3 else ()
     return DiagramInfo(n, faces, c, beta, codim - 1, c > 1, center_pts, codim)

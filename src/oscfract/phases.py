@@ -10,9 +10,8 @@ reproducible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -109,20 +108,6 @@ class AmplitudeSpec:
         return {"radius": self.radius, "phi0": self.phi0}
 
 
-def eval_phase(phase: PolynomialPhase, point: Sequence[float]) -> float:
-    """Evaluate the phase polynomial at one point."""
-    if len(point) != phase.dimension:
-        raise ValueError(f"point length {len(point)} != dimension {phase.dimension}")
-    total = 0.0
-    for k, c in phase.terms.items():
-        m = c
-        for xi, e in zip(point, k):
-            if e:
-                m *= xi**e
-        total += m
-    return total
-
-
 def eval_phase_array(phase: PolynomialPhase, points: np.ndarray) -> np.ndarray:
     """Vectorized evaluation on an array of shape (..., n)."""
     pts = np.asarray(points, dtype=float)
@@ -130,7 +115,7 @@ def eval_phase_array(phase: PolynomialPhase, points: np.ndarray) -> np.ndarray:
         raise ValueError(f"points last axis {pts.shape[-1]} != dimension {phase.dimension}")
     out = np.zeros(pts.shape[:-1])
     for k, c in phase.terms.items():
-        m = np.full(pts.shape[:-1], c)
+        m = c
         for i, e in enumerate(k):
             if e:
                 m = m * pts[..., i] ** e
@@ -150,6 +135,14 @@ def partial_derivative(phase: PolynomialPhase, axis: int) -> PolynomialPhase:
         dk = k[:axis] + (e - 1,) + k[axis + 1 :]
         terms[dk] = terms.get(dk, 0.0) + c * e
     return PolynomialPhase(phase.dimension, terms)
+
+
+def gradient_norm(phase: PolynomialPhase, points: np.ndarray) -> np.ndarray:
+    """|grad f| on an array of shape (..., n)."""
+    g2 = np.zeros(np.shape(points)[:-1])
+    for i in range(phase.dimension):
+        g2 += eval_phase_array(partial_derivative(phase, i), points) ** 2
+    return np.sqrt(g2)
 
 
 def critical_order_1d(phase: PolynomialPhase) -> int:
@@ -174,16 +167,6 @@ def bump_profile(u) -> np.ndarray:
     return out
 
 
-def eval_amplitude(amp: AmplitudeSpec, point: Sequence[float]) -> float:
-    """Evaluate the bump amplitude at one point."""
-    if len(point) != amp.dimension:
-        raise ValueError(f"point length {len(point)} != dimension {amp.dimension}")
-    u = sum(float(x) ** 2 for x in point) / amp.radius**2
-    if u >= 1.0:
-        return 0.0
-    return amp.phi0 * math.exp(1.0 - 1.0 / (1.0 - u))
-
-
 def eval_amplitude_array(amp: AmplitudeSpec, points: np.ndarray) -> np.ndarray:
     """Vectorized amplitude on an array of shape (..., n)."""
     pts = np.asarray(points, dtype=float)
@@ -191,6 +174,33 @@ def eval_amplitude_array(amp: AmplitudeSpec, points: np.ndarray) -> np.ndarray:
         raise ValueError(f"points last axis {pts.shape[-1]} != dimension {amp.dimension}")
     u = np.sum(pts**2, axis=-1) / amp.radius**2
     return amp.phi0 * bump_profile(u)
+
+
+def scan_and_refine(func, grid: np.ndarray, spacing: float, rounds: int, admissible):
+    """Smallest value of func over a grid of admissible points, refined locally.
+
+    The 8 smallest values of the scan seed `rounds` rounds of refinement:
+    func is evaluated on a 5^n stencil of half-width `spacing` around each
+    candidate, the 8 best admissible points are kept, and the spacing is
+    divided by 4.  `admissible` maps an (m, n) array of points to a boolean
+    mask.  Returns (smallest value, its point, the scan's values).
+    """
+    n = grid.shape[-1]
+    vals = func(grid)
+    cand = grid[np.argsort(vals)[:8]]
+    local = np.stack(
+        np.meshgrid(*([np.linspace(-1.0, 1.0, 5)] * n), indexing="ij"), axis=-1
+    ).reshape(-1, n)
+    for _ in range(rounds):
+        pts = (cand[:, None, :] + spacing * local[None, :, :]).reshape(-1, n)
+        pts = pts[admissible(pts)]
+        if pts.size == 0:
+            break
+        cand = pts[np.argsort(func(pts))[:8]]
+        spacing /= 4.0
+    best = func(cand)
+    i = int(np.argmin(best))
+    return float(best[i]), cand[i], vals
 
 
 @dataclass(frozen=True)
@@ -222,41 +232,17 @@ def verify_isolated_critical_point(
         raise ValueError("phase and amplitude dimensions differ")
     R = amp.radius
     delta = 1e-3 * R
-    grads = [partial_derivative(phase, i) for i in range(n)]
 
-    def grad_norm(pts: np.ndarray) -> np.ndarray:
-        g2 = np.zeros(pts.shape[:-1])
-        for gp in grads:
-            g2 += eval_phase_array(gp, pts) ** 2
-        return np.sqrt(g2)
+    def in_annulus(pts: np.ndarray) -> np.ndarray:
+        rad = np.sqrt(np.sum(pts**2, axis=-1))
+        return (rad >= delta) & (rad <= R)
 
     axes = [np.linspace(-R, R, grid)] * n
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-    rad = np.sqrt(np.sum(mesh**2, axis=-1))
-    mesh = mesh[(rad >= delta) & (rad <= R)]
-    vals = grad_norm(mesh)
+    mesh = mesh[in_annulus(mesh)]
+    min_grad, point, vals = scan_and_refine(
+        lambda pts: gradient_norm(phase, pts), mesh, 2.0 * R / (grid - 1), 14, in_annulus
+    )
     median = float(np.median(vals))
-
-    keep = 8
-    order = np.argsort(vals)[:keep]
-    candidates = mesh[order]
-    spacing = 2.0 * R / (grid - 1)
-    local = np.stack(
-        np.meshgrid(*([np.linspace(-1.0, 1.0, 5)] * n), indexing="ij"), axis=-1
-    ).reshape(-1, n)
-    for _ in range(14):
-        pts = (candidates[:, None, :] + spacing * local[None, :, :]).reshape(-1, n)
-        rad = np.sqrt(np.sum(pts**2, axis=-1))
-        pts = pts[(rad >= delta) & (rad <= R)]
-        if pts.size == 0:
-            break
-        v = grad_norm(pts)
-        order = np.argsort(v)[:keep]
-        candidates = pts[order]
-        spacing /= 4.0
-    best = grad_norm(candidates)
-    i = int(np.argmin(best))
-    min_grad = float(best[i])
-    point = tuple(float(x) for x in candidates[i])
     passed = min_grad > 1e-7 * max(median, 1e-300)
-    return CriticalPointReport(passed, min_grad, point, median)
+    return CriticalPointReport(passed, min_grad, tuple(float(x) for x in point), median)

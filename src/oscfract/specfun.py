@@ -1,4 +1,4 @@
-"""Gamma and Beta functions for the oscillatory-coefficient formulas.
+"""Gamma function for the oscillatory-coefficient formulas.
 
 Self-contained Lanczos evaluation so that golden values in the test suite
 do not depend on the platform libm.  The g = 7, 9-term coefficient set
@@ -42,23 +42,3 @@ def gamma(x: float) -> float:
         return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
     t = x + _LANCZOS_G - 0.5
     return math.sqrt(2.0 * math.pi) * t ** (x - 0.5) * math.exp(-t) * _lanczos_series(x)
-
-
-def log_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0, evaluated without overflow."""
-    x = float(x)
-    if x <= 0.0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    if x < 0.5:
-        # log gamma(x) = log(pi / sin(pi x)) - log gamma(1 - x); both factors
-        # positive for 0 < x < 0.5.
-        return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
-    t = x + _LANCZOS_G - 0.5
-    return 0.5 * math.log(2.0 * math.pi) + (x - 0.5) * math.log(t) - t + math.log(_lanczos_series(x))
-
-
-def beta(a: float, b: float) -> float:
-    """Beta function B(a, b) for a, b > 0, computed in log space."""
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError(f"beta requires positive arguments, got a={a}, b={b}")
-    return math.exp(log_gamma(a) + log_gamma(b) - log_gamma(a + b))

@@ -14,6 +14,9 @@ Verified here:
   wiring (desk passes where strict fails), exit 1 when the window is forced
   into the coarse transient, exit 2 on malformed input, exit 3 on numeric
   budgets, and report byte-determinism;
+* config sections (amplitude, quadrature, tau, curve, eps, content) that are
+  not JSON objects, and quadrature on an n = 4 phase, exit 2 with a message
+  that names the problem;
 * the module entry point through a real subprocess.
 """
 
@@ -158,6 +161,36 @@ def test_curve_emits_csv_and_svg(tmp_path):
     assert svg.startswith('<svg xmlns="http://www.w3.org/2000/svg"')
     assert 'd="M' in svg and svg.rstrip().endswith("</svg>")
     assert svg.count("M") == 1  # single connected path
+
+
+@pytest.mark.parametrize(
+    "command, extra, key",
+    [
+        ("integrate", {"amplitude": 3}, "amplitude"),
+        ("integrate", {"quadrature": [8]}, "quadrature"),
+        ("verify", {"tau": 5}, "tau"),
+        ("curve", {"tau": {"min": 8, "max": 40, "count": 12}, "curve": 0.1}, "curve"),
+        ("verify", {"eps": "fine"}, "eps"),
+        ("verify", {"eps": {"curve": 3}}, "curve"),
+        ("verify", {"content": True}, "content"),
+        ("verify", {"content": {"enabled": True, "eps": [1e-3]}}, "eps"),
+    ],
+    ids=["amplitude", "quadrature", "tau", "curve", "eps", "eps.curve", "content", "content.eps"],
+)
+def test_non_object_config_section_is_an_input_error(tmp_path, capsys, command, extra, key):
+    cfg = _cfg(tmp_path, dict(X_PLUS_2, **extra))
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f'"{key}" must be a JSON object' in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["integrate", "verify"])
+def test_four_dimensional_quadrature_names_its_limit(tmp_path, capsys, command):
+    terms = [{"k": [2 if j == i else 0 for j in range(4)], "c": 1.0} for i in range(4)]
+    cfg = _cfg(tmp_path, {"phase": {"n": 4, "terms": terms + [{"k": [0] * 4, "c": 1.0}]}})
+    assert main([command, "--config", cfg]) == 2
+    assert "quadrature supports n <= 3" in capsys.readouterr().err
 
 
 # --- dim / content ---

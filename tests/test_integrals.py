@@ -16,7 +16,8 @@ Verified here:
   reused exactly, t-grid of the reflected graphs increasing with both
   components extracted from one pass;
 * every budget (panels, nodes, memory, refinement points) raises
-  NumericBudgetError instead of degrading;
+  NumericBudgetError instead of degrading, and a phase with n > 3 is
+  refused with a ValueError that names the n <= 3 limit;
 * leading_term_fit recovers synthetic coefficients, flags a wrong exponent,
   handles log factors, and the two-term correction removes subleading bias.
 """
@@ -41,11 +42,16 @@ from oscfract.integrals import (
     reflected_pair,
     sample_integral,
 )
-from oscfract.phases import AmplitudeSpec, PolynomialPhase, eval_amplitude
+from oscfract.phases import AmplitudeSpec, PolynomialPhase
 
 X2 = PolynomialPhase(1, {(2,): 1.0, (0,): 1.0})
 X3 = PolynomialPhase(1, {(3,): 1.0, (0,): 1.0})
 A1 = AmplitudeSpec(1)
+
+
+def _bump(x: float) -> float:
+    """The amplitude A1 in closed form: exp(1 - 1/(1 - x^2)) on |x| < 1."""
+    return math.exp(1.0 - 1.0 / (1.0 - x * x)) if x * x < 1.0 else 0.0
 
 
 def test_matches_scipy_quad_1d():
@@ -55,7 +61,7 @@ def test_matches_scipy_quad_1d():
 
     def part(trig):
         val, err = quad(
-            lambda x: trig(f(x)) * eval_amplitude(A1, (x,)),
+            lambda x: trig(f(x)) * _bump(x),
             -1.0,
             1.0,
             limit=800,
@@ -262,6 +268,14 @@ def test_gradient_bound_hits_support_extremes():
     assert gradient_bound(X2, A1) == pytest.approx(2.1, rel=1e-9)
     quartic = PolynomialPhase(2, {(2, 0): 1.0, (0, 4): 1.0})
     assert gradient_bound(quartic, AmplitudeSpec(2)) == pytest.approx(4.2, rel=1e-3)
+
+
+def test_quadrature_refuses_four_dimensions_by_name():
+    phase = PolynomialPhase(4, {(2, 0, 0, 0): 1.0, (0, 0, 0, 2): 1.0})
+    with pytest.raises(ValueError, match="n <= 3"):
+        gradient_bound(phase, AmplitudeSpec(4))
+    with pytest.raises(ValueError, match="n <= 3"):
+        sample_integral(phase, AmplitudeSpec(4), 1.0, 10.0, 4)
 
 
 def _synthetic_samples(taus, values):

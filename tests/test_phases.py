@@ -3,15 +3,19 @@
 Verified here:
 * term normalization (zero coefficients dropped, exponent validation) and
   the dict round trip, including rejection of malformed specs;
-* scalar and vectorized evaluation agree (property over random polynomials);
+* vectorized evaluation matches an exact Fraction evaluation of each point,
+  kept in this file, within 1e-13 of sum |c_k x^k| (property over random
+  polynomials);
 * partial_derivative is exact on monomials and validates the axis;
 * critical_order_1d reads the order off the support and rejects linear terms;
-* bump profile support, normalization phi(0), and amplitude validation;
+* bump profile support, the amplitude against its closed form, and
+  amplitude validation;
 * the critical-point scan passes phases with an isolated critical point at
   the origin and flags a second interior critical point.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,9 +27,7 @@ from oscfract.phases import (
     PolynomialPhase,
     bump_profile,
     critical_order_1d,
-    eval_amplitude,
     eval_amplitude_array,
-    eval_phase,
     eval_phase_array,
     partial_derivative,
     verify_isolated_critical_point,
@@ -91,8 +93,23 @@ def test_eval_scalar_matches_vectorized(terms, points):
     phase = PolynomialPhase(2, terms)
     pts = np.array(points, dtype=float)
     vec = eval_phase_array(phase, pts)
+    envelope = PolynomialPhase(2, {k: abs(c) for k, c in phase.terms.items()})
     for i, pt in enumerate(points):
-        assert vec[i] == pytest.approx(eval_phase(phase, pt), rel=1e-12, abs=1e-12)
+        exact = float(_exact_value(phase, pt))
+        # rounding error is a few ulps of sum |c x^k|, however much cancels
+        bound = float(_exact_value(envelope, [abs(x) for x in pt]))
+        assert abs(vec[i] - exact) <= 1e-13 * bound + 1e-300
+
+
+def _exact_value(phase: PolynomialPhase, point) -> Fraction:
+    """f(point) in exact rational arithmetic on the float inputs."""
+    total = Fraction(0)
+    for k, c in phase.terms.items():
+        m = Fraction(c)
+        for x, e in zip(point, k):
+            m *= Fraction(x) ** e
+        total += m
+    return total
 
 
 def test_partial_derivative_exact():
@@ -128,13 +145,11 @@ def test_bump_profile_support():
 
 def test_amplitude_evaluation():
     amp = AmplitudeSpec(2, radius=0.5, phi0=3.0)
-    assert eval_amplitude(amp, (0.0, 0.0)) == pytest.approx(3.0)
-    assert eval_amplitude(amp, (0.5, 0.0)) == 0.0
-    assert eval_amplitude(amp, (0.7, 0.7)) == 0.0
-    pts = np.array([[0.0, 0.0], [0.1, 0.2], [0.5, 0.0]])
+    pts = np.array([[0.0, 0.0], [0.1, 0.2], [0.5, 0.0], [0.7, 0.7]])
     vec = eval_amplitude_array(amp, pts)
-    for i, pt in enumerate(pts):
-        assert vec[i] == pytest.approx(eval_amplitude(amp, tuple(pt)))
+    # phi0 exp(1 - 1/(1 - u)) with u = |x/R|^2 = 0.2 at (0.1, 0.2)
+    assert vec.tolist() == pytest.approx([3.0, 3.0 * math.exp(-0.25), 0.0, 0.0])
+    assert vec[2] == vec[3] == 0.0
 
 
 def test_amplitude_validation():
@@ -145,7 +160,7 @@ def test_amplitude_validation():
     with pytest.raises(ValueError):
         AmplitudeSpec(0)
     with pytest.raises(ValueError):
-        eval_amplitude(AmplitudeSpec(2), (1.0,))
+        eval_amplitude_array(AmplitudeSpec(2), np.array([[1.0]]))
 
 
 def test_amplitude_dict_round_trip():

@@ -1,13 +1,11 @@
-"""Gamma and Beta functions against closed forms and independent references.
+"""The Gamma function against closed forms and independent references.
 
 Verified here:
 * gamma(1/2) = sqrt(pi) to 1e-12 and gamma(n) = (n-1)! for small integers;
-* gamma and log_gamma match mpmath over a sweep that covers the Lanczos
-  range and the reflection branch (negative non-integer arguments);
+* gamma matches mpmath over a sweep that covers the Lanczos range and the
+  reflection branch (negative non-integer arguments);
 * the functional equation gamma(x+1) = x gamma(x) as a property;
-* log_gamma agrees with math.lgamma and stays finite for large arguments;
-* poles and domain violations raise ValueError;
-* beta symmetry, B(a, 1) = 1/a, and the frozen golden value B(1/2, 1/3).
+* poles raise ValueError.
 """
 
 import math
@@ -17,10 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscfract.specfun import beta, gamma, log_gamma
-
-# B(1/2, 1/3) at 30 digits via mpmath, frozen.
-BETA_HALF_THIRD = 4.2065463159763628
+from oscfract.specfun import gamma
 
 
 def test_gamma_half_integer():
@@ -58,41 +53,3 @@ def test_gamma_poles_raise():
 @given(st.floats(min_value=0.1, max_value=50.0, allow_nan=False))
 def test_gamma_functional_equation(x):
     assert gamma(x + 1.0) == pytest.approx(x * gamma(x), rel=1e-10)
-
-
-def test_log_gamma_matches_lgamma():
-    for x in (0.05, 0.49, 0.5, 1.0, 3.2, 10.0, 123.4):
-        assert log_gamma(x) == pytest.approx(math.lgamma(x), rel=0, abs=1e-11)
-
-
-def test_log_gamma_large_no_overflow():
-    val = log_gamma(1.0e6)
-    assert math.isfinite(val)
-    assert val == pytest.approx(math.lgamma(1.0e6), rel=1e-13)
-
-
-def test_log_gamma_domain():
-    for x in (0.0, -0.5, -3.0):
-        with pytest.raises(ValueError):
-            log_gamma(x)
-
-
-def test_beta_symmetry_and_unit_argument():
-    for a, b in ((0.5, 2.5), (1.3, 4.7), (0.2, 0.9)):
-        assert beta(a, b) == pytest.approx(beta(b, a), rel=1e-13)
-    for a in (0.5, 1.0, 3.25, 11.0):
-        assert beta(a, 1.0) == pytest.approx(1.0 / a, rel=1e-12)
-
-
-def test_beta_golden_value():
-    got = beta(0.5, 1.0 / 3.0)
-    assert got == pytest.approx(BETA_HALF_THIRD, rel=1e-12)
-    mp.mp.dps = 30
-    assert got == pytest.approx(float(mp.beta(mp.mpf(1) / 2, mp.mpf(1) / 3)), rel=1e-12)
-
-
-def test_beta_domain():
-    with pytest.raises(ValueError):
-        beta(0.0, 1.0)
-    with pytest.raises(ValueError):
-        beta(1.0, -2.0)
