@@ -47,7 +47,6 @@ from oscfract.integrals import (
 from oscfract.estimators import (
     ContentEstimate,
     DimensionEstimate,
-    SpiralRadialReport,
     box_count,
     estimate_content,
     estimate_dimension,
@@ -56,7 +55,6 @@ from oscfract.estimators import (
     gen_spiral,
     geometric_epsilons,
     sausage_area,
-    spiral_radial_analysis,
 )
 
 __version__ = "0.1.0"
@@ -75,7 +73,6 @@ __all__ = [
     "PolynomialPhase",
     "QuadratureConfig",
     "ReflectedGraph",
-    "SpiralRadialReport",
     "box_count",
     "caustic_prediction",
     "content_1d",
@@ -103,6 +100,5 @@ __all__ = [
     "reflected_pair",
     "sample_integral",
     "sausage_area",
-    "spiral_radial_analysis",
     "verify_isolated_critical_point",
 ]

@@ -34,6 +34,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from oscfract.estimators import (
+    ContentEstimate,
     box_count,
     estimate_content,
     estimate_dimension,
@@ -43,13 +44,15 @@ from oscfract.estimators import (
     geometric_epsilons,
 )
 from oscfract.integrals import (
+    CurvePolyline,
+    IntegralSamples,
     NumericBudgetError,
     QuadratureConfig,
     curve_from_samples,
     reflected_pair,
     sample_integral,
 )
-from oscfract.newton import newton_diagram, r_nondegeneracy_check
+from oscfract.newton import DiagramInfo, newton_diagram, r_nondegeneracy_check
 from oscfract.phases import (
     AmplitudeSpec,
     PolynomialPhase,
@@ -84,8 +87,6 @@ class _StageFailure(Exception):
 def _stage(name: str):
     try:
         yield
-    except _StageFailure:
-        raise
     except (NumericBudgetError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         raise _StageFailure(name, exc) from exc
 
@@ -120,10 +121,6 @@ def _phase_from(cfg: dict) -> PolynomialPhase:
     return PolynomialPhase.from_dict(cfg["phase"])
 
 
-def _amp_from(cfg: dict, n: int) -> AmplitudeSpec:
-    return AmplitudeSpec.from_dict(_section(cfg, "amplitude"), n)
-
-
 def _quad_from(cfg: dict, n: int) -> QuadratureConfig:
     # panel_order 2 suffices in 3D and keeps the radial tables small
     q = dict(_section(cfg, "quadrature"))
@@ -133,17 +130,6 @@ def _quad_from(cfg: dict, n: int) -> QuadratureConfig:
         return QuadratureConfig(**q)
     except TypeError as exc:
         raise ValueError(f"malformed quadrature config: {exc}") from exc
-
-
-def _tau_from(cfg: dict, n: int, rectifiable: bool = False) -> tuple[float, float, int]:
-    if n == 1:
-        lo, hi, count = (8.0, 120.0, 40) if rectifiable else (20.0, 2000.0, 80)
-    elif n == 2:
-        lo, hi, count = 20.0, 300.0, 40
-    else:
-        lo, hi, count = 8.0, 150.0, 30
-    t = _section(cfg, "tau")
-    return float(t.get("min", lo)), float(t.get("max", hi)), int(t.get("count", count))
 
 
 def _eps_from(spec: dict, fallback: tuple[float, float, int]) -> np.ndarray:
@@ -215,25 +201,103 @@ def _emit(args: argparse.Namespace, name: str, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _emit_curve(args: argparse.Namespace, curve: CurvePolyline) -> None:
+    _emit(args, "curve.csv", _csv_text(curve.tau, curve.points[:, 0] + 1j * curve.points[:, 1]))
+    _emit(args, "curve.svg", _svg_text(curve.points))
+
+
 def _read_polyline(path: str) -> np.ndarray:
-    """Polyline from CSV: re/im or x/y named columns, else the first two."""
+    """Polyline from CSV: re/im or x/y named columns, else the first two.
+
+    The first row is a header when one of its fields is not a number (nan
+    and inf are numbers: a bare file may start with a subpath separator).
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().lower()
     names = [c.strip() for c in header.split(",")]
-    if any(c[:1].isalpha() for c in names):
-        cols = None
-        for a, b in (("re", "im"), ("x", "y")):
-            if a in names and b in names:
-                cols = (names.index(a), names.index(b))
-                break
-        if cols is None:
+    try:
+        for c in names:
+            float(c)
+        skip, cols = 0, (0, 1)
+    except ValueError:
+        named = [
+            (names.index(a), names.index(b))
+            for a, b in (("re", "im"), ("x", "y"))
+            if a in names and b in names
+        ]
+        if not named:
             raise ValueError(f"polyline CSV needs re/im or x/y columns, got {header!r}")
-        data = np.loadtxt(path, delimiter=",", skiprows=1, usecols=cols, ndmin=2)
-    else:
-        data = np.loadtxt(path, delimiter=",", usecols=(0, 1), ndmin=2)
+        skip, cols = 1, named[0]
+    data = np.loadtxt(path, delimiter=",", skiprows=skip, usecols=cols, ndmin=2)
     if len(data) < 2:
         raise ValueError("polyline CSV must contain at least two points")
     return data
+
+
+# ---------------------------------------------------------------------------
+# pipeline steps, each shared by verify and its single-purpose subcommand
+
+
+def _inputs(args: argparse.Namespace) -> tuple[dict, PolynomialPhase, AmplitudeSpec]:
+    cfg = _load_config(args)
+    phase = _phase_from(cfg)
+    return cfg, phase, AmplitudeSpec.from_dict(_section(cfg, "amplitude"), phase.dimension)
+
+
+def _diagram(phase: PolynomialPhase) -> Optional[DiagramInfo]:
+    """Newton diagram a prediction needs: none for n = 1 or without a critical point."""
+    if phase.dimension >= 2 and not _has_linear_term(phase):
+        return newton_diagram(phase)
+    return None
+
+
+def _sampled(
+    cfg: dict, phase: PolynomialPhase, amp: AmplitudeSpec
+) -> tuple[IntegralSamples, tuple[float, float, int]]:
+    """I(tau) on the configured tau window (min, max, count), which is also returned.
+
+    The default window depends on n.  A 1D phase with a linear term or with
+    f(0) = 0 traces a rectifiable curve and gets a shorter one.
+    """
+    n = phase.dimension
+    if n == 1:
+        rectifiable = _has_linear_term(phase) or phase.value_at_origin == 0.0
+        lo, hi, count = (8.0, 120.0, 40) if rectifiable else (20.0, 2000.0, 80)
+    elif n == 2:
+        lo, hi, count = 20.0, 300.0, 40
+    else:
+        lo, hi, count = 8.0, 150.0, 30
+    t = _section(cfg, "tau")
+    window = (float(t.get("min", lo)), float(t.get("max", hi)), int(t.get("count", count)))
+    return sample_integral(phase, amp, *window, _quad_from(cfg, n)), window
+
+
+def _curve(cfg: dict, samples: IntegralSamples) -> CurvePolyline:
+    default_step = math.pi / 16 if samples.phase.dimension == 1 else math.pi / 8
+    max_step = float(_section(cfg, "curve").get("max_step", default_step))
+    return curve_from_samples(samples, max_step=max_step)
+
+
+def _dimension(pts: np.ndarray, spec: dict, seed: int, rectifiable: bool = False, **box_opts):
+    """(eps, counts, estimate) of a box-count fit over spec's eps window.
+
+    The default window is diam/150 .. diam/3600, or diam/3 .. diam/2000 when
+    the curve is predicted rectifiable.  box_opts go to box_count.
+    """
+    diam = _diameter(pts)
+    fallback = (
+        (diam / 3.0, diam / 2000.0, 12) if rectifiable else (diam / 150.0, diam / 3600.0, 12)
+    )
+    eps = _eps_from(spec, fallback)
+    counts = box_count(pts, eps, seed=seed, **box_opts)
+    return eps, counts, estimate_dimension(eps, counts)
+
+
+def _content(pts: np.ndarray, d: float, spec: dict) -> ContentEstimate:
+    """Minkowski content at dimension d; spec may hold "eps" and "cell_cap"."""
+    diam = _diameter(pts)
+    eps = _eps_from(_section(spec, "eps"), (diam / 150.0, diam / 700.0, 10))
+    return estimate_content(pts, d, eps, cell_cap=int(spec.get("cell_cap", 120_000_000)))
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +331,6 @@ def _predict(phase: PolynomialPhase, amp: AmplitudeSpec, cfg: dict, diagram):
         s = critical_order_1d(phase)
         f_second = 2.0 * phase.terms.get((2,), 0.0) if s == 2 else None
         return predict_1d(s, f0, amp.phi0, f_second)
-    if diagram is None:
-        diagram = newton_diagram(phase)
     if n == 2:
         return predict_2d(diagram, f0, _a0beta_2d(phase, amp))
     hyp = cfg.get("coeff_hypothesis", 0)
@@ -310,13 +372,9 @@ def cmd_newton(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     with _stage("input"):
-        cfg = _load_config(args)
-        phase = _phase_from(cfg)
-        amp = _amp_from(cfg, phase.dimension)
+        cfg, phase, amp = _inputs(args)
     with _stage("newton"):
-        diagram = None
-        if phase.dimension >= 2 and not _has_linear_term(phase):
-            diagram = newton_diagram(phase)
+        diagram = _diagram(phase)
     with _stage("predict"):
         pred = _predict(phase, amp, cfg, diagram)
         out = {"phase": str(phase), "prediction": pred.to_dict()}
@@ -326,34 +384,20 @@ def cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sampled(args: argparse.Namespace):
-    cfg = _load_config(args)
-    phase = _phase_from(cfg)
-    n = phase.dimension
-    amp = _amp_from(cfg, n)
-    quad = _quad_from(cfg, n)
-    lo, hi, count = _tau_from(cfg, n, rectifiable=_has_linear_term(phase))
-    samples = sample_integral(phase, amp, lo, hi, count, quad)
-    return cfg, samples
-
-
 def cmd_integrate(args: argparse.Namespace) -> int:
     with _stage("integrate"):
-        _, samples = _sampled(args)
+        samples, _ = _sampled(*_inputs(args))
     _emit(args, "samples.csv", _csv_text(samples.tau, samples.values))
     return 0
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
     with _stage("integrate"):
-        cfg, samples = _sampled(args)
+        cfg, phase, amp = _inputs(args)
+        samples, _ = _sampled(cfg, phase, amp)
     with _stage("curve"):
-        n = samples.phase.dimension
-        default_step = math.pi / 16 if n == 1 else math.pi / 8
-        max_step = float(_section(cfg, "curve").get("max_step", default_step))
-        curve = curve_from_samples(samples, max_step=max_step)
-    _emit(args, "curve.csv", _csv_text(curve.tau, curve.points[:, 0] + 1j * curve.points[:, 1]))
-    _emit(args, "curve.svg", _svg_text(curve.points))
+        curve = _curve(cfg, samples)
+    _emit_curve(args, curve)
     return 0
 
 
@@ -364,16 +408,13 @@ def cmd_dim(args: argparse.Namespace) -> int:
             raise ValueError('config needs "polyline_csv" pointing at a curve CSV')
         pts = _read_polyline(cfg["polyline_csv"])
     with _stage("estimate"):
-        diam = _diameter(pts)
-        eps = _eps_from(_section(cfg, "eps"), (diam / 150.0, diam / 3600.0, 12))
-        counts = box_count(
+        eps, counts, est = _dimension(
             pts,
-            eps,
+            _section(cfg, "eps"),
+            args.seed,
             offsets=int(cfg.get("offsets", 4)),
-            seed=args.seed,
             connect=bool(cfg.get("connect", True)),
         )
-        est = estimate_dimension(eps, counts)
         out = {
             "polyline_csv": cfg["polyline_csv"],
             "epsilons": [float(e) for e in eps],
@@ -392,11 +433,7 @@ def cmd_content(args: argparse.Namespace) -> int:
                 raise ValueError(f'config needs "{key}"')
         pts = _read_polyline(cfg["polyline_csv"])
     with _stage("estimate"):
-        diam = _diameter(pts)
-        eps = _eps_from(_section(cfg, "eps"), (diam / 150.0, diam / 700.0, 10))
-        est = estimate_content(
-            pts, float(cfg["d"]), eps, cell_cap=int(cfg.get("cell_cap", 120_000_000))
-        )
+        est = _content(pts, float(cfg["d"]), cfg)
         out = {"polyline_csv": cfg["polyline_csv"], "estimate": est.to_dict()}
     _emit(args, "content.json", _json_text(out))
     return 0
@@ -553,55 +590,32 @@ def _verdict_consistent(pred, verdict: str) -> bool:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     with _stage("input"):
-        cfg = _load_config(args)
-        phase = _phase_from(cfg)
-        n = phase.dimension
-        amp = _amp_from(cfg, n)
-        quad = _quad_from(cfg, n)
+        cfg, phase, amp = _inputs(args)
         profile = PROFILES[args.tolerance]
         _validate_phase(phase, amp)
     with _stage("newton"):
-        diagram = None
-        if n >= 2 and not _has_linear_term(phase):
-            diagram = newton_diagram(phase)
+        diagram = _diagram(phase)
     with _stage("predict"):
         pred = _predict(phase, amp, cfg, diagram)
     with _stage("integrate"):
-        lo, hi, count = _tau_from(cfg, n, pred.rectifiable)
-        samples = sample_integral(phase, amp, lo, hi, count, quad)
+        samples, (lo, hi, count) = _sampled(cfg, phase, amp)
     with _stage("curve"):
-        default_step = math.pi / 16 if n == 1 else math.pi / 8
-        max_step = float(_section(cfg, "curve").get("max_step", default_step))
-        curve = curve_from_samples(samples, max_step=max_step)
+        curve = _curve(cfg, samples)
         graph_re, graph_im = reflected_pair(samples)
     with _stage("estimate"):
-        split = 2000.0 if pred.rectifiable else 150.0
-        estimates = {}
-        for key, pts in (
-            ("curve", curve.points),
-            ("reflected_re", np.column_stack([graph_re.t, graph_re.x])),
-            ("reflected_im", np.column_stack([graph_im.t, graph_im.x])),
-        ):
-            diam = _diameter(pts)
-            fallback = (diam / 3.0, diam / split, 12) if pred.rectifiable else (
-                diam / 150.0,
-                diam / 3600.0,
-                12,
+        eps_cfg = _section(cfg, "eps")
+        estimates = {
+            key: _dimension(pts, _section(eps_cfg, key), args.seed, pred.rectifiable)[2]
+            for key, pts in (
+                ("curve", curve.points),
+                ("reflected_re", np.column_stack([graph_re.t, graph_re.x])),
+                ("reflected_im", np.column_stack([graph_im.t, graph_im.x])),
             )
-            eps = _eps_from(_section(_section(cfg, "eps"), key), fallback)
-            counts = box_count(pts, eps, seed=args.seed)
-            estimates[key] = estimate_dimension(eps, counts)
+        }
         content_est = None
         ccfg = _section(cfg, "content")
         if ccfg.get("enabled", False):
-            diam = _diameter(curve.points)
-            eps_c = _eps_from(_section(ccfg, "eps"), (diam / 150.0, diam / 700.0, 10))
-            content_est = estimate_content(
-                curve.points,
-                float(ccfg.get("d", float(pred.curve_dim))),
-                eps_c,
-                cell_cap=int(ccfg.get("cell_cap", 120_000_000)),
-            )
+            content_est = _content(curve.points, float(ccfg.get("d", float(pred.curve_dim))), ccfg)
     with _stage("report"):
         tol_d = profile["tol_d"]
         d_pred = float(pred.curve_dim)
@@ -633,6 +647,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 "pass": _verdict_consistent(pred, content_est.degenerate_verdict),
             }
         ok = all(c["pass"] for c in checks.values())
+        measured = {f"{key}_dim": est.to_dict() for key, est in estimates.items()}
+        measured["content"] = None if content_est is None else content_est.to_dict()
         report = {
             "phase": str(phase),
             "phase_spec": phase.to_dict(),
@@ -642,20 +658,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "tolerance_profile": args.tolerance,
             "newton": None if diagram is None else diagram.to_dict(),
             "predicted": pred.to_dict(),
-            "measured": {
-                "curve_dim": estimates["curve"].to_dict(),
-                "reflected_re_dim": estimates["reflected_re"].to_dict(),
-                "reflected_im_dim": estimates["reflected_im"].to_dict(),
-                "content": None if content_est is None else content_est.to_dict(),
-            },
+            "measured": measured,
             "deltas": deltas,
             "checks": checks,
             "pass": ok,
         }
     if args.out:
         _emit(args, "report.json", _json_text(report))
-        _emit(args, "curve.csv", _csv_text(curve.tau, curve.points[:, 0] + 1j * curve.points[:, 1]))
-        _emit(args, "curve.svg", _svg_text(curve.points))
+        _emit_curve(args, curve)
         print(f"phase: {phase}")
         print(
             f"predicted d={d_pred:.6f} d'={dp_pred:.6f}"
@@ -729,9 +739,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _StageFailure as exc:
         print(f"error {exc}", file=sys.stderr)
         return 3 if isinstance(exc.cause, NumericBudgetError) else 2
-    except NumericBudgetError as exc:
-        print(f"error [budget] {exc}", file=sys.stderr)
-        return 3
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error [input] {exc}", file=sys.stderr)
         return 2

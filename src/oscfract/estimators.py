@@ -25,9 +25,6 @@ Measurement pipeline:
                 normalized areas rho(eps) = |A_eps| / eps^(2-d) and a
                 verdict on Minkowski degeneracy from their drift in
                 log log(1/eps);
-* spiral_radial_analysis
-                nucleus/tail decomposition of a spiral neighborhood at the
-                critical winding angle phi2(eps);
 * gen_chirp / gen_spiral / gen_astring
                 synthetic families with known dimension and content used to
                 calibrate all of the above.
@@ -84,15 +81,6 @@ class ContentEstimate:
             "epsilons": [float(e) for e in self.epsilons],
             "rho": [float(r) for r in self.rho],
         }
-
-
-@dataclass(frozen=True)
-class SpiralRadialReport:
-    epsilons: np.ndarray
-    phi2: np.ndarray
-    nucleus_area: np.ndarray
-    tail_area: np.ndarray
-    radial_area: np.ndarray  # exact area of the radial eps-neighborhood
 
 
 def geometric_epsilons(eps_max: float, eps_min: float, count: int) -> np.ndarray:
@@ -436,63 +424,6 @@ def estimate_content(
     else:
         verdict = "inconclusive"
     return ContentEstimate(float(d), M_hat, slope, verdict, epsilons, rho)
-
-
-def spiral_radial_analysis(
-    phi: np.ndarray, r: np.ndarray, epsilons: np.ndarray
-) -> SpiralRadialReport:
-    """Nucleus/tail decomposition of the radial eps-neighborhood of r = f(phi).
-
-    phi2(eps) is the first angle past which consecutive windings overlap
-    (f(psi) - f(psi + 2 pi) <= 2 eps for all later psi).  The nucleus is the
-    disk of radius f(phi2) + eps; the tail is the ribbon around the windings
-    before phi2, area ~ 2 eps * integral of f.  radial_area is the exact
-    area of the radial neighborhood, from per-angle unions of the intervals
-    [f - eps, f + eps] over all windings.
-    """
-    phi = np.asarray(phi, dtype=float)
-    r = np.asarray(r, dtype=float)
-    epsilons = np.asarray(epsilons, dtype=float)
-    if np.any(np.diff(phi) <= 0):
-        raise ValueError("phi samples must be strictly increasing")
-    if np.any(np.diff(r) > 0):
-        raise ValueError("radius must be non-increasing (radially decreasing)")
-    valid = phi <= phi[-1] - 2.0 * math.pi
-    gap = np.where(valid, r - np.interp(np.minimum(phi + 2.0 * math.pi, phi[-1]), phi, r), 0.0)
-    phi2 = np.empty(len(epsilons))
-    nucleus = np.empty(len(epsilons))
-    tail = np.empty(len(epsilons))
-    radial = np.empty(len(epsilons))
-    # per-angle winding radii for the exact radial area
-    nturn = 256
-    psi = np.linspace(0.0, 2.0 * math.pi, nturn, endpoint=False)
-    kmax = int(math.floor((phi[-1] - phi[0]) / (2.0 * math.pi))) + 1
-    for idx, eps in enumerate(epsilons):
-        bad = np.nonzero(valid & (gap > 2.0 * eps))[0]
-        p2 = phi[0] if bad.size == 0 else float(phi[min(bad[-1] + 1, len(phi) - 1)])
-        phi2[idx] = p2
-        f2 = float(np.interp(p2, phi, r))
-        nucleus[idx] = math.pi * (f2 + eps) ** 2
-        sel = phi <= p2
-        if np.count_nonzero(sel) >= 2:
-            tail[idx] = 2.0 * eps * float(np.trapezoid(r[sel], phi[sel]))
-        else:
-            tail[idx] = 0.0
-        total = 0.0
-        for j in range(nturn):
-            ang = phi[0] + ((psi[j] - phi[0]) % (2.0 * math.pi))
-            radii = np.interp(
-                np.arange(kmax) * 2.0 * math.pi + ang, phi, r,
-                left=np.nan, right=np.nan,
-            )
-            radii = radii[np.isfinite(radii)]
-            if radii.size == 0:
-                continue
-            # union of the intervals, integrating rho d rho
-            ka, kb = _union(np.maximum(radii - eps, 0.0), radii + eps)
-            total += 0.5 * float(np.sum(kb**2 - ka**2)) * (2.0 * math.pi / nturn)
-        radial[idx] = total
-    return SpiralRadialReport(epsilons, phi2, nucleus, tail, radial)
 
 
 def gen_chirp(

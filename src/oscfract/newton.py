@@ -69,15 +69,6 @@ class DiagramInfo:
     center_points: tuple[MultiIndex, ...]  # support points on the face met by the bisector
     center_codim: int
 
-    @property
-    def center_face(self) -> Optional[CompactFace]:
-        """The compact face met by the bisector, or None if that face is unbounded."""
-        target = frozenset(self.center_points)
-        for face in self.faces:
-            if frozenset(face.points) == target and face.dim == self.dimension - self.center_codim:
-                return face
-        return None
-
     def to_dict(self) -> dict:
         return {
             "c": str(self.distance),
@@ -288,15 +279,6 @@ def compact_faces(poly: NewtonPolyhedron) -> tuple[CompactFace, ...]:
                 if len(pts) >= 3:
                     record(_face_from_tight_set(poly, [(w, ell)]))
     return tuple(sorted(faces.values(), key=lambda f: (f.dim, f.points)))
-
-
-def principal_part(phase: PolynomialPhase, faces: Sequence[CompactFace]) -> PolynomialPhase:
-    """Sum of the monomials whose exponent lies on some compact face."""
-    on_diagram = set()
-    for f in faces:
-        on_diagram.update(f.points)
-    terms = {k: c for k, c in phase.terms.items() if k in on_diagram}
-    return PolynomialPhase(phase.dimension, terms)
 
 
 def r_nondegeneracy_check(

@@ -167,15 +167,6 @@ def bump_profile(u) -> np.ndarray:
     return out
 
 
-def eval_amplitude_array(amp: AmplitudeSpec, points: np.ndarray) -> np.ndarray:
-    """Vectorized amplitude on an array of shape (..., n)."""
-    pts = np.asarray(points, dtype=float)
-    if pts.shape[-1] != amp.dimension:
-        raise ValueError(f"points last axis {pts.shape[-1]} != dimension {amp.dimension}")
-    u = np.sum(pts**2, axis=-1) / amp.radius**2
-    return amp.phi0 * bump_profile(u)
-
-
 def scan_and_refine(func, grid: np.ndarray, spacing: float, rounds: int, admissible):
     """Smallest value of func over a grid of admissible points, refined locally.
 

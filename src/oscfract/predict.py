@@ -9,7 +9,7 @@ d = d' = 1.
 
 The n = 1 content constant is explicit only for critical order s = 2; for
 s >= 3 the leading coefficient must be measured from the integral itself
-(oscillatory_integral.leading_term_fit) and fed back in.  For n = 2 phases
+(integrals.leading_term_fit) and fed back in.  For n = 2 phases
 x^p + y^q + f0 the coefficient a_{0,beta} comes from a limit formula for
 the leading term, evaluated here both by numerical integration (any
 p, q >= 2) and in closed form (p, q even).
@@ -27,7 +27,6 @@ import numpy as np
 from scipy.integrate import quad
 
 from oscfract.newton import DiagramInfo
-from oscfract.specfun import gamma
 
 Rational = Union[Fraction, int]
 
@@ -376,7 +375,9 @@ def greenblatt_closed_form(p: int, q: int, phi00: float = 1.0) -> complex:
     if p % 2 or q % 2:
         raise ValueError(f"closed form requires p, q even, got ({p}, {q})")
     ang = 0.5 * math.pi * (1.0 / p + 1.0 / q)
-    return 4.0 * phi00 * cmath.exp(1j * ang) * gamma(1.0 / p + 1.0) * gamma(1.0 / q + 1.0)
+    return (
+        4.0 * phi00 * cmath.exp(1j * ang) * math.gamma(1.0 / p + 1.0) * math.gamma(1.0 / q + 1.0)
+    )
 
 
 def greenblatt_coefficient(p: int, q: int, phi00: float = 1.0) -> complex:
@@ -435,7 +436,7 @@ def greenblatt_coefficient(p: int, q: int, phi00: float = 1.0) -> complex:
     C0 = pref * (piece(1.0, -1) + piece(-1.0, -1))
     a = (
         -beta
-        * gamma(-beta)
+        * math.gamma(-beta)
         * (cmath.exp(-0.5j * math.pi * beta) * c0 + cmath.exp(0.5j * math.pi * beta) * C0)
     )
     if p % 2 == 0 and q % 2 == 0:

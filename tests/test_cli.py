@@ -6,9 +6,14 @@ Verified here:
   the nondegeneracy block, byte-identical across runs;
 * predict: 1D report on stdout, 2D report with the closed-form coefficient;
 * integrate / curve: CSV header and row count, SVG path structure;
+* curve and verify sample a 1D phase with f(0) = 0 on the same default tau
+  window, so they write the same curve.csv;
 * dim / content: polyline CSV round trips (named re/im and x/y columns,
-  bare numeric), estimates near known values, seeded determinism, exit 2
-  on grid offsets below 1, exit 3 when content exceeds its row-interval cap;
+  bare numeric, and a bare file whose first row is a nan,nan separator),
+  estimates near known values, seeded determinism, exit 2 on grid offsets
+  below 1, exit 3 when content exceeds its row-interval cap;
+* dim and content on verify's curve.csv reproduce verify's own estimates
+  exactly for the same eps windows and seed;
 * calibrate: table assembly and exit codes on a stubbed miniature zoo;
 * verify: exit 0 on a calibrated rectifiable pipeline, tolerance-profile
   wiring (desk passes where strict fails), exit 1 when the window is forced
@@ -193,7 +198,34 @@ def test_four_dimensional_quadrature_names_its_limit(tmp_path, capsys, command):
     assert "quadrature supports n <= 3" in capsys.readouterr().err
 
 
+def test_curve_and_verify_share_the_default_tau_window(tmp_path, capsys):
+    # x^2 has f(0) = 0: both commands take the rectifiable 1D window [8, 120] x 40
+    cfg = _cfg(tmp_path, {"phase": {"n": 1, "terms": [{"k": [2], "c": 1.0}]}})
+    assert main(["curve", "--config", cfg, "--out", str(tmp_path / "curve")]) == 0
+    main(["verify", "--config", cfg, "--out", str(tmp_path / "verify")])
+    capsys.readouterr()
+    report = json.loads((tmp_path / "verify" / "report.json").read_text())
+    assert report["tau"] == {"min": 8.0, "max": 120.0, "count": 40}
+    assert (tmp_path / "curve" / "curve.csv").read_bytes() == (
+        tmp_path / "verify" / "curve.csv"
+    ).read_bytes()
+
+
 # --- dim / content ---
+
+
+def test_read_polyline_headers_and_leading_nan_row(tmp_path):
+    bare = tmp_path / "bare.csv"
+    bare.write_text("nan,nan\n0,0\n1,2\n", encoding="utf-8")
+    pts = cli._read_polyline(str(bare))
+    assert pts.shape == (3, 2)
+    assert np.isnan(pts[0]).all() and pts[1:].tolist() == [[0.0, 0.0], [1.0, 2.0]]
+    xy = tmp_path / "xy.csv"
+    xy.write_text("y,x\n1,0\n3,2\n", encoding="utf-8")
+    assert cli._read_polyline(str(xy)).tolist() == [[0.0, 1.0], [2.0, 3.0]]
+    curve = tmp_path / "curve.csv"
+    curve.write_text("tau,re,im,abs\n8,0.5,-1,1.1\n9,inf,2,inf\n", encoding="utf-8")
+    assert cli._read_polyline(str(curve)).tolist() == [[0.5, -1.0], [np.inf, 2.0]]
 
 
 def test_dim_on_chirp_csv(tmp_path):
@@ -389,6 +421,28 @@ def test_verify_report_is_byte_identical(tmp_path):
     assert (tmp_path / "a" / "report.json").read_bytes() == (
         tmp_path / "b" / "report.json"
     ).read_bytes()
+
+
+def test_dim_and_content_reproduce_verify_estimates(tmp_path, capsys):
+    content = {"enabled": True, "d": 1.0, "eps": {"max": 2e-2, "min": 4e-3, "count": 5}}
+    cfg = _cfg(tmp_path, dict(X_PLUS_2_VERIFY, content=content))
+    seed = ["--seed", "5"]
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v"), *seed]) == 0
+    capsys.readouterr()
+    report = json.loads((tmp_path / "v" / "report.json").read_text())
+    curve_csv = str(tmp_path / "v" / "curve.csv")
+    dim_cfg = _cfg(
+        tmp_path, {"polyline_csv": curve_csv, "eps": X_PLUS_2_VERIFY["eps"]["curve"]}, "dim.json"
+    )
+    assert main(["dim", "--config", dim_cfg, "--out", str(tmp_path / "d"), *seed]) == 0
+    dim = json.loads((tmp_path / "d" / "dim.json").read_text())
+    assert dim["estimate"] == report["measured"]["curve_dim"]
+    content_cfg = _cfg(
+        tmp_path, {"polyline_csv": curve_csv, "d": content["d"], "eps": content["eps"]}, "c.json"
+    )
+    assert main(["content", "--config", content_cfg, "--out", str(tmp_path / "c")]) == 0
+    est = json.loads((tmp_path / "c" / "content.json").read_text())["estimate"]
+    assert est == report["measured"]["content"]
 
 
 def test_verify_tolerance_profiles_differ(tmp_path, capsys):

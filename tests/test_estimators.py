@@ -27,8 +27,6 @@ Verified here:
   (finite and positive, in estimate_content too);
 * estimate_content on a unit segment: M_hat ~ 2L at the true dimension and
   the forced degenerate verdicts when d is deliberately mis-set;
-* spiral_radial_analysis consistency (phi2 monotone in eps, nucleus + tail
-  envelope, agreement with the sausage area) and validation;
 * gen_chirp / gen_spiral / gen_astring invariants and budget errors.
 """
 
@@ -50,7 +48,6 @@ from oscfract.estimators import (
     gen_spiral,
     geometric_epsilons,
     sausage_area,
-    spiral_radial_analysis,
 )
 from oscfract.integrals import NumericBudgetError
 
@@ -554,54 +551,6 @@ def test_content_grid_must_allow_log_log():
     pts = np.array([[0.0, 0.0], [1.0, 0.0]])
     with pytest.raises(ValueError):
         estimate_content(pts, 1.0, np.array([0.5, 0.05]))
-
-
-# --- spiral_radial_analysis ---
-
-
-def _test_spiral(alpha=0.5, phi_max=400.0 * math.pi):
-    phi1 = 1.05 * math.e
-    n = int(math.ceil((phi_max - phi1) / (math.pi / 64.0))) + 1
-    phi = np.linspace(phi1, phi_max, n)
-    return phi, phi**-alpha
-
-
-def test_radial_merge_angle_monotone_in_eps():
-    phi, r = _test_spiral()
-    eps = geometric_epsilons(2e-2, 2e-3, 6)
-    rep = spiral_radial_analysis(phi, r, eps)
-    # smaller eps -> windings merge later -> phi2 cannot decrease
-    assert np.all(np.diff(rep.phi2) >= -1e-9)
-    assert np.all(rep.nucleus_area > 0) and np.all(rep.tail_area >= 0)
-
-
-def test_radial_area_within_nucleus_tail_envelope():
-    phi, r = _test_spiral()
-    eps = geometric_epsilons(2e-2, 5e-3, 4)
-    rep = spiral_radial_analysis(phi, r, eps)
-    upper = rep.nucleus_area + rep.tail_area
-    assert np.all(rep.radial_area <= 1.05 * upper)
-    assert np.all(rep.radial_area >= 0.5 * rep.nucleus_area)
-
-
-def test_radial_area_matches_raster_sausage():
-    # the radial neighborhood of a tightly wound spiral is close to the true
-    # 2D neighborhood; the two independent constructions must agree.
-    phi, r = _test_spiral()
-    pts = np.column_stack([r * np.cos(phi), r * np.sin(phi)])
-    eps = np.array([8e-3])
-    rep = spiral_radial_analysis(phi, r, eps)
-    area = sausage_area(pts, float(eps[0]))
-    assert rep.radial_area[0] == pytest.approx(area, rel=0.15)
-
-
-def test_radial_analysis_validation():
-    phi, r = _test_spiral()
-    eps = np.array([1e-2])
-    with pytest.raises(ValueError):
-        spiral_radial_analysis(phi[::-1], r[::-1], eps)
-    with pytest.raises(ValueError):
-        spiral_radial_analysis(phi, r[::-1], eps)
 
 
 # --- synthetic generators ---

@@ -12,7 +12,7 @@ Verified here:
   reference, exactly, over random supports with n = 2..5;
 * every stored inequality is valid on the support and at the bisector point
   (property over random supports with n = 2..4);
-* dominance filtering, principal part extraction, and to_dict serialization;
+* dominance filtering and to_dict serialization;
 * the gradient sampler passes R-nondegenerate phases and flags (x - y)^2.
 """
 
@@ -31,7 +31,6 @@ from oscfract.newton import (
     dominance_minimal,
     newton_diagram,
     newton_polyhedron,
-    principal_part,
     r_nondegeneracy_check,
     reduced_support,
 )
@@ -151,7 +150,6 @@ def test_monomial_vertex_multiplicity():
     assert info.is_remote
     assert info.center_points == ((2, 2),)
     assert info.center_codim == 2
-    assert info.center_face is not None and info.center_face.dim == 0
 
 
 def test_boundary_case_x2_y2():
@@ -240,14 +238,6 @@ def test_to_dict_serialization():
     assert data["multiplicity"] == 0
     assert data["remote"] is True
     assert any(f["dim"] == 1 and len(f["points"]) == 2 for f in data["faces"])
-
-
-def test_principal_part_keeps_diagram_monomials():
-    # x^5 lies strictly above the diagram of {x^2, y^4} and is dropped
-    phase = PolynomialPhase(2, {(2, 0): 1.0, (0, 4): 1.0, (5, 0): 7.0})
-    info = newton_diagram(phase)
-    pp = principal_part(phase, info.faces)
-    assert pp.terms == {(2, 0): 1.0, (0, 4): 1.0}
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,9 +1,12 @@
-"""The Gamma function against closed forms and independent references.
+"""oscfract.specfun.gamma against closed forms and independent references.
+
+The name is the standard library's math.gamma; these checks pin what the
+coefficient formulas in predict.py rely on.
 
 Verified here:
 * gamma(1/2) = sqrt(pi) to 1e-12 and gamma(n) = (n-1)! for small integers;
-* gamma matches mpmath over a sweep that covers the Lanczos range and the
-  reflection branch (negative non-integer arguments);
+* gamma matches mpmath over a sweep of positive and negative non-integer
+  arguments;
 * the functional equation gamma(x+1) = x gamma(x) as a property;
 * poles raise ValueError.
 """
@@ -39,7 +42,7 @@ def test_gamma_matches_mpmath_sweep():
 
 
 def test_gamma_reflection_value():
-    # gamma(-3/2) = 4 sqrt(pi) / 3, exercised through the reflection branch
+    # gamma(-3/2) = 4 sqrt(pi) / 3
     assert gamma(-1.5) == pytest.approx(2.3632718012073547, rel=1e-12)
 
 
