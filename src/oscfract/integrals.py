@@ -7,9 +7,14 @@ O(tau) per evaluation in 1D, O(tau^2) worth of nodes in 2D) is chosen over
 Filon/Levin schemes: those are delicate exactly where this package operates,
 near degenerate stationary points.
 
-Four structural shortcuts keep desk-scale runs cheap without changing the
-computed sum:
+Five structural shortcuts keep desk-scale runs cheap; all but the last
+change the computed sum only by rounding:
 
+* a phase with an even exponent in every variable of every monomial is
+  even in each variable, and so is the integrand, because the amplitude is
+  radial.  Each axis then keeps the upper half of its mirror-symmetric
+  nodes with doubled weights (a node at 0 keeps its single weight), which
+  every grid mode below sees as an axis of half the length;
 * a tau grid is evaluated on shared per-octave node grids (a grid built for
   the octave's top tau is valid, merely finer than required, for the rest);
 * each octave grid takes all of its taus in one batched pass.  Within a
@@ -23,9 +28,10 @@ computed sum:
   against a cached amplitude table, one product per batch of taus;
 * in 3D the radial amplitude is binned over r^2 = x^2 + y^2 with an in-bin
   linear correction, replacing the n^3 tensor by per-bin sums plus an
-  (n x bins) product.  The binning error is quadratic in the bin width and
-  sits orders of magnitude below the quadrature tolerance at the tau
-  ranges used (documented in the tests).
+  (n x bins) product over the bins that hold a node pair.  The binning
+  error is quadratic in the bin width and sits orders of magnitude below
+  the quadrature tolerance at the tau ranges used (documented in the
+  tests).
 
 Everything here is pure: grids are built per call chain, and the only
 state a grid changes is the batch that values() hands out through value().
@@ -34,6 +40,7 @@ state a grid changes is the batch that values() hands out through value().
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -62,13 +69,17 @@ class QuadratureConfig:
     max_panels: int = 400_000  # per-axis cap
     max_nodes: int = 200_000_000  # total node cap for non-separable tensor paths
     memory_budget_mb: int = 1400  # cached amplitude tables in separable paths
-    radial_bins: int = 16384  # r^2 bins for the 3D separable path
+    # r^2 bins of width R^2/radial_bins for the 3D separable path; its
+    # tables hold only the bins a node pair falls in
+    radial_bins: int = 16384
 
     def __post_init__(self) -> None:
         if self.points_per_wavelength < 8:
             raise ValueError("points_per_wavelength must be >= 8")
-        if self.panel_order < 1:
-            raise ValueError("panel_order must be >= 1")
+        for name in ("panel_order", "min_panels", "radial_bins"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -112,6 +123,8 @@ def gradient_bound(phase: PolynomialPhase, amp: AmplitudeSpec) -> float:
     R = amp.radius
     per_axis = {1: 4097, 2: 301, 3: 101}[n]
     ax = np.linspace(-R, R, per_axis)
+    if _mirror_symmetric(phase):
+        ax = ax[per_axis // 2 :]  # |grad f| is even in each variable too
     pts = np.stack(np.meshgrid(*([ax] * n), indexing="ij"), axis=-1).reshape(-1, n)
     if n > 1:
         pts = pts[np.sum(pts**2, axis=-1) <= R * R]
@@ -212,6 +225,11 @@ def _axis_nodes(R: float, panels: int, order: int) -> tuple[np.ndarray, np.ndarr
     return x, w
 
 
+def _mirror_symmetric(phase: PolynomialPhase) -> bool:
+    """True if every monomial has an even exponent in every variable."""
+    return all(e % 2 == 0 for k in phase.terms for e in k)
+
+
 def _separable_split(phase: PolynomialPhase) -> Optional[list[PolynomialPhase]]:
     """One 1-D phase per axis, without constants, if no monomial mixes variables."""
     n = phase.dimension
@@ -259,6 +277,11 @@ class _QuadGrid:
             )
         self.panels = panels
         x, w = _axis_nodes(R, panels, cfg.panel_order)
+        if _mirror_symmetric(phase):
+            m = x.size
+            x, w = x[m // 2 :], 2.0 * w[m // 2 :]
+            if m % 2:
+                w[0] *= 0.5  # the middle node is its own mirror image
         self.nodes_per_axis = x.size
         budget = cfg.memory_budget_mb * 2**20
 
@@ -298,16 +321,14 @@ class _QuadGrid:
             nb = cfg.radial_bins
             width = R * R / nb
             idx = np.minimum((s_flat / width).astype(np.int64), nb - 1)
-            centers = (np.arange(nb) + 0.5) * width
             # pairs sorted by bin: each occupied bin's sum is one reduceat segment
             order = np.argsort(idx, kind="stable")
             self._ii, self._jj = ii[order], jj[order]
-            self._s_off = (s_flat - centers[idx])[order]
             idx = idx[order]
+            self._s_off = s_flat[order] - (idx + 0.5) * width
             self._bin_starts = np.flatnonzero(np.diff(idx, prepend=-1))
-            self._bins = idx[self._bin_starts]
-            zz2 = x**2
-            r2 = (zz2[:, None] + centers[None, :]) / R**2  # (nodes_z, nb)
+            centers = (idx[self._bin_starts] + 0.5) * width  # occupied bins only
+            r2 = (x[:, None] ** 2 + centers[None, :]) / R**2  # (nodes_z, bins)
             G0 = amp.phi0 * bump_profile(r2)
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 d = np.where(r2 < 1.0, -1.0 / (1.0 - r2) ** 2 / R**2, 0.0)
@@ -323,7 +344,6 @@ class _QuadGrid:
                     f"radial tables {G0.shape} exceed memory budget "
                     f"({cfg.memory_budget_mb} MB); reduce tau or radial_bins"
                 )
-            self._nb = nb
         else:
             # Non-separable tensor path, streamed in row blocks.
             total = x.size**n
@@ -416,21 +436,21 @@ class _QuadGrid:
         return core
 
     def _core_sep3d(self, taus: np.ndarray, steps: np.ndarray) -> np.ndarray:
-        m, wx, nb = self._x.size, self._wx, self._nb
-        bins, starts, G0, G1 = self._bins, self._bin_starts, self._G0, self._G1
+        m, wx = self._x.size, self._wx
+        starts, G0, G1 = self._bin_starts, self._G0, self._G1
         core = np.empty(taus.size, dtype=complex)
         # four real rows of bin sums plus their cast copies: ~48 bytes per bin
-        rows = _batch_rows(48 * nb + 48 * m)
+        rows = _batch_rows(48 * starts.size + 48 * m)
         for lo, hi, E in _phase_rows(taus, steps, self._g, rows):
             b = hi - lo
             u, v = E[:, :m] * wx, E[:, m : 2 * m] * wx
-            w = np.zeros((4 * b, nb))  # rows: Re w0, Im w0, Re w1, Im w1
+            w = np.empty((4 * b, starts.size))  # rows: Re w0, Im w0, Re w1, Im w1
             for k in range(b):
                 pair = u[k][self._ii] * v[k][self._jj]
                 w0 = np.add.reduceat(pair, starts)
                 w1 = np.add.reduceat(pair * self._s_off, starts)
-                w[k, bins], w[b + k, bins] = w0.real, w0.imag
-                w[2 * b + k, bins], w[3 * b + k, bins] = w1.real, w1.imag
+                w[k], w[b + k] = w0.real, w0.imag
+                w[2 * b + k], w[3 * b + k] = w1.real, w1.imag
             dt = G0.dtype
             slab = w[: 2 * b].astype(dt) @ G0.T + w[2 * b :].astype(dt) @ G1.T
             wz = E[:, 2 * m :] * wx

@@ -20,8 +20,9 @@ Verified here:
   into the coarse transient, exit 2 on malformed input, exit 3 on numeric
   budgets, and report byte-determinism;
 * config sections (amplitude, quadrature, tau, curve, eps, content) that are
-  not JSON objects, and quadrature on an n = 4 phase, exit 2 with a message
-  that names the problem;
+  not JSON objects, quadrature values that are not integers >= 1 where
+  counts are expected, and quadrature on an n = 4 phase, exit 2 with a
+  message that names the problem;
 * the module entry point through a real subprocess.
 """
 
@@ -187,6 +188,27 @@ def test_non_object_config_section_is_an_input_error(tmp_path, capsys, command, 
     assert main([command, "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert f'"{key}" must be a JSON object' in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("radial_bins", 0), ("radial_bins", -3), ("panel_order", 2.5), ("panel_order", True),
+     ("min_panels", 0)],
+)
+def test_bad_quadrature_count_is_an_input_error(tmp_path, capsys, key, value):
+    sphere = [{"k": [2 if j == i else 0 for j in range(3)], "c": 1.0} for i in range(3)]
+    cfg = _cfg(
+        tmp_path,
+        {
+            "phase": {"n": 3, "terms": sphere + [{"k": [0, 0, 0], "c": 1.0}]},
+            "tau": {"min": 2.0, "max": 4.0, "count": 3},
+            "quadrature": {key: value},
+        },
+    )
+    assert main(["integrate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f"{key} must be an integer >= 1" in err
     assert "Traceback" not in err
 
 
