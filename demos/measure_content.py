@@ -8,15 +8,16 @@ over a window; the trend of rho against log(1/eps) doubles as a degeneracy
 detector (rho drifting up or down at a log rate means the content is
 infinite or zero even though the dimension is right).
 
-Run:  python3 demos/measure_content.py    (about a minute)
+Run:  python3 demos/measure_content.py    (a few seconds)
 """
 
 import math
+from fractions import Fraction
 
 from oscfract.estimators import estimate_content, geometric_epsilons
 from oscfract.integrals import curve_from_samples, sample_integral
 from oscfract.phases import AmplitudeSpec, PolynomialPhase
-from oscfract.predict import content_1d, predict_1d
+from oscfract.predict import content_from_coefficient, predict_1d
 
 # 1. The prediction: s = 2, f0 = 1, f''(0) = 2 make C1 and the content exact.
 pred = predict_1d(2, 1.0, f_second=2.0)
@@ -24,7 +25,7 @@ exact = 3.0 * 2.0 ** (2.0 / 3.0) * math.pi
 print(f"predicted content M = {pred.content:.12f}")
 print(f"closed form 3*2^(2/3)*pi = {exact:.12f}")
 assert abs(pred.content - exact) < 1e-12
-assert abs(content_1d(2, 1.0, abs(pred.leading_coeff)) - exact) < 1e-12
+assert abs(content_from_coefficient(Fraction(-1, 2), pred.leading_coeff, 1.0) - exact) < 1e-12
 
 # 2. The measurement: trace the curve far enough in tau that the window of
 #    scales used by the sausage sits inside the self-similar regime.

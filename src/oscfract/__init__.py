@@ -23,7 +23,6 @@ from oscfract.predict import (
     CausticType,
     caustic_prediction,
     content_from_coefficient,
-    content_1d,
     greenblatt_coefficient,
     greenblatt_closed_form,
     predict_1d,
@@ -75,7 +74,6 @@ __all__ = [
     "ReflectedGraph",
     "box_count",
     "caustic_prediction",
-    "content_1d",
     "content_from_coefficient",
     "critical_order_1d",
     "curve_from_samples",

@@ -556,13 +556,7 @@ def curve_from_samples(
     """
     if not 0 < max_step <= math.pi / 8.0 + 1e-12:
         raise ValueError(f"max_step must be in (0, pi/8], got {max_step}")
-    f0 = abs(samples.phase.value_at_origin)
-    taus = samples.tau
-    if f0 > 0:
-        full = _refined_taus(taus, max_step / f0, max_points)
-    else:
-        full = taus
-    values = _merge_eval(samples, full)
+    full, values = _refined_eval(samples, max_step, max_points)
     pts = np.column_stack([values.real, values.imag])
     return CurvePolyline(pts, full)
 
@@ -576,13 +570,7 @@ def reflected_pair(
     t steps <= t^2/(8 f(0)): the oscillation e^{i tau f(0)} advances at most
     1/8 radian between points.
     """
-    f0 = abs(samples.phase.value_at_origin)
-    taus = samples.tau
-    if f0 > 0:
-        full = _refined_taus(taus, 1.0 / (8.0 * f0), max_points)
-    else:
-        full = taus
-    values = _merge_eval(samples, full)
+    full, values = _refined_eval(samples, 0.125, max_points)
     t = 1.0 / full[::-1]
     return (
         ReflectedGraph(t, values.real[::-1], "re"),
@@ -590,14 +578,23 @@ def reflected_pair(
     )
 
 
-def _merge_eval(samples: IntegralSamples, full: np.ndarray) -> np.ndarray:
-    """Values on a refined grid, reusing the already-computed samples."""
+def _refined_eval(
+    samples: IntegralSamples, phase_step: float, max_points: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Taus refined so that tau f(0) advances at most phase_step, and I on them.
+
+    Values at the sample taus are reused; only the inserted taus are evaluated.
+    """
+    f0 = abs(samples.phase.value_at_origin)
+    full = samples.tau
+    if f0 > 0:
+        full = _refined_taus(full, phase_step / f0, max_points)
     known = {float(t): v for t, v in zip(samples.tau, samples.values)}
     missing = np.array([t for t in full if float(t) not in known], dtype=float)
     if missing.size:
         vals = _eval_many(samples.phase, samples.amp, samples.cfg, missing, samples.grad_bound)
         known.update({float(t): v for t, v in zip(missing, vals)})
-    return np.array([known[float(t)] for t in full], dtype=complex)
+    return full, np.array([known[float(t)] for t in full], dtype=complex)
 
 
 def leading_term_fit(

@@ -204,7 +204,7 @@ def distance_and_remoteness(poly: NewtonPolyhedron) -> tuple[Fraction, Fraction]
     return c, Fraction(-1, 1) / c
 
 
-def _tight_at(poly: NewtonPolyhedron, point: Sequence[Fraction]) -> list[Inequality]:
+def _tight_at(poly: NewtonPolyhedron, point: Sequence[Fraction | int]) -> list[Inequality]:
     out = []
     for w, ell in poly.inequalities:
         if sum(wi * pi for wi, pi in zip(w, point)) == ell:
@@ -212,10 +212,19 @@ def _tight_at(poly: NewtonPolyhedron, point: Sequence[Fraction]) -> list[Inequal
     return out
 
 
+def _points_on(poly: NewtonPolyhedron, tight: list[Inequality]) -> list[MultiIndex]:
+    """Minimal points lying on every inequality of the set."""
+    return [
+        p
+        for p in poly.minimal_points
+        if all(sum(wi * pi for wi, pi in zip(w, p)) == ell for w, ell in tight)
+    ]
+
+
 def _vertices(poly: NewtonPolyhedron) -> list[MultiIndex]:
     out = []
     for p in poly.minimal_points:
-        tight = _tight_at(poly, tuple(Fraction(e) for e in p))
+        tight = _tight_at(poly, p)
         if _rank([w for w, _ in tight]) == poly.dimension:
             out.append(p)
     return out
@@ -232,11 +241,7 @@ def _face_from_tight_set(
     if any(x == 0 for x in wsum):
         return None  # no strictly positive supporting functional: unbounded face
     codim = _rank([w for w, _ in tight])
-    pts = [
-        p
-        for p in poly.minimal_points
-        if all(sum(wi * pi for wi, pi in zip(w, p)) == ell for w, ell in tight)
-    ]
+    pts = _points_on(poly, tight)
     if not pts:
         return None
     level = sum(wi * pi for wi, pi in zip(wsum, pts[0]))
@@ -261,23 +266,20 @@ def compact_faces(poly: NewtonPolyhedron) -> tuple[CompactFace, ...]:
             faces.setdefault((face.dim, face.points), face)
 
     for v in verts:
-        record(_face_from_tight_set(poly, _tight_at(poly, tuple(Fraction(e) for e in v))))
+        record(_face_from_tight_set(poly, _tight_at(poly, v)))
     for a, b in itertools.combinations(verts, 2):
-        ta = _tight_at(poly, tuple(Fraction(e) for e in a))
-        tb = set(_tight_at(poly, tuple(Fraction(e) for e in b)))
+        ta = _tight_at(poly, a)
+        tb = set(_tight_at(poly, b))
         common = [iq for iq in ta if iq in tb]
         if common and _rank([w for w, _ in common]) == n - 1:
             record(_face_from_tight_set(poly, common))
     if n == 3:
         for w, ell in poly.inequalities:
             if all(x > 0 for x in w):
-                pts = [
-                    p
-                    for p in poly.minimal_points
-                    if sum(wi * pi for wi, pi in zip(w, p)) == ell
-                ]
-                if len(pts) >= 3:
-                    record(_face_from_tight_set(poly, [(w, ell)]))
+                # a facet holds at least 3 points; fewer is a vertex or edge
+                face = _face_from_tight_set(poly, [(w, ell)])
+                if face is not None and len(face.points) >= 3:
+                    record(face)
     return tuple(sorted(faces.values(), key=lambda f: (f.dim, f.points)))
 
 
@@ -362,10 +364,6 @@ def newton_diagram(phase: PolynomialPhase) -> DiagramInfo:
     center = (c,) * n
     tight = _tight_at(poly, center)
     codim = _rank([w for w, _ in tight])
-    center_pts = tuple(
-        p
-        for p in poly.minimal_points
-        if all(sum(wi * pi for wi, pi in zip(w, p)) == ell for w, ell in tight)
-    )
+    center_pts = tuple(_points_on(poly, tight))
     faces = compact_faces(poly) if n <= 3 else ()
     return DiagramInfo(n, faces, c, beta, codim - 1, c > 1, center_pts, codim)

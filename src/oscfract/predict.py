@@ -9,7 +9,8 @@ d = d' = 1.
 
 The n = 1 content constant is explicit only for critical order s = 2; for
 s >= 3 the leading coefficient must be measured from the integral itself
-(integrals.leading_term_fit) and fed back in.  For n = 2 phases
+(integrals.leading_term_fit) and passed to content_from_coefficient at
+beta = -1/s.  For n = 2 phases
 x^p + y^q + f0 the coefficient a_{0,beta} comes from a limit formula for
 the leading term, evaluated here both by numerical integration (any
 p, q >= 2) and in closed form (p, q even).
@@ -102,11 +103,9 @@ class CausticType:
             raise ValueError(f"ambient dimension must be >= 1, got n={self.n}")
 
 
-def _dims(beta: Fraction) -> tuple[Fraction, Fraction]:
-    return 2 / (1 - beta), (beta + 3) / 2
-
-
-def _rectifiable(beta: Fraction, mult: int, f0: float, note: str) -> AsymptoticPrediction:
+def _rectifiable(
+    beta: Optional[Fraction], mult: int, f0: float, note: str
+) -> AsymptoticPrediction:
     return AsymptoticPrediction(
         beta=beta,
         multiplicity_K=mult,
@@ -118,6 +117,42 @@ def _rectifiable(beta: Fraction, mult: int, f0: float, note: str) -> AsymptoticP
     )
 
 
+def _power_law(
+    beta: Fraction,
+    mult: int,
+    f0: float,
+    leading: Optional[complex] = None,
+    degenerate: bool = False,
+    note: str = "",
+) -> AsymptoticPrediction:
+    """Prediction read off I(tau) e^{-i tau f0} ~ leading tau^beta.
+
+    f(0) = 0 is rectifiable whatever else holds.  Otherwise d = 2/(1-beta)
+    and d' = (beta+3)/2; the content is infinite for a degenerate (log)
+    leading term, follows from the leading coefficient when one is given and
+    beta > -1, and is unknown otherwise.
+    """
+    if f0 == 0.0:
+        return _rectifiable(beta, mult, 0.0, "f(0) = 0: graphs and curve are rectifiable")
+    f0 = abs(f0)  # conjugation invariance: I(tau) for -f0 is the conjugate curve
+    content = None
+    if degenerate:
+        content = math.inf
+    elif leading is not None and beta > -1:
+        content = content_from_coefficient(beta, leading, f0)
+    return AsymptoticPrediction(
+        beta=beta,
+        multiplicity_K=mult,
+        curve_dim=2 / (1 - beta),
+        osc_dim=(beta + 3) / 2,
+        f0=f0,
+        leading_coeff=leading,
+        content=content,
+        degenerate=degenerate,
+        note=note,
+    )
+
+
 def predict_no_critical_point(f0: float) -> AsymptoticPrediction:
     """Prediction when grad f has no zero in the amplitude support.
 
@@ -125,35 +160,8 @@ def predict_no_critical_point(f0: float) -> AsymptoticPrediction:
     the curve spirals into the origin faster than any power and the curve and
     both reflected graphs are rectifiable.
     """
-    return AsymptoticPrediction(
-        beta=None,
-        multiplicity_K=0,
-        curve_dim=Fraction(1),
-        osc_dim=Fraction(1),
-        f0=abs(f0),
-        rectifiable=True,
-        note="no critical point in the support: I decays faster than any power",
-    )
-
-
-def content_1d(s: int, f0: float, c1_abs: float) -> float:
-    """Minkowski content of the curve for a 1-d phase of critical order s.
-
-    M^d(Gamma) = |C1|^{2s/(s+1)} * pi * (pi/(s f0))^{-2/(s+1)} * (s+1)/(s-1),
-    with C1 the leading coefficient of I(tau) e^{-i tau f0} ~ C1 tau^{-1/s}.
-    """
-    if s < 2:
-        raise ValueError(f"critical order must be >= 2, got {s}")
-    if not f0 > 0:
-        raise ValueError(f"content_1d requires f0 > 0, got {f0}")
-    if not c1_abs > 0:
-        raise ValueError(f"leading coefficient magnitude must be positive, got {c1_abs}")
-    return (
-        c1_abs ** (2 * s / (s + 1))
-        * math.pi
-        * (math.pi / (s * f0)) ** (-2 / (s + 1))
-        * (s + 1)
-        / (s - 1)
+    return _rectifiable(
+        None, 0, abs(f0), "no critical point in the support: I decays faster than any power"
     )
 
 
@@ -162,6 +170,9 @@ def content_from_coefficient(beta: Rational, a0beta: complex, f0: float) -> floa
 
     M^d(Gamma) = [|a|/f0^beta]^{2/(1-beta)} * (-beta)^{2beta/(1-beta)}
                  * pi^{(1+beta)/(1-beta)} * (1-beta)/(1+beta).
+
+    For a 1-d phase of critical order s (beta = -1/s, a = C1) this is
+    |C1|^{2s/(s+1)} * pi * (pi/(s f0))^{-2/(s+1)} * (s+1)/(s-1).
     """
     b = float(beta)
     if not -1.0 < b < 0.0:
@@ -188,19 +199,13 @@ def predict_1d(
     d = 2s/(s+1), d' = (3s-1)/(2s).  For s = 2 with f''(0) supplied, the
     leading coefficient C1 = phi(0) sqrt(2 pi) |f''(0)|^{-1/2} e^{i pi sgn(f''(0))/4}
     is explicit and the content follows; for s >= 3 both are left unknown
-    (fit the integral and use content_1d).
+    (measure C1 with leading_term_fit and pass it to content_from_coefficient
+    at beta = -1/s).
     """
     if s < 2:
         raise ValueError(f"critical order must be >= 2, got {s}")
-    beta = Fraction(-1, s)
-    if f0 == 0.0:
-        return _rectifiable(beta, 0, 0.0, "f(0) = 0: graphs and curve are rectifiable")
-    f0 = abs(f0)  # conjugation invariance: I(tau) for -f0 is the conjugate curve
-    d = Fraction(2 * s, s + 1)
-    dp = Fraction(3 * s - 1, 2 * s)
     leading = None
-    content = None
-    if s == 2 and f_second is not None:
+    if s == 2 and f_second is not None and f0 != 0.0:  # f(0) = 0 ignores f''(0)
         if f_second == 0.0:
             raise ValueError("s = 2 requires f''(0) != 0")
         leading = (
@@ -208,16 +213,7 @@ def predict_1d(
             * math.sqrt(2.0 * math.pi / abs(f_second))
             * cmath.exp(1j * math.pi / 4.0 * math.copysign(1.0, f_second))
         )
-        content = content_1d(s, f0, abs(leading))
-    return AsymptoticPrediction(
-        beta=beta,
-        multiplicity_K=0,
-        curve_dim=d,
-        osc_dim=dp,
-        f0=f0,
-        leading_coeff=leading,
-        content=content,
-    )
+    return _power_law(Fraction(-1, s), 0, f0, leading)
 
 
 def predict_2d(
@@ -232,60 +228,22 @@ def predict_2d(
     """
     if diagram.dimension != 2:
         raise ValueError("predict_2d requires a 2-dimensional diagram")
-    beta = diagram.remoteness
-    mult = diagram.multiplicity
+    beta, mult = diagram.remoteness, diagram.multiplicity
     if beta < -1:
         raise ValueError(
             f"beta = {beta} < -1 in 2D implies a linear term: origin is not a critical point"
         )
-    if f0 == 0.0:
-        return _rectifiable(beta, mult, 0.0, "f(0) = 0: graphs and curve are rectifiable")
-    f0 = abs(f0)
-    d, dp = _dims(beta)
-    if mult == 0 or beta == -1:
-        content = None
-        note = ""
-        if beta == -1:
-            note = "beta = -1: boundary case, curve marginally rectifiable (d = 1)"
-        elif a0beta is not None:
-            content = content_from_coefficient(beta, a0beta, f0)
-        return AsymptoticPrediction(
-            beta=beta,
-            multiplicity_K=mult,
-            curve_dim=d,
-            osc_dim=dp,
-            f0=f0,
-            leading_coeff=a0beta,
-            content=content,
-            note=note,
-        )
-    if beta <= -1:
-        return AsymptoticPrediction(
-            beta=beta,
-            multiplicity_K=mult,
-            curve_dim=d,
-            osc_dim=dp,
-            f0=f0,
-            degenerate=True,
-            note="no sharp prediction: beta <= -1 with multiplicity 1",
-        )
-    return AsymptoticPrediction(
-        beta=beta,
-        multiplicity_K=mult,
-        curve_dim=d,
-        osc_dim=dp,
-        f0=f0,
-        content=math.inf,
-        degenerate=True,
-        note="multiplicity 1: leading term carries log tau; content degenerate",
-    )
+    if mult and beta > -1:
+        note = "multiplicity 1: leading term carries log tau; content degenerate"
+        return _power_law(beta, mult, f0, degenerate=True, note=note)
+    note = ""
+    if beta == -1:
+        note = "beta = -1: boundary case, curve marginally rectifiable (d = 1)"
+    return _power_law(beta, mult, f0, a0beta, note=note)
 
 
 def predict_nd(
-    diagram: DiagramInfo,
-    f0: float,
-    coeff_hypothesis: Optional[int],
-    a0beta: Optional[complex] = None,
+    diagram: DiagramInfo, f0: float, coeff_hypothesis: Optional[int]
 ) -> AsymptoticPrediction:
     """Prediction for n > 2 under a caller-supplied coefficient hypothesis.
 
@@ -296,45 +254,26 @@ def predict_nd(
     """
     if diagram.dimension <= 2:
         raise ValueError("predict_nd is for n > 2; use predict_1d/predict_2d")
-    beta = diagram.remoteness
-    mult = diagram.multiplicity
-    if f0 == 0.0:
-        return _rectifiable(beta, mult, 0.0, "f(0) = 0: graphs and curve are rectifiable")
-    f0 = abs(f0)
-    if beta <= -1:
-        return _rectifiable(
-            beta, mult, f0, f"polyhedron not remote (beta = {beta}): rectifiable"
-        )
-    if coeff_hypothesis is None:
-        raise ValueError(
-            "coeff_hypothesis required for n > 2: pass the largest k with a_{k,beta} != 0"
-        )
-    if not 0 <= coeff_hypothesis <= diagram.dimension - 1:
-        raise ValueError(
-            f"coeff_hypothesis {coeff_hypothesis} outside 0..n-1 ({diagram.dimension - 1})"
-        )
-    d, dp = _dims(beta)
-    if coeff_hypothesis == 0:
-        content = None if a0beta is None else content_from_coefficient(beta, a0beta, f0)
-        return AsymptoticPrediction(
-            beta=beta,
-            multiplicity_K=mult,
-            curve_dim=d,
-            osc_dim=dp,
-            f0=f0,
-            leading_coeff=a0beta,
-            content=content,
-        )
-    return AsymptoticPrediction(
-        beta=beta,
-        multiplicity_K=mult,
-        curve_dim=d,
-        osc_dim=dp,
-        f0=f0,
-        content=math.inf,
-        degenerate=True,
-        note=f"a_{{{coeff_hypothesis},beta}} != 0: leading term carries log^k tau",
-    )
+    beta, mult = diagram.remoteness, diagram.multiplicity
+    # f(0) = 0 is rectifiable whatever the polyhedron and hypothesis: _power_law
+    # checks it first
+    if f0 != 0.0:
+        if beta <= -1:
+            return _rectifiable(
+                beta, mult, abs(f0), f"polyhedron not remote (beta = {beta}): rectifiable"
+            )
+        if coeff_hypothesis is None:
+            raise ValueError(
+                "coeff_hypothesis required for n > 2: pass the largest k with a_{k,beta} != 0"
+            )
+        if not 0 <= coeff_hypothesis <= diagram.dimension - 1:
+            raise ValueError(
+                f"coeff_hypothesis {coeff_hypothesis} outside 0..n-1 ({diagram.dimension - 1})"
+            )
+    if coeff_hypothesis:
+        note = f"a_{{{coeff_hypothesis},beta}} != 0: leading term carries log^k tau"
+        return _power_law(beta, mult, f0, degenerate=True, note=note)
+    return _power_law(beta, mult, f0)
 
 
 def caustic_prediction(caustic: CausticType) -> AsymptoticPrediction:
@@ -349,21 +288,13 @@ def caustic_prediction(caustic: CausticType) -> AsymptoticPrediction:
     else:
         g = Fraction(k - 2, 2 * k - 2)
     beta = g - Fraction(n, 2)
-    limit = Fraction(4, 1 + n)
     if beta <= -1:
         pred = _rectifiable(
             beta, 0, 1.0, f"beta = {beta} <= -1: rectifiable for this (family, k, n)"
         )
-        return replace(pred, limit_dim=limit)
-    d, dp = _dims(beta)
-    return AsymptoticPrediction(
-        beta=beta,
-        multiplicity_K=0,
-        curve_dim=d,
-        osc_dim=dp,
-        f0=1.0,
-        limit_dim=limit,
-    )
+    else:
+        pred = _power_law(beta, 0, 1.0)
+    return replace(pred, limit_dim=Fraction(4, 1 + n))
 
 
 def greenblatt_closed_form(p: int, q: int, phi00: float = 1.0) -> complex:

@@ -4,13 +4,14 @@ Verified here:
 * predict_1d gives d = 4/3 (s = 2) and d = 3/2 (s = 3) as exact Fractions,
   and caustic A_k predictions in n = 1 coincide with predict_1d(s = k + 1);
 * the explicit s = 2 coefficient sqrt(2 pi / |f''|) e^{i pi sgn(f'')/4} and
-  the frozen golden content 3 * 2^(2/3) * pi for x^2 + 1;
-* content_1d and content_from_coefficient agree wherever both apply
-  (dual-route property over s, f0, |C1|);
+  the frozen golden content 3 * 2^(2/3) * pi for x^2 + 1, from the
+  coefficient formula at beta = -1/2;
 * 2D predictions from the diagram: nondegenerate, log-degenerate, the
   beta = -1 boundary, and rejection of non-critical supports;
 * n > 2 predictions require the coefficient hypothesis and collapse to the
   rectifiable case for non-remote polyhedra;
+* branch order: f(0) = 0 is rectifiable before the n > 2 hypothesis is
+  checked, and a multiplicity-1 diagram ignores a supplied coefficient;
 * caustic family validation and the k -> infinity limit dimension;
 * the leading-coefficient quadrature matches the closed form for even
   (p, q) to 1e-6 and both match the frozen modulus for (2, 4);
@@ -22,15 +23,12 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from oscfract.newton import newton_diagram
 from oscfract.phases import PolynomialPhase
 from oscfract.predict import (
     CausticType,
     caustic_prediction,
-    content_1d,
     content_from_coefficient,
     greenblatt_closed_form,
     greenblatt_coefficient,
@@ -99,31 +97,20 @@ def test_negative_critical_value_conjugates():
     assert predict_1d(2, -3.0).f0 == 3.0
 
 
-def test_content_1d_golden_value():
-    val = content_1d(2, 1.0, math.sqrt(math.pi))
+def test_content_golden_value():
+    val = content_from_coefficient(Fraction(-1, 2), math.sqrt(math.pi), 1.0)
     assert val == pytest.approx(CONTENT_X2, rel=1e-12)
 
 
 def test_content_1d_domain():
+    # the 1-d content is the coefficient formula at beta = -1/s: s = 1 has
+    # no finite content, and f0 = 0 or C1 = 0 is outside its domain
     with pytest.raises(ValueError):
-        content_1d(1, 1.0, 1.0)
+        content_from_coefficient(Fraction(-1, 1), 1.0 + 0.0j, 1.0)
     with pytest.raises(ValueError):
-        content_1d(2, 0.0, 1.0)
+        content_from_coefficient(Fraction(-1, 2), 1.0 + 0.0j, 0.0)
     with pytest.raises(ValueError):
-        content_1d(2, 1.0, 0.0)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    st.integers(min_value=2, max_value=6),
-    st.floats(min_value=0.1, max_value=9.0),
-    st.floats(min_value=0.1, max_value=5.0),
-)
-def test_content_routes_agree(s, f0, c1_abs):
-    # beta = -1/s turns the generic coefficient formula into the 1-d one
-    via_1d = content_1d(s, f0, c1_abs)
-    via_coeff = content_from_coefficient(Fraction(-1, s), c1_abs + 0.0j, f0)
-    assert via_coeff == pytest.approx(via_1d, rel=1e-12)
+        content_from_coefficient(Fraction(-1, 2), 0.0j, 1.0)
 
 
 def test_content_from_coefficient_domain():
@@ -158,6 +145,14 @@ def test_predict_2d_log_degenerate():
     assert pred.degenerate
     assert math.isinf(pred.content)
     assert pred.curve_dim == Fraction(4, 3)
+
+
+def test_predict_2d_multiplicity_one_ignores_coefficient():
+    diag = _diagram2({(2, 2): 1.0, (0, 0): 1.0})
+    pred = predict_2d(diag, 1.0, a0beta=1.0 + 1.0j)
+    assert pred.leading_coeff is None
+    assert math.isinf(pred.content)
+    assert pred.degenerate
 
 
 def test_predict_2d_boundary_beta():
@@ -205,6 +200,16 @@ def test_predict_nd_non_remote_is_rectifiable():
     assert pred.rectifiable
     assert pred.beta == Fraction(-3, 2)
     assert pred.curve_dim == 1
+
+
+def test_predict_nd_zero_critical_value_before_hypothesis():
+    phase = PolynomialPhase(3, {(4, 0, 0): 1.0, (0, 4, 0): 1.0, (0, 0, 4): 1.0})
+    diag = newton_diagram(phase)
+    for hyp in (None, 9):
+        pred = predict_nd(diag, 0.0, hyp)
+        assert pred.rectifiable
+        assert pred.curve_dim == 1
+        assert pred.f0 == 0.0
 
 
 def test_predict_nd_rejects_low_dimension():
