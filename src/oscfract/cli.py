@@ -132,10 +132,22 @@ def _quad_from(cfg: dict, n: int) -> QuadratureConfig:
         raise ValueError(f"malformed quadrature config: {exc}") from exc
 
 
+def _count(spec: dict, key: str, default: int, least: int = 1) -> int:
+    """spec[key] (default when absent) as an integer >= least.
+
+    Floats and bools are refused rather than truncated, as QuadratureConfig
+    does for its counts.
+    """
+    v = spec.get(key, default)
+    if isinstance(v, bool) or not isinstance(v, int) or v < least:
+        raise ValueError(f'"{key}" must be an integer >= {least}, got {json.dumps(v)}')
+    return v
+
+
 def _eps_from(spec: dict, fallback: tuple[float, float, int]) -> np.ndarray:
     mx, mn, ct = fallback
     return geometric_epsilons(
-        float(spec.get("max", mx)), float(spec.get("min", mn)), int(spec.get("count", ct))
+        float(spec.get("max", mx)), float(spec.get("min", mn)), _count(spec, "count", ct)
     )
 
 
@@ -268,7 +280,7 @@ def _sampled(
     else:
         lo, hi, count = 8.0, 150.0, 30
     t = _section(cfg, "tau")
-    window = (float(t.get("min", lo)), float(t.get("max", hi)), int(t.get("count", count)))
+    window = (float(t.get("min", lo)), float(t.get("max", hi)), _count(t, "count", count))
     return sample_integral(phase, amp, *window, _quad_from(cfg, n)), window
 
 
@@ -297,7 +309,7 @@ def _content(pts: np.ndarray, d: float, spec: dict) -> ContentEstimate:
     """Minkowski content at dimension d; spec may hold "eps" and "cell_cap"."""
     diam = _diameter(pts)
     eps = _eps_from(_section(spec, "eps"), (diam / 150.0, diam / 700.0, 10))
-    return estimate_content(pts, d, eps, cell_cap=int(spec.get("cell_cap", 120_000_000)))
+    return estimate_content(pts, d, eps, cell_cap=_count(spec, "cell_cap", 120_000_000))
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +346,9 @@ def _predict(phase: PolynomialPhase, amp: AmplitudeSpec, cfg: dict, diagram):
     if n == 2:
         return predict_2d(diagram, f0, _a0beta_2d(phase, amp))
     hyp = cfg.get("coeff_hypothesis", 0)
-    return predict_nd(diagram, f0, None if hyp is None else int(hyp))
+    if hyp is not None:
+        hyp = _count(cfg, "coeff_hypothesis", 0, least=0)
+    return predict_nd(diagram, f0, hyp)
 
 
 def _validate_phase(phase: PolynomialPhase, amp: AmplitudeSpec) -> None:
@@ -412,7 +426,7 @@ def cmd_dim(args: argparse.Namespace) -> int:
             pts,
             _section(cfg, "eps"),
             args.seed,
-            offsets=int(cfg.get("offsets", 4)),
+            offsets=_count(cfg, "offsets", 4),
             connect=bool(cfg.get("connect", True)),
         )
         out = {

@@ -283,6 +283,43 @@ def compact_faces(poly: NewtonPolyhedron) -> tuple[CompactFace, ...]:
     return tuple(sorted(faces.values(), key=lambda f: (f.dim, f.points)))
 
 
+def _fundamental_domain(n: int, samples: int) -> tuple[np.ndarray, float]:
+    """Points with each |x_i| on a geometric grid over [1/2, 2], all sign patterns.
+
+    Returns the points and the grid's smallest spacing, the first refinement step.
+    """
+    mags = np.geomspace(0.5, 2.0, samples)
+    grids = []
+    for signs in itertools.product((-1.0, 1.0), repeat=n):
+        axes = [s * mags for s in signs]
+        grids.append(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n))
+    return np.concatenate(grids, axis=0), float(mags[1] - mags[0])
+
+
+def _min_residual(
+    fg: PolynomialPhase, domain: np.ndarray, spacing: float
+) -> tuple[float, np.ndarray]:
+    """Smallest |grad f_gamma| / envelope over the domain, refined, and its point."""
+    n = fg.dimension
+    parts = [partial_derivative(fg, i) for i in range(n)]
+    envelopes = [PolynomialPhase(n, {k: abs(c) for k, c in gp.terms.items()}) for gp in parts]
+
+    def residual(pts: np.ndarray) -> np.ndarray:
+        # |grad f_gamma| over its triangle-inequality envelope: scale-free in
+        # both the coefficients and the quasi-homogeneous dilations.
+        num = sum(eval_phase_array(gp, pts) ** 2 for gp in parts)
+        abs_pts = np.abs(pts)
+        den = sum(eval_phase_array(env, abs_pts) ** 2 for env in envelopes)
+        den[den == 0.0] = 1.0
+        return np.sqrt(num / den)
+
+    def off_axes(pts: np.ndarray) -> np.ndarray:
+        return np.all(np.abs(pts) >= 1e-9, axis=-1)
+
+    res, witness, _ = scan_and_refine(residual, domain, spacing, 12, off_axes)
+    return res, witness
+
+
 def r_nondegeneracy_check(
     phase: PolynomialPhase,
     faces: Optional[Sequence[CompactFace]] = None,
@@ -294,42 +331,26 @@ def r_nondegeneracy_check(
     fundamental domain (each |x_i| in [1/2, 2], all sign patterns), with local
     refinement around the smallest normalized residual.  Diagnostic only: a
     pass means no counterexample was found at this resolution.
+
+    A face whose polynomial is one monomial c x^k (every vertex) is not
+    scanned: off the axes its gradient never vanishes, and each partial
+    equals its own triangle-inequality envelope in modulus, so the residual
+    is 1 everywhere (a scan reads it to within an ulp); it is recorded as
+    exactly 1.0, passed, at the first domain point.
     """
     n = phase.dimension
     if n > 3:
         raise ValueError("nondegeneracy sampling supports n <= 3")
     if faces is None:
         faces = compact_faces(newton_polyhedron(reduced_support(phase)))
+    domain, spacing = _fundamental_domain(n, samples)
     reports = []
-    mags = np.geomspace(0.5, 2.0, samples)
-    grids = []
-    for signs in itertools.product((-1.0, 1.0), repeat=n):
-        axes = [s * mags for s in signs]
-        grids.append(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n))
-    domain = np.concatenate(grids, axis=0)
-
-    def off_axes(pts: np.ndarray) -> np.ndarray:
-        return np.all(np.abs(pts) >= 1e-9, axis=-1)
-
     for face in faces:
         fg = face.polynomial(phase)
-        parts = [partial_derivative(fg, i) for i in range(n)]
-        envelopes = [
-            PolynomialPhase(n, {k: abs(c) for k, c in gp.terms.items()}) for gp in parts
-        ]
-
-        def residual(pts: np.ndarray) -> np.ndarray:
-            # |grad f_gamma| over its triangle-inequality envelope: scale-free in
-            # both the coefficients and the quasi-homogeneous dilations.
-            num = sum(eval_phase_array(gp, pts) ** 2 for gp in parts)
-            abs_pts = np.abs(pts)
-            den = sum(eval_phase_array(env, abs_pts) ** 2 for env in envelopes)
-            den[den == 0.0] = 1.0
-            return np.sqrt(num / den)
-
-        res, witness, _ = scan_and_refine(
-            residual, domain, float(mags[1] - mags[0]), 12, off_axes
-        )
+        if len(fg.terms) == 1:
+            reports.append(FaceCheck(face, True, 1.0, tuple(float(x) for x in domain[0])))
+            continue
+        res, witness = _min_residual(fg, domain, spacing)
         reports.append(
             FaceCheck(face, bool(res > 1e-6), res, tuple(float(x) for x in witness))
         )

@@ -21,8 +21,10 @@ Verified here:
   budgets, and report byte-determinism;
 * config sections (amplitude, quadrature, tau, curve, eps, content) that are
   not JSON objects, quadrature values that are not integers >= 1 where
-  counts are expected, and quadrature on an n = 4 phase, exit 2 with a
-  message that names the problem;
+  counts are expected, a float or bool coefficient hypothesis, tau count,
+  eps count, cell cap or grid-offset count, and quadrature on an n = 4
+  phase, exit 2 with a message that names the problem; a null hypothesis
+  still asks for one;
 * the module entry point through a real subprocess.
 """
 
@@ -209,6 +211,62 @@ def test_bad_quadrature_count_is_an_input_error(tmp_path, capsys, key, value):
     assert main(["integrate", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert f"{key} must be an integer >= 1" in err
+    assert "Traceback" not in err
+
+
+QUARTIC_3D = {
+    "phase": {
+        "n": 3,
+        "terms": [{"k": [4 if j == i else 0 for j in range(3)], "c": 1.0} for i in range(3)]
+        + [{"k": [0, 0, 0], "c": 1.0}],
+    }
+}
+
+
+@pytest.mark.parametrize("hyp", [1.7, True], ids=["float", "bool"])
+def test_non_integer_coefficient_hypothesis_is_an_input_error(tmp_path, capsys, hyp):
+    cfg = _cfg(tmp_path, dict(QUARTIC_3D, coeff_hypothesis=hyp))
+    assert main(["predict", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert '"coeff_hypothesis" must be an integer >= 0' in err
+    assert "Traceback" not in err
+
+
+def test_coefficient_hypothesis_null_and_integers(tmp_path, capsys):
+    cfg = _cfg(tmp_path, dict(QUARTIC_3D, coeff_hypothesis=None))
+    assert main(["predict", "--config", cfg]) == 2
+    assert "coeff_hypothesis required" in capsys.readouterr().err
+    for hyp, degenerate in ((0, False), (1, True)):
+        cfg = _cfg(tmp_path, dict(QUARTIC_3D, coeff_hypothesis=hyp))
+        assert main(["predict", "--config", cfg]) == 0
+        assert json.loads(capsys.readouterr().out)["prediction"]["degenerate"] is degenerate
+
+
+def test_non_integer_tau_count_is_an_input_error(tmp_path, capsys):
+    cfg = _cfg(tmp_path, dict(X_PLUS_2, tau={"min": 8.0, "max": 40.0, "count": 7.9}))
+    assert main(["integrate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert '"count" must be an integer >= 1, got 7.9' in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, extra, key",
+    [
+        ("dim", {"eps": {"max": 0.1, "min": 0.01, "count": 6.5}}, "count"),
+        ("dim", {"offsets": 2.5}, "offsets"),
+        ("dim", {"offsets": True}, "offsets"),
+        ("content", {"d": 1.0, "cell_cap": 1e8}, "cell_cap"),
+    ],
+    ids=["eps.count", "offsets-float", "offsets-bool", "cell_cap"],
+)
+def test_non_integer_estimator_count_is_an_input_error(tmp_path, capsys, command, extra, key):
+    csv = tmp_path / "seg.csv"
+    csv.write_text("x,y\n0,0\n1,0\n", encoding="utf-8")
+    cfg = _cfg(tmp_path, dict({"polyline_csv": str(csv)}, **extra))
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f'"{key}" must be an integer >= 1' in err
     assert "Traceback" not in err
 
 

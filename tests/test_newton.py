@@ -13,7 +13,9 @@ Verified here:
 * every stored inequality is valid on the support and at the bisector point
   (property over random supports with n = 2..4);
 * dominance filtering and to_dict serialization;
-* the gradient sampler passes R-nondegenerate phases and flags (x - y)^2.
+* the gradient sampler passes R-nondegenerate phases and flags (x - y)^2;
+* on vertex faces (one monomial) the full scan reads 1 to within 4e-16, and
+  the sampler, which skips that scan, reports exactly 1.0 and a pass.
 """
 
 import itertools
@@ -26,6 +28,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscfract.newton import (
+    _fundamental_domain,
+    _min_residual,
     compact_faces,
     distance_and_remoteness,
     dominance_minimal,
@@ -283,3 +287,25 @@ def test_nondegeneracy_flags_perfect_square():
     assert bad
     x, y = bad[0].witness
     assert abs(x - y) < 1e-3  # witness sits on the degenerate line
+
+
+@pytest.mark.parametrize(
+    "n, terms",
+    [
+        (2, {(2, 0): 1.0, (0, 8): 1.0, (0, 0): 1.0}),
+        (2, {(2, 0): -3.0, (1, 2): 1.0, (0, 5): 0.5}),
+        (3, {(2, 0, 0): 1.0, (0, 6, 0): 1.0, (0, 0, 6): 1.0, (0, 3, 3): 1.0}),
+        (3, {(4, 0, 0): 2.0, (0, 4, 0): -1.0, (0, 0, 4): 1.0, (1, 1, 1): 1.0}),
+    ],
+)
+def test_vertex_faces_read_one_without_a_scan(n, terms):
+    phase = PolynomialPhase(n, terms)
+    rep = r_nondegeneracy_check(phase)
+    domain, spacing = _fundamental_domain(n, rep.samples)
+    vertices = [chk for chk in rep.checks if len(chk.face.points) == 1]
+    assert vertices
+    for chk in vertices:
+        scanned, _ = _min_residual(chk.face.polynomial(phase), domain, spacing)
+        assert abs(scanned - 1.0) <= 4e-16
+        assert chk.min_residual == 1.0
+        assert chk.passed

@@ -13,8 +13,12 @@ Verified here:
 * branch order: f(0) = 0 is rectifiable before the n > 2 hypothesis is
   checked, and a multiplicity-1 diagram ignores a supplied coefficient;
 * caustic family validation and the k -> infinity limit dimension;
-* the leading-coefficient quadrature matches the closed form for even
-  (p, q) to 1e-6 and both match the frozen modulus for (2, 4);
+* the leading-coefficient quadrature matches the closed form for every
+  2 <= p, q <= 12, odd exponents included, to 1e-6, and both match the
+  frozen modulus for (2, 4);
+* the float-only coefficient integrand gives bit for bit the value of a
+  numpy-scalar reference integrand, also where y^q overflows ((2, 128),
+  (3, 101));
 * serialization of None / infinite content and the no-critical-point case.
 """
 
@@ -22,7 +26,9 @@ import cmath
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from scipy.integrate import quad as scipy_quad
 
 from oscfract.newton import newton_diagram
 from oscfract.phases import PolynomialPhase
@@ -256,11 +262,54 @@ def test_coefficient_quadrature_matches_closed_form():
     )
 
 
-def test_coefficient_odd_exponents_numeric_only():
-    a = greenblatt_coefficient(2, 3)
-    assert math.isfinite(abs(a)) and abs(a) > 0
-    with pytest.raises(ValueError):
-        greenblatt_closed_form(2, 3)
+def test_coefficient_odd_exponents_match_closed_form():
+    for p in range(2, 13):
+        for q in range(2, 13):
+            if (p, q) == (2, 2):
+                continue
+            closed = greenblatt_closed_form(p, q)
+            assert abs(greenblatt_coefficient(p, q) - closed) <= 1e-6 * abs(closed), (p, q)
+
+
+def _reference_coefficient(p, q):
+    """a_{0,beta} by the same quadrature on an np.float64 integrand.
+
+    Overflow of y^q is left to numpy (inf, under errstate) instead of being
+    caught; everything else matches greenblatt_coefficient's arithmetic.
+    """
+    beta = -1.0 / p - 1.0 / q
+    pref = 1.0 / (p / q + 1.0)
+
+    def piece(xsign, part):
+        def integrand(u):
+            au = abs(u)
+            if au >= 1.0:
+                return 0.0
+            y = u / (1.0 - au)
+            with np.errstate(over="ignore"):
+                s = part * (np.float64(xsign) ** p + np.float64(y) ** q)
+                if not s > 0.0:
+                    return 0.0
+                return float(s**beta) / (1.0 - au) ** 2
+
+        return scipy_quad(
+            integrand, -1.0, 1.0, points=[-0.5, 0.0, 0.5], limit=400,
+            epsabs=1e-11, epsrel=1e-11, full_output=1,
+        )[0]
+
+    c0 = pref * (piece(1.0, +1) + piece(-1.0, +1))
+    C0 = pref * (piece(1.0, -1) + piece(-1.0, -1))
+    return (
+        -beta
+        * math.gamma(-beta)
+        * (cmath.exp(-0.5j * math.pi * beta) * c0 + cmath.exp(0.5j * math.pi * beta) * C0)
+    )
+
+
+def test_coefficient_integrand_matches_numpy_reference_exactly():
+    pairs = [(p, q) for p in range(2, 9) for q in range(2, 9) if (p, q) != (2, 2)]
+    for p, q in pairs + [(2, 128), (3, 101)]:
+        assert greenblatt_coefficient(p, q) == _reference_coefficient(p, q), (p, q)
 
 
 def test_coefficient_validation():
