@@ -95,11 +95,19 @@ def _stage(name: str):
 # config plumbing
 
 
+def _finite(text: str) -> float:
+    """A JSON number as a float; NaN, Infinity and overflowing literals are refused."""
+    v = float(text)
+    if not math.isfinite(v):
+        raise ValueError(f"config numbers must be finite, got {text}")
+    return v
+
+
 def _load_config(args: argparse.Namespace) -> dict:
     if not args.config:
         raise ValueError("this command requires --config FILE")
     with open(args.config, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
+        cfg = json.load(fh, parse_float=_finite, parse_constant=_finite)
     if not isinstance(cfg, dict):
         raise ValueError("config root must be a JSON object")
     return cfg
@@ -141,6 +149,14 @@ def _count(spec: dict, key: str, default: int, least: int = 1) -> int:
     v = spec.get(key, default)
     if isinstance(v, bool) or not isinstance(v, int) or v < least:
         raise ValueError(f'"{key}" must be an integer >= {least}, got {json.dumps(v)}')
+    return v
+
+
+def _flag(spec: dict, key: str, default: bool) -> bool:
+    """spec[key] (default when absent) as a JSON boolean; strings and numbers are refused."""
+    v = spec.get(key, default)
+    if not isinstance(v, bool):
+        raise ValueError(f'"{key}" must be true or false, got {json.dumps(v)}')
     return v
 
 
@@ -427,7 +443,7 @@ def cmd_dim(args: argparse.Namespace) -> int:
             _section(cfg, "eps"),
             args.seed,
             offsets=_count(cfg, "offsets", 4),
-            connect=bool(cfg.get("connect", True)),
+            connect=_flag(cfg, "connect", True),
         )
         out = {
             "polyline_csv": cfg["polyline_csv"],
@@ -606,6 +622,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     with _stage("input"):
         cfg, phase, amp = _inputs(args)
         profile = PROFILES[args.tolerance]
+        ccfg = _section(cfg, "content")
+        content_on = _flag(ccfg, "enabled", False)
         _validate_phase(phase, amp)
     with _stage("newton"):
         diagram = _diagram(phase)
@@ -627,8 +645,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             )
         }
         content_est = None
-        ccfg = _section(cfg, "content")
-        if ccfg.get("enabled", False):
+        if content_on:
             content_est = _content(curve.points, float(ccfg.get("d", float(pred.curve_dim))), ccfg)
     with _stage("report"):
         tol_d = profile["tol_d"]

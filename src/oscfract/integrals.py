@@ -33,12 +33,19 @@ change the computed sum only by rounding:
   the quadrature tolerance at the tau ranges used (documented in the
   tests).
 
+1D and mixed-variable phases share one path: their node tensor (a single
+axis in 1D) is built a block of rows at a time and streamed through the
+weighted sums, so it is never held whole.  Tables are float64 throughout;
+a grid over its budget (max_nodes for the tensor, memory_budget_mb for the
+separable tables) raises NumericBudgetError rather than losing precision.
+
 Everything here is pure: grids are built per call chain, and the only
 state a grid changes is the batch that values() hands out through value().
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import warnings
@@ -67,8 +74,9 @@ class QuadratureConfig:
     panel_order: int = 4
     min_panels: int = 48  # resolve the amplitude bump even at tiny tau
     max_panels: int = 400_000  # per-axis cap
-    max_nodes: int = 200_000_000  # total node cap for non-separable tensor paths
-    memory_budget_mb: int = 1400  # cached amplitude tables in separable paths
+    # budgets raise NumericBudgetError; no path falls back to lower precision
+    max_nodes: int = 200_000_000  # node cap of the streamed tensor, 1D included
+    memory_budget_mb: int = 1400  # float64 amplitude tables of the separable paths
     # r^2 bins of width R^2/radial_bins for the 3D separable path; its
     # tables hold only the bins a node pair falls in
     radial_bins: int = 16384
@@ -142,6 +150,9 @@ _BATCH_BYTES = 8 * 2**20
 # saved no wall time (1d grid at tau 2000, 42,784 nodes: 316 against 151 us
 # CPU per tau), so the weighted sums below dot slices of at most this many.
 _DOT_TERMS = 10_000
+# The node tensor of 1D and mixed-variable phases is built this many bytes
+# of rows at a time (16 per node), so it is never held whole.
+_BLOCK_BYTES = 64 * 2**20
 
 
 def _batch_rows(bytes_per_tau: int) -> int:
@@ -283,75 +294,15 @@ class _QuadGrid:
             if m % 2:
                 w[0] *= 0.5  # the middle node is its own mirror image
         self.nodes_per_axis = x.size
-        budget = cfg.memory_budget_mb * 2**20
-
-        split = _separable_split(phase)
-        if n == 1:
-            f = eval_phase_array(phase, x[:, None]) - self.f0
-            a = w * amp.phi0 * bump_profile((x / R) ** 2)
-            self.mode = "1d"
-            self._f, self._wphi = f, a
-        elif split is not None and n == 2:
-            self.mode = "sep2d"
-            self._x, self._wx = x, w
-            # phases of the u and v factors, rotated together
-            self._g = np.concatenate([eval_phase_array(p, x[:, None]) for p in split])
-            m = x.size
-            need64 = m * m * 8
-            if need64 <= budget:
-                dtype = np.float64
-            elif m * m * 4 <= budget:
-                dtype = np.float32
-            else:
-                raise NumericBudgetError(
-                    f"amplitude table {m}x{m} exceeds memory budget "
-                    f"({cfg.memory_budget_mb} MB); reduce tau or panel_order"
-                )
-            u2 = (x[:, None] ** 2 + x[None, :] ** 2) / R**2
-            self._table = (amp.phi0 * bump_profile(u2)).astype(dtype)
-        elif split is not None and n == 3:
-            self.mode = "sep3d"
-            self._x, self._wx = x, w
-            # phases of the u, v and wz factors, rotated together
-            self._g = np.concatenate([eval_phase_array(p, x[:, None]) for p in split])
-            s = x[:, None] ** 2 + x[None, :] ** 2
-            keep = s <= R * R
-            ii, jj = np.nonzero(keep)
-            s_flat = s[keep]
-            nb = cfg.radial_bins
-            width = R * R / nb
-            idx = np.minimum((s_flat / width).astype(np.int64), nb - 1)
-            # pairs sorted by bin: each occupied bin's sum is one reduceat segment
-            order = np.argsort(idx, kind="stable")
-            self._ii, self._jj = ii[order], jj[order]
-            idx = idx[order]
-            self._s_off = s_flat[order] - (idx + 0.5) * width
-            self._bin_starts = np.flatnonzero(np.diff(idx, prepend=-1))
-            centers = (idx[self._bin_starts] + 0.5) * width  # occupied bins only
-            r2 = (x[:, None] ** 2 + centers[None, :]) / R**2  # (nodes_z, bins)
-            G0 = amp.phi0 * bump_profile(r2)
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                d = np.where(r2 < 1.0, -1.0 / (1.0 - r2) ** 2 / R**2, 0.0)
-            G1 = G0 * d
-            need64 = 2 * G0.size * 8
-            if need64 <= budget:
-                self._G0, self._G1 = G0, G1
-            elif need64 // 2 <= budget:
-                self._G0 = G0.astype(np.float32)
-                self._G1 = G1.astype(np.float32)
-            else:
-                raise NumericBudgetError(
-                    f"radial tables {G0.shape} exceed memory budget "
-                    f"({cfg.memory_budget_mb} MB); reduce tau or radial_bins"
-                )
-        else:
-            # Non-separable tensor path, streamed in row blocks.
+        self._x, self._w = x, w
+        split = _separable_split(phase) if n > 1 else None
+        if split is None:
+            # 1D and mixed-variable phases: the node tensor, streamed in row blocks
             total = x.size**n
             if total > cfg.max_nodes:
                 raise NumericBudgetError(
-                    f"non-separable {n}D tensor has {total:.3g} nodes "
-                    f"(cap {cfg.max_nodes:.3g}); phase mixes variables, so tau "
-                    "this large is out of budget"
+                    f"{n}D node tensor has {total:.3g} nodes (cap {cfg.max_nodes:.3g}); "
+                    "reduce tau or raise max_nodes"
                 )
             if n == 3:
                 warnings.warn(
@@ -359,33 +310,59 @@ class _QuadGrid:
                     RuntimeWarning,
                     stacklevel=3,
                 )
-            self.mode = f"gen{n}d"
-            self._x, self._w = x, w
-            self._blocks = None
-            block_bytes = 64 * 2**20
-            rows = max(1, int(block_bytes / (16 * x.size ** (n - 1))))
-            self._rows = rows
-            if total * 16 <= budget:
-                self._blocks = list(self._iter_blocks())
+            self.mode = "1d" if n == 1 else f"gen{n}d"
+            return
+        budget = cfg.memory_budget_mb * 2**20
+        # phases of the per-axis factors (u, v and, in 3D, wz), rotated together
+        self._g = np.concatenate([eval_phase_array(p, x[:, None]) for p in split])
+        m = x.size
+        if n == 2:
+            self.mode = "sep2d"
+            if m * m * 8 > budget:
+                raise NumericBudgetError(
+                    f"amplitude table {m}x{m} exceeds memory budget "
+                    f"({cfg.memory_budget_mb} MB); reduce tau or panel_order"
+                )
+            u2 = (x[:, None] ** 2 + x[None, :] ** 2) / R**2
+            self._table = amp.phi0 * bump_profile(u2)
+            return
+        self.mode = "sep3d"
+        s = x[:, None] ** 2 + x[None, :] ** 2
+        keep = s <= R * R
+        ii, jj = np.nonzero(keep)
+        s_flat = s[keep]
+        nb = cfg.radial_bins
+        width = R * R / nb
+        idx = np.minimum((s_flat / width).astype(np.int64), nb - 1)
+        # pairs sorted by bin: each occupied bin's sum is one reduceat segment
+        order = np.argsort(idx, kind="stable")
+        self._ii, self._jj = ii[order], jj[order]
+        idx = idx[order]
+        self._s_off = s_flat[order] - (idx + 0.5) * width
+        self._bin_starts = np.flatnonzero(np.diff(idx, prepend=-1))
+        if 2 * m * self._bin_starts.size * 8 > budget:
+            raise NumericBudgetError(
+                f"radial tables ({m}, {self._bin_starts.size}) exceed memory budget "
+                f"({cfg.memory_budget_mb} MB); reduce tau or radial_bins"
+            )
+        centers = (idx[self._bin_starts] + 0.5) * width  # occupied bins only
+        r2 = (x[:, None] ** 2 + centers[None, :]) / R**2  # (nodes_z, bins)
+        self._G0 = amp.phi0 * bump_profile(r2)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            d = np.where(r2 < 1.0, -1.0 / (1.0 - r2) ** 2 / R**2, 0.0)
+        self._G1 = self._G0 * d
 
     def _iter_blocks(self):
-        """Yield (row range, f-values - f0, w*phi) for the non-separable path."""
-        n = self.phase.dimension
-        x, w, R = self._x, self._w, self.amp.radius
-        m = x.size
-        for lo in range(0, m, self._rows):
-            hi = min(m, lo + self._rows)
-            if n == 2:
-                gx, gy = np.meshgrid(x[lo:hi], x, indexing="ij")
-                pts = np.stack([gx, gy], axis=-1)
-                ww = w[lo:hi, None] * w[None, :]
-            else:
-                gx, gy, gz = np.meshgrid(x[lo:hi], x, x, indexing="ij")
-                pts = np.stack([gx, gy, gz], axis=-1)
-                ww = w[lo:hi, None, None] * w[None, :, None] * w[None, None, :]
+        """Yield (f - f0, w * phi) over the node tensor, _BLOCK_BYTES of rows at a time."""
+        n, x, w, R = self.phase.dimension, self._x, self._w, self.amp.radius
+        rows = max(1, _BLOCK_BYTES // (16 * x.size ** (n - 1)))
+        for lo in range(0, x.size, rows):
+            axes = [x[lo : lo + rows]] + [x] * (n - 1)
+            pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+            ww = functools.reduce(np.multiply.outer, [w[lo : lo + rows]] + [w] * (n - 1))
             f = eval_phase_array(self.phase, pts) - self.f0
             u2 = np.sum(pts**2, axis=-1) / R**2
-            yield f, ww * self.amp.phi0 * bump_profile(u2)
+            yield f.ravel(), (ww * self.amp.phi0 * bump_profile(u2)).ravel()
 
     def value(self, tau: float) -> complex:
         """I(tau), from the batch values() is handing out, else as a batch of one."""
@@ -411,35 +388,31 @@ class _QuadGrid:
         if worst > self.tau_ref * (1.0 + 1e-9):
             raise ValueError(f"grid built for |tau| <= {self.tau_ref}, got {worst}")
         steps = _rotation_steps(taus)
-        if self.mode == "1d":
-            core = _weighted_sums(taus, steps, [(self._f, self._wphi)])
-        elif self.mode == "sep2d":
+        if self.mode == "sep2d":
             core = self._core_sep2d(taus, steps)
         elif self.mode == "sep3d":
             core = self._core_sep3d(taus, steps)
         else:
-            blocks = self._blocks if self._blocks is not None else self._iter_blocks()
-            flat = ((f.ravel(), a.ravel()) for f, a in blocks)
-            core = _weighted_sums(taus, steps, flat)
+            core = _weighted_sums(taus, steps, self._iter_blocks())
         return core * np.exp(1j * taus * self.f0)
 
     def _core_sep2d(self, taus: np.ndarray, steps: np.ndarray) -> np.ndarray:
-        m, wx, tbl = self._x.size, self._wx, self._table
+        m, wx, tbl = self._x.size, self._w, self._table
         core = np.empty(taus.size, dtype=complex)
         # phase row, u, v, stacked real parts, product, tv: ~8 complex per node
         rows = _batch_rows(128 * m)
         for lo, hi, E in _phase_rows(taus, steps, self._g, rows):
             b = hi - lo
             u, v = E[:, :m] * wx, E[:, m:] * wx
-            tv = np.concatenate([v.real, v.imag]).astype(tbl.dtype) @ tbl.T
+            tv = np.concatenate([v.real, v.imag]) @ tbl.T
             core[lo:hi] = np.sum(u * (tv[:b] + 1j * tv[b:]), axis=1)
         return core
 
     def _core_sep3d(self, taus: np.ndarray, steps: np.ndarray) -> np.ndarray:
-        m, wx = self._x.size, self._wx
+        m, wx = self._x.size, self._w
         starts, G0, G1 = self._bin_starts, self._G0, self._G1
         core = np.empty(taus.size, dtype=complex)
-        # four real rows of bin sums plus their cast copies: ~48 bytes per bin
+        # four real rows of bin sums and the per-node rows: ~48 bytes per bin and node
         rows = _batch_rows(48 * starts.size + 48 * m)
         for lo, hi, E in _phase_rows(taus, steps, self._g, rows):
             b = hi - lo
@@ -451,8 +424,7 @@ class _QuadGrid:
                 w1 = np.add.reduceat(pair * self._s_off, starts)
                 w[k], w[b + k] = w0.real, w0.imag
                 w[2 * b + k], w[3 * b + k] = w1.real, w1.imag
-            dt = G0.dtype
-            slab = w[: 2 * b].astype(dt) @ G0.T + w[2 * b :].astype(dt) @ G1.T
+            slab = w[: 2 * b] @ G0.T + w[2 * b :] @ G1.T
             wz = E[:, 2 * m :] * wx
             core[lo:hi] = np.sum(wz * (slab[:b] + 1j * slab[b:]), axis=1)
         return core
@@ -509,8 +481,8 @@ def sample_integral(
     cfg: Optional[QuadratureConfig] = None,
 ) -> IntegralSamples:
     """I(tau) on a geometric grid tau_min * r^i, r = (tau_max/tau_min)^(1/(count-1))."""
-    if not 0 < tau_min < tau_max:
-        raise ValueError(f"need 0 < tau_min < tau_max, got [{tau_min}, {tau_max}]")
+    if not 0 < tau_min < tau_max < math.inf:
+        raise ValueError(f"need 0 < tau_min < tau_max < inf, got [{tau_min}, {tau_max}]")
     if count < 2:
         raise ValueError(f"count must be >= 2, got {count}")
     cfg = cfg or QuadratureConfig()

@@ -10,6 +10,7 @@ reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -36,6 +37,8 @@ class PolynomialPhase:
             if any(e < 0 for e in k):
                 raise ValueError(f"negative exponent in multi-index {k}")
             c = float(c)
+            if not math.isfinite(c):
+                raise ValueError(f"coefficient of {k} must be finite, got {c}")
             if c != 0.0:
                 clean[k] = clean.get(k, 0.0) + c
         object.__setattr__(self, "terms", {k: c for k, c in clean.items() if c != 0.0})
@@ -92,10 +95,10 @@ class AmplitudeSpec:
     def __post_init__(self) -> None:
         if self.dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dimension}")
-        if not self.radius > 0:
-            raise ValueError(f"support radius must be positive, got {self.radius}")
-        if not self.phi0 > 0:
-            raise ValueError(f"phi(0) must be positive, got {self.phi0}")
+        if not 0 < self.radius < math.inf:
+            raise ValueError(f"support radius must be positive and finite, got {self.radius}")
+        if not 0 < self.phi0 < math.inf:
+            raise ValueError(f"phi(0) must be positive and finite, got {self.phi0}")
 
     @classmethod
     def from_dict(cls, data: Mapping, dimension: int) -> "AmplitudeSpec":

@@ -22,13 +22,15 @@ Verified here:
 * config sections (amplitude, quadrature, tau, curve, eps, content) that are
   not JSON objects, quadrature values that are not integers >= 1 where
   counts are expected, a float or bool coefficient hypothesis, tau count,
-  eps count, cell cap or grid-offset count, and quadrature on an n = 4
-  phase, exit 2 with a message that names the problem; a null hypothesis
-  still asks for one;
+  eps count, cell cap or grid-offset count, a NaN, Infinity or overflowing
+  config number, a `connect` or `content.enabled` switch that is not a
+  JSON boolean, and quadrature on an n = 4 phase, exit 2 with a message
+  that names the problem; a null hypothesis still asks for one;
 * the module entry point through a real subprocess.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -267,6 +269,53 @@ def test_non_integer_estimator_count_is_an_input_error(tmp_path, capsys, command
     assert main([command, "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert f'"{key}" must be an integer >= 1' in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, extra, text",
+    [
+        ("integrate", {"tau": {"max": math.inf}}, "Infinity"),
+        ("integrate", {"amplitude": {"radius": math.inf}}, "Infinity"),
+        ("integrate", {"amplitude": {"phi0": math.inf}}, "Infinity"),
+        ("verify", {"amplitude": {"radius": -math.inf}}, "-Infinity"),
+        ("integrate", {"phase": {"n": 1, "terms": [{"k": [2], "c": math.nan}]}}, "NaN"),
+    ],
+    ids=["tau.max", "radius", "phi0", "verify-radius", "coefficient"],
+)
+def test_non_finite_config_number_is_an_input_error(tmp_path, capsys, command, extra, text):
+    # json.dumps writes NaN and Infinity, which json.load would accept
+    cfg = _cfg(tmp_path, dict(X_PLUS_2, **extra))
+    assert main([command, "--config", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert f"config numbers must be finite, got {text}" in err
+    assert "Traceback" not in err and out == ""
+
+
+def test_overflowing_config_number_is_an_input_error(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(X_PLUS_2)[:-1] + ', "tau": {"max": 1e999}}', encoding="utf-8")
+    assert main(["integrate", "--config", str(cfg)]) == 2
+    assert "config numbers must be finite, got 1e999" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, extra, key, value",
+    [
+        ("dim", {"connect": "false"}, "connect", '"false"'),
+        ("dim", {"connect": 0}, "connect", "0"),
+        ("verify", {"content": {"enabled": "yes"}}, "enabled", '"yes"'),
+        ("verify", {"content": {"enabled": 1}}, "enabled", "1"),
+    ],
+    ids=["connect-string", "connect-int", "enabled-string", "enabled-int"],
+)
+def test_non_boolean_switch_is_an_input_error(tmp_path, capsys, command, extra, key, value):
+    csv = tmp_path / "seg.csv"
+    csv.write_text("x,y\n0,0\n1,0\n", encoding="utf-8")
+    cfg = _cfg(tmp_path, dict(X_PLUS_2_VERIFY, polyline_csv=str(csv), **extra))
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f'"{key}" must be true or false, got {value}' in err
     assert "Traceback" not in err
 
 

@@ -20,14 +20,21 @@ Verified here:
 * winding refinement: phase advance per step bounded, original samples
   reused exactly, t-grid of the reflected graphs increasing with both
   components extracted from one pass;
+* 1D and mixed-variable phases share the streamed node tensor: summed in
+  blocks of three rows it gives exactly the one-block sums in the 1d,
+  gen2d and gen3d modes;
 * every budget (panels, nodes, memory, refinement points) raises
-  NumericBudgetError instead of degrading, and a phase with n > 3 is
-  refused with a ValueError that names the n <= 3 limit;
+  NumericBudgetError instead of degrading: separable tables stay float64,
+  and a table that would fit the budget only at float32 raises; a phase
+  with n > 3 is refused with a ValueError that names the n <= 3 limit, and
+  an infinite tau window with a ValueError;
 * leading_term_fit recovers synthetic coefficients, flags a wrong exponent,
   handles log factors, and the two-term correction removes subleading bias.
 """
 
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,6 +42,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from oscfract import integrals
 from oscfract.integrals import (
     IntegralSamples,
     NumericBudgetError,
@@ -209,6 +217,8 @@ def test_sample_grid_validation():
         sample_integral(X2, A1, 0.0, 10.0, 5)
     with pytest.raises(ValueError):
         sample_integral(X2, A1, 1.0, 10.0, 1)
+    with pytest.raises(ValueError):
+        sample_integral(X2, A1, 1.0, math.inf, 5)
 
 
 def test_curve_refinement_bounds_phase_advance():
@@ -309,6 +319,56 @@ def test_budget_separable_table_memory():
     phase = PolynomialPhase(2, {(2, 0): 1.0, (0, 4): 1.0, (0, 0): 1.0})
     with pytest.raises(NumericBudgetError):
         eval_integral(phase, AmplitudeSpec(2), 300.0, QuadratureConfig(memory_budget_mb=1))
+
+
+@pytest.mark.parametrize(
+    "phase, cfg",
+    [
+        (_P(2, {(2, 0): 1.0, (0, 4): 1.0, (0, 0): 1.0}), QuadratureConfig(min_panels=200)),
+        (_P(3, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0, (0, 0, 0): 1.0}),
+         QuadratureConfig(panel_order=2, min_panels=100, radial_bins=1024)),
+    ],
+    ids=["sep2d", "sep3d"],
+)
+def test_budget_separable_tables_stay_float64(phase, cfg):
+    # tables that fit 1 MB only at float32 raise instead of losing digits
+    amp = AmplitudeSpec(phase.dimension)
+    grid = _QuadGrid(phase, amp, cfg, 1.0)
+    tables = [grid._table] if grid.mode == "sep2d" else [grid._G0, grid._G1]
+    assert all(t.dtype == np.float64 for t in tables)
+    nbytes = sum(t.nbytes for t in tables)
+    assert nbytes // 2 <= 2**20 < nbytes
+    with pytest.raises(NumericBudgetError, match="exceed"):
+        _QuadGrid(phase, amp, replace(cfg, memory_budget_mb=1), 1.0)
+
+
+@pytest.mark.parametrize(
+    "mode, phase, amp, tau",
+    [
+        ("1d", X3, AmplitudeSpec(1, radius=0.6), 40.0),
+        ("gen2d", _P(2, {(2, 0): 1.0, (1, 1): 2.0, (0, 2): 1.0, (0, 0): 1.0}),
+         AmplitudeSpec(2), 4.0),
+        ("gen3d", _P(3, {(2, 0, 0): 1.0, (1, 1, 0): 2.0, (0, 0, 2): 1.0, (0, 0, 0): 1.0}),
+         AmplitudeSpec(3), 2.0),
+    ],
+    ids=["1d", "gen2d", "gen3d"],
+)
+def test_streamed_blocks_match_one_block(monkeypatch, mode, phase, amp, tau):
+    # blocks of three rows against one block: with dot slices of three rows
+    # in both runs the sums are added in the same order, so they agree exactly
+    cfg = QuadratureConfig(panel_order=2, min_panels=12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # non-separable 3D
+        grid = _QuadGrid(phase, amp, cfg, tau)
+    assert grid.mode == mode
+    n, m = phase.dimension, grid.nodes_per_axis
+    taus = np.linspace(-tau, tau, 7)
+    monkeypatch.setattr(integrals, "_DOT_TERMS", 3 * m ** (n - 1))
+    assert len(list(grid._iter_blocks())) == 1
+    whole = grid.values(taus)
+    monkeypatch.setattr(integrals, "_BLOCK_BYTES", 16 * 3 * m ** (n - 1))
+    assert len(list(grid._iter_blocks())) == -(-m // 3)
+    assert np.array_equal(grid.values(taus), whole)
 
 
 def test_budget_tensor_nodes():

@@ -47,6 +47,12 @@ def test_exponent_validation():
         PolynomialPhase(0, {})
 
 
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+def test_non_finite_coefficient_refused(c):
+    with pytest.raises(ValueError, match="must be finite"):
+        PolynomialPhase(1, {(2,): 1.0, (0,): c})
+
+
 def test_dict_round_trip():
     p = PolynomialPhase(2, {(2, 0): 1.0, (0, 4): 1.0, (0, 0): 1.0})
     q = PolynomialPhase.from_dict(p.to_dict())
@@ -159,6 +165,11 @@ def test_amplitude_validation():
         AmplitudeSpec(1, phi0=-1.0)
     with pytest.raises(ValueError):
         AmplitudeSpec(0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            AmplitudeSpec(1, radius=bad)
+        with pytest.raises(ValueError, match="positive and finite"):
+            AmplitudeSpec(1, phi0=bad)
 
 
 def test_amplitude_dict_round_trip():
