@@ -1,20 +1,15 @@
 """Command-line front end tying prediction and measurement together.
 
-Subcommands
------------
-newton      Newton polyhedron of a phase: distance, remoteness, faces.
-predict     Asymptotic prediction (beta, dimensions, content) for a phase.
-integrate   Evaluate I(tau) on a geometric grid; emit a tau/re/im/abs CSV.
-curve       Winding-resolved curve polyline; emit CSV and SVG.
-dim         Box dimension of a polyline read from CSV.
-content     Minkowski content of a polyline read from CSV at a given d.
-calibrate   Run the synthetic zoo and print a pass/fail table.
-verify      Full pipeline: predict, integrate, measure, compare.
-
-Inputs arrive through a --config JSON file (see README for the schema);
-results go to --out as files, or to stdout without it.  All JSON output is
-deterministic: sorted keys, no timestamps, fixed seeds, so identical inputs
-produce byte-identical reports.
+The commands (newton, predict, integrate, curve, dim, content, calibrate,
+verify) are listed with their help in _COMMANDS and by `oscfract --help`.
+One parser gives each the same options: --config FILE (JSON, see README for
+the schema), --out DIR (files, or stdout without it), --tolerance and
+--seed.  main reads the config once and passes the dict to a command body,
+which does the file I/O around the pipeline steps.  verify(cfg, seed,
+tolerance) is the whole pipeline as a function returning (report, curve), so
+a sweep is a loop over configs.  All JSON output is deterministic: sorted
+keys, no timestamps, fixed seeds, so identical inputs produce byte-identical
+reports.
 
 Exit codes: 0 success/pass, 1 verification failure, 2 input error, 3 numeric
 budget exceeded.
@@ -68,10 +63,10 @@ from oscfract.predict import (
     predict_no_critical_point,
 )
 
-PROFILES = {
-    "strict": {"tol_d": 0.03, "content_rtol": 0.15},
-    "desk": {"tol_d": 0.05, "content_rtol": 0.15},
-}
+# tolerance profiles: the largest |measured - predicted| curve dimension
+PROFILES = {"strict": 0.03, "desk": 0.05}
+# largest relative content error, the same in both profiles
+_CONTENT_RTOL = 0.15
 
 
 class _StageFailure(Exception):
@@ -79,7 +74,6 @@ class _StageFailure(Exception):
 
     def __init__(self, stage: str, cause: Exception) -> None:
         super().__init__(f"[{stage}] {cause}")
-        self.stage = stage
         self.cause = cause
 
 
@@ -103,10 +97,10 @@ def _finite(text: str) -> float:
     return v
 
 
-def _load_config(args: argparse.Namespace) -> dict:
-    if not args.config:
+def _load_config(path: Optional[str]) -> dict:
+    if not path:
         raise ValueError("this command requires --config FILE")
-    with open(args.config, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
         cfg = json.load(fh, parse_float=_finite, parse_constant=_finite)
     if not isinstance(cfg, dict):
         raise ValueError("config root must be a JSON object")
@@ -152,6 +146,14 @@ def _count(spec: dict, key: str, default: int, least: int = 1) -> int:
     return v
 
 
+def _real(spec: dict, key: str, default: Optional[float]) -> float:
+    """spec[key] (default when absent) as a float; strings and bools are refused."""
+    v = spec.get(key, default)
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f'"{key}" must be a number, got {json.dumps(v)}')
+    return float(v)
+
+
 def _flag(spec: dict, key: str, default: bool) -> bool:
     """spec[key] (default when absent) as a JSON boolean; strings and numbers are refused."""
     v = spec.get(key, default)
@@ -160,27 +162,29 @@ def _flag(spec: dict, key: str, default: bool) -> bool:
     return v
 
 
-def _eps_from(spec: dict, fallback: tuple[float, float, int]) -> np.ndarray:
-    mx, mn, ct = fallback
-    return geometric_epsilons(
-        float(spec.get("max", mx)), float(spec.get("min", mn)), _count(spec, "count", ct)
-    )
+# default eps windows as (diam / max, diam / min, count)
+_DIM_WINDOW = (150.0, 3600.0, 12)
+_RECTIFIABLE_WINDOW = (3.0, 2000.0, 12)
+_CONTENT_WINDOW = (150.0, 700.0, 10)
+
+
+def _eps_window(pts: np.ndarray, spec: dict, window: tuple[float, float, int]) -> np.ndarray:
+    """Geometric eps from spec's max, min and count, defaulting to a window of pts' diameter."""
+    ok = np.isfinite(pts).all(axis=1)
+    if not ok.any():
+        raise ValueError("polyline has no finite points")
+    diam = float((pts[ok].max(axis=0) - pts[ok].min(axis=0)).max())
+    big, small, count = window
+    hi, lo = _real(spec, "max", diam / big), _real(spec, "min", diam / small)
+    return geometric_epsilons(hi, lo, _count(spec, "count", count))
 
 
 def _has_linear_term(phase: PolynomialPhase) -> bool:
     return any(sum(k) == 1 for k in phase.terms)
 
 
-def _diameter(pts: np.ndarray) -> float:
-    ok = np.isfinite(pts).all(axis=1)
-    if not ok.any():
-        raise ValueError("polyline has no finite points")
-    span = pts[ok].max(axis=0) - pts[ok].min(axis=0)
-    return float(span.max())
-
-
 # ---------------------------------------------------------------------------
-# output formats (cmd_report): json, csv, svg
+# output formats: json, csv, svg
 
 
 def _json_text(obj) -> str:
@@ -194,8 +198,9 @@ def _csv_text(tau: np.ndarray, values: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _svg_text(points: np.ndarray, size: int = 720, margin: int = 24) -> str:
-    """Curve polyline as a bare SVG path: figure data, no decoration."""
+def _svg_text(points: np.ndarray) -> str:
+    """Curve polyline as a bare SVG path on a 720-unit square: figure data, no decoration."""
+    size, margin = 720, 24
     pts = np.asarray(points, dtype=float)
     ok = np.isfinite(pts).all(axis=1)
     lo = pts[ok].min(axis=0)
@@ -263,13 +268,12 @@ def _read_polyline(path: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# pipeline steps, each shared by verify and its single-purpose subcommand
+# pipeline steps, each shared by verify and its single-purpose command
 
 
-def _inputs(args: argparse.Namespace) -> tuple[dict, PolynomialPhase, AmplitudeSpec]:
-    cfg = _load_config(args)
+def _inputs(cfg: dict) -> tuple[PolynomialPhase, AmplitudeSpec]:
     phase = _phase_from(cfg)
-    return cfg, phase, AmplitudeSpec.from_dict(_section(cfg, "amplitude"), phase.dimension)
+    return phase, AmplitudeSpec.from_dict(_section(cfg, "amplitude"), phase.dimension)
 
 
 def _diagram(phase: PolynomialPhase) -> Optional[DiagramInfo]:
@@ -296,35 +300,25 @@ def _sampled(
     else:
         lo, hi, count = 8.0, 150.0, 30
     t = _section(cfg, "tau")
-    window = (float(t.get("min", lo)), float(t.get("max", hi)), _count(t, "count", count))
+    window = (_real(t, "min", lo), _real(t, "max", hi), _count(t, "count", count))
     return sample_integral(phase, amp, *window, _quad_from(cfg, n)), window
 
 
 def _curve(cfg: dict, samples: IntegralSamples) -> CurvePolyline:
     default_step = math.pi / 16 if samples.phase.dimension == 1 else math.pi / 8
-    max_step = float(_section(cfg, "curve").get("max_step", default_step))
+    max_step = _real(_section(cfg, "curve"), "max_step", default_step)
     return curve_from_samples(samples, max_step=max_step)
 
 
-def _dimension(pts: np.ndarray, spec: dict, seed: int, rectifiable: bool = False, **box_opts):
-    """(eps, counts, estimate) of a box-count fit over spec's eps window.
-
-    The default window is diam/150 .. diam/3600, or diam/3 .. diam/2000 when
-    the curve is predicted rectifiable.  box_opts go to box_count.
-    """
-    diam = _diameter(pts)
-    fallback = (
-        (diam / 3.0, diam / 2000.0, 12) if rectifiable else (diam / 150.0, diam / 3600.0, 12)
-    )
-    eps = _eps_from(spec, fallback)
+def _dimension(pts: np.ndarray, eps: np.ndarray, seed: int, **box_opts):
+    """(counts, estimate) of a box-count fit at eps; box_opts go to box_count."""
     counts = box_count(pts, eps, seed=seed, **box_opts)
-    return eps, counts, estimate_dimension(eps, counts)
+    return counts, estimate_dimension(eps, counts)
 
 
 def _content(pts: np.ndarray, d: float, spec: dict) -> ContentEstimate:
     """Minkowski content at dimension d; spec may hold "eps" and "cell_cap"."""
-    diam = _diameter(pts)
-    eps = _eps_from(_section(spec, "eps"), (diam / 150.0, diam / 700.0, 10))
+    eps = _eps_window(pts, _section(spec, "eps"), _CONTENT_WINDOW)
     return estimate_content(pts, d, eps, cell_cap=_count(spec, "cell_cap", 120_000_000))
 
 
@@ -380,12 +374,11 @@ def _validate_phase(phase: PolynomialPhase, amp: AmplitudeSpec) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# commands: each body takes the config dict and the parsed options
 
 
-def cmd_newton(args: argparse.Namespace) -> int:
+def cmd_newton(cfg: dict, args: argparse.Namespace) -> int:
     with _stage("input"):
-        cfg = _load_config(args)
         phase = _phase_from(cfg)
     with _stage("newton"):
         info = newton_diagram(phase)
@@ -400,9 +393,9 @@ def cmd_newton(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_predict(args: argparse.Namespace) -> int:
+def cmd_predict(cfg: dict, args: argparse.Namespace) -> int:
     with _stage("input"):
-        cfg, phase, amp = _inputs(args)
+        phase, amp = _inputs(cfg)
     with _stage("newton"):
         diagram = _diagram(phase)
     with _stage("predict"):
@@ -414,16 +407,19 @@ def cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_integrate(args: argparse.Namespace) -> int:
+def cmd_integrate(cfg: dict, args: argparse.Namespace) -> int:
+    with _stage("input"):
+        phase, amp = _inputs(cfg)
     with _stage("integrate"):
-        samples, _ = _sampled(*_inputs(args))
+        samples, _ = _sampled(cfg, phase, amp)
     _emit(args, "samples.csv", _csv_text(samples.tau, samples.values))
     return 0
 
 
-def cmd_curve(args: argparse.Namespace) -> int:
+def cmd_curve(cfg: dict, args: argparse.Namespace) -> int:
+    with _stage("input"):
+        phase, amp = _inputs(cfg)
     with _stage("integrate"):
-        cfg, phase, amp = _inputs(args)
         samples, _ = _sampled(cfg, phase, amp)
     with _stage("curve"):
         curve = _curve(cfg, samples)
@@ -431,20 +427,21 @@ def cmd_curve(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_dim(args: argparse.Namespace) -> int:
+def _polyline(cfg: dict) -> np.ndarray:
+    # a number would be opened as a file descriptor
+    path = cfg.get("polyline_csv")
+    if not isinstance(path, str):
+        raise ValueError(f'config needs "polyline_csv", a curve CSV path, got {json.dumps(path)}')
+    return _read_polyline(path)
+
+
+def cmd_dim(cfg: dict, args: argparse.Namespace) -> int:
     with _stage("input"):
-        cfg = _load_config(args)
-        if "polyline_csv" not in cfg:
-            raise ValueError('config needs "polyline_csv" pointing at a curve CSV')
-        pts = _read_polyline(cfg["polyline_csv"])
+        pts = _polyline(cfg)
     with _stage("estimate"):
-        eps, counts, est = _dimension(
-            pts,
-            _section(cfg, "eps"),
-            args.seed,
-            offsets=_count(cfg, "offsets", 4),
-            connect=_flag(cfg, "connect", True),
-        )
+        eps = _eps_window(pts, _section(cfg, "eps"), _DIM_WINDOW)
+        offsets, connect = _count(cfg, "offsets", 4), _flag(cfg, "connect", True)
+        counts, est = _dimension(pts, eps, args.seed, offsets=offsets, connect=connect)
         out = {
             "polyline_csv": cfg["polyline_csv"],
             "epsilons": [float(e) for e in eps],
@@ -455,15 +452,14 @@ def cmd_dim(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_content(args: argparse.Namespace) -> int:
+def cmd_content(cfg: dict, args: argparse.Namespace) -> int:
     with _stage("input"):
-        cfg = _load_config(args)
-        for key in ("polyline_csv", "d"):
-            if key not in cfg:
-                raise ValueError(f'config needs "{key}"')
-        pts = _read_polyline(cfg["polyline_csv"])
+        pts = _polyline(cfg)
+        if "d" not in cfg:
+            raise ValueError('config needs "d"')
+        d = _real(cfg, "d", None)
     with _stage("estimate"):
-        est = _content(pts, float(cfg["d"]), cfg)
+        est = _content(pts, d, cfg)
         out = {"polyline_csv": cfg["polyline_csv"], "estimate": est.to_dict()}
     _emit(args, "content.json", _json_text(out))
     return 0
@@ -543,67 +539,43 @@ _ZOO_CONTENT = (
 )
 
 
-def cmd_calibrate(args: argparse.Namespace) -> int:
-    tol = PROFILES[args.tolerance]["tol_d"]
+def _row(fixture: str, kind: str, expected, measured, delta: Optional[float], ok: bool) -> dict:
+    keys = ("fixture", "kind", "expected", "measured", "delta", "pass")
+    return dict(zip(keys, (fixture, kind, expected, measured, delta, bool(ok))))
+
+
+# one table line per row kind, after the fixture name
+_ROW_FORMATS = {
+    "dimension": "expected {expected:.4f} measured {measured:.4f} delta {delta:+.4f}",
+    "content": "expected {expected:.4f} measured {measured:.4f} rel {delta:+.2%}",
+    "verdict": "expected {expected} measured {measured}",
+}
+
+
+def cmd_calibrate(cfg: dict, args: argparse.Namespace) -> int:
+    tol = PROFILES[args.tolerance]
     rows = []
     with _stage("calibrate"):
         for name, build, d_true, grid, connect in _ZOO_DIMS:
-            eps = geometric_epsilons(*grid)
-            counts = box_count(build(), eps, seed=args.seed, connect=connect)
-            est = estimate_dimension(eps, counts)
+            _, est = _dimension(build(), geometric_epsilons(*grid), args.seed, connect=connect)
             delta = est.d_hat - d_true
-            rows.append(
-                {
-                    "fixture": name,
-                    "kind": "dimension",
-                    "expected": d_true,
-                    "measured": est.d_hat,
-                    "delta": delta,
-                    "pass": bool(abs(delta) <= tol),
-                }
-            )
+            rows.append(_row(name, "dimension", d_true, est.d_hat, delta, abs(delta) <= tol))
         for name, build, d_true, m_true, grid, rtol in _ZOO_CONTENT:
             est = estimate_content(build(), d_true, geometric_epsilons(*grid))
             rel = est.M_hat / m_true - 1.0
-            rows.append(
-                {
-                    "fixture": name,
-                    "kind": "content",
-                    "expected": m_true,
-                    "measured": est.M_hat,
-                    "delta": rel,
-                    "pass": bool(abs(rel) <= rtol),
-                }
-            )
+            rows.append(_row(name, "content", m_true, est.M_hat, rel, abs(rel) <= rtol))
         for name, build, d_true, want, grid, cap in _ZOO_VERDICTS:
-            est = estimate_content(
+            verdict = estimate_content(
                 build(), d_true, geometric_epsilons(*grid), cell_cap=cap
-            )
-            rows.append(
-                {
-                    "fixture": name,
-                    "kind": "verdict",
-                    "expected": want,
-                    "measured": est.degenerate_verdict,
-                    "delta": None,
-                    "pass": bool(est.degenerate_verdict == want),
-                }
-            )
+            ).degenerate_verdict
+            rows.append(_row(name, "verdict", want, verdict, None, verdict == want))
     ok = all(r["pass"] for r in rows)
     if args.out:
-        _emit(
-            args,
-            "calibrate.json",
-            _json_text({"tol_d": tol, "tolerance": args.tolerance, "rows": rows, "pass": ok}),
-        )
+        report = {"tol_d": tol, "tolerance": args.tolerance, "rows": rows, "pass": ok}
+        _emit(args, "calibrate.json", _json_text(report))
     width = max(len(r["fixture"]) for r in rows)
     for r in rows:
-        if r["kind"] == "dimension":
-            detail = f"expected {r['expected']:.4f} measured {r['measured']:.4f} delta {r['delta']:+.4f}"
-        elif r["kind"] == "content":
-            detail = f"expected {r['expected']:.4f} measured {r['measured']:.4f} rel {r['delta']:+.2%}"
-        else:
-            detail = f"expected {r['expected']} measured {r['measured']}"
+        detail = _ROW_FORMATS[r["kind"]].format_map(r)
         print(f"{r['fixture']:<{width}}  {detail}  {'pass' if r['pass'] else 'FAIL'}")
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1
@@ -618,10 +590,15 @@ def _verdict_consistent(pred, verdict: str) -> bool:
     return verdict == "nondegenerate"
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def verify(cfg: dict, seed: int = 0, tolerance: str = "desk") -> tuple[dict, CurvePolyline]:
+    """Predict, integrate, measure and compare one config: (report, curve).
+
+    The report is what `oscfract verify` writes to report.json; report["pass"]
+    is the verdict.  A bad config or a failed stage raises _StageFailure.
+    """
     with _stage("input"):
-        cfg, phase, amp = _inputs(args)
-        profile = PROFILES[args.tolerance]
+        phase, amp = _inputs(cfg)
+        tol_d = PROFILES[tolerance]
         ccfg = _section(cfg, "content")
         content_on = _flag(ccfg, "enabled", False)
         _validate_phase(phase, amp)
@@ -636,8 +613,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         graph_re, graph_im = reflected_pair(samples)
     with _stage("estimate"):
         eps_cfg = _section(cfg, "eps")
+        window = _RECTIFIABLE_WINDOW if pred.rectifiable else _DIM_WINDOW
         estimates = {
-            key: _dimension(pts, _section(eps_cfg, key), args.seed, pred.rectifiable)[2]
+            key: _dimension(pts, _eps_window(pts, _section(eps_cfg, key), window), seed)[1]
             for key, pts in (
                 ("curve", curve.points),
                 ("reflected_re", np.column_stack([graph_re.t, graph_re.x])),
@@ -646,9 +624,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         }
         content_est = None
         if content_on:
-            content_est = _content(curve.points, float(ccfg.get("d", float(pred.curve_dim))), ccfg)
+            content_est = _content(curve.points, _real(ccfg, "d", float(pred.curve_dim)), ccfg)
     with _stage("report"):
-        tol_d = profile["tol_d"]
         d_pred = float(pred.curve_dim)
         dp_pred = float(pred.osc_dim)
         deltas = {
@@ -669,15 +646,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 deltas["content_rel"] = rel
                 checks["content"] = {
                     "rel_delta": rel,
-                    "rtol": profile["content_rtol"],
-                    "pass": bool(abs(rel) <= profile["content_rtol"]),
+                    "rtol": _CONTENT_RTOL,
+                    "pass": bool(abs(rel) <= _CONTENT_RTOL),
                 }
             checks["content_verdict"] = {
                 "predicted_degenerate": pred.degenerate,
                 "measured": content_est.degenerate_verdict,
                 "pass": _verdict_consistent(pred, content_est.degenerate_verdict),
             }
-        ok = all(c["pass"] for c in checks.values())
         measured = {f"{key}_dim": est.to_dict() for key, est in estimates.items()}
         measured["content"] = None if content_est is None else content_est.to_dict()
         report = {
@@ -685,88 +661,91 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "phase_spec": phase.to_dict(),
             "amplitude": amp.to_dict(),
             "tau": {"min": lo, "max": hi, "count": count},
-            "seed": args.seed,
-            "tolerance_profile": args.tolerance,
+            "seed": seed,
+            "tolerance_profile": tolerance,
             "newton": None if diagram is None else diagram.to_dict(),
             "predicted": pred.to_dict(),
             "measured": measured,
             "deltas": deltas,
             "checks": checks,
-            "pass": ok,
+            "pass": all(c["pass"] for c in checks.values()),
         }
+    return report, curve
+
+
+def cmd_verify(cfg: dict, args: argparse.Namespace) -> int:
+    report, curve = verify(cfg, args.seed, args.tolerance)
     if args.out:
         _emit(args, "report.json", _json_text(report))
         _emit_curve(args, curve)
-        print(f"phase: {phase}")
+        pred, measured = report["predicted"], report["measured"]
+        print(f"phase: {report['phase']}")
         print(
-            f"predicted d={d_pred:.6f} d'={dp_pred:.6f}"
-            f" rectifiable={pred.rectifiable} degenerate={pred.degenerate}"
+            f"predicted d={pred['curve_dim_float']:.6f} d'={pred['osc_dim_float']:.6f}"
+            f" rectifiable={pred['rectifiable']} degenerate={pred['degenerate']}"
         )
         print(
-            f"measured  curve={estimates['curve'].d_hat:.4f} ({deltas['curve_dim']:+.4f})"
-            f" re={estimates['reflected_re'].d_hat:.4f} im={estimates['reflected_im'].d_hat:.4f}"
+            f"measured  curve={measured['curve_dim']['d_hat']:.4f}"
+            f" ({report['deltas']['curve_dim']:+.4f})"
+            f" re={measured['reflected_re_dim']['d_hat']:.4f}"
+            f" im={measured['reflected_im_dim']['d_hat']:.4f}"
         )
-        if content_est is not None:
-            print(
-                f"content   M_hat={content_est.M_hat:.4f}"
-                f" verdict={content_est.degenerate_verdict}"
-            )
-        print("PASS" if ok else "FAIL")
+        content = measured["content"]
+        if content is not None:
+            print(f"content   M_hat={content['M_hat']:.4f} verdict={content['degenerate_verdict']}")
+        print("PASS" if report["pass"] else "FAIL")
     else:
         sys.stdout.write(_json_text(report))
-    return 0 if ok else 1
+    return 0 if report["pass"] else 1
 
 
 # ---------------------------------------------------------------------------
 
-
-def _add_common(sp: argparse.ArgumentParser, tolerance_default: str) -> None:
-    # options are added per subparser: a parents= parser would share action
-    # objects, so changing one subcommand's default would leak to all
-    sp.add_argument("--config", metavar="FILE", help="JSON config file")
-    sp.add_argument(
-        "--out", metavar="DIR", help="write outputs into DIR (default: print to stdout)"
-    )
-    sp.add_argument(
-        "--tolerance",
-        choices=sorted(PROFILES),
-        default=tolerance_default,
-        help=f"tolerance profile for pass/fail checks (default: {tolerance_default})",
-    )
-    sp.add_argument(
-        "--seed", type=int, default=0, help="seed for box-count grid offsets (default: 0)"
-    )
+# name -> (body, one-line help)
+_COMMANDS = {
+    "newton": (cmd_newton, "Newton polyhedron, remoteness, multiplicity"),
+    "predict": (cmd_predict, "asymptotic prediction for a phase"),
+    "integrate": (cmd_integrate, "evaluate I(tau) on a grid; CSV out"),
+    "curve": (cmd_curve, "winding-resolved curve polyline; CSV and SVG out"),
+    "dim": (cmd_dim, "box dimension of a polyline CSV"),
+    "content": (cmd_content, "Minkowski content of a polyline CSV"),
+    "calibrate": (cmd_calibrate, "synthetic-zoo pass/fail table"),
+    "verify": (cmd_verify, "predict, measure, and compare; exit 0 iff pass"),
+}
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _parser() -> argparse.ArgumentParser:
+    width = max(map(len, _COMMANDS))
     parser = argparse.ArgumentParser(
         prog="oscfract",
         description="Predict and measure fractal data of oscillatory-integral curves.",
+        epilog="commands:\n"
+        + "\n".join(f"  {name:<{width}}  {text}" for name, (_, text) in _COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    commands = (
-        ("newton", cmd_newton, "Newton polyhedron, remoteness, multiplicity"),
-        ("predict", cmd_predict, "asymptotic prediction for a phase"),
-        ("integrate", cmd_integrate, "evaluate I(tau) on a grid; CSV out"),
-        ("curve", cmd_curve, "winding-resolved curve polyline; CSV and SVG out"),
-        ("dim", cmd_dim, "box dimension of a polyline CSV"),
-        ("content", cmd_content, "Minkowski content of a polyline CSV"),
-        ("calibrate", cmd_calibrate, "synthetic-zoo pass/fail table"),
-        ("verify", cmd_verify, "predict, measure, and compare; exit 0 iff pass"),
+    parser.add_argument("command", choices=_COMMANDS, metavar="command", help="see below")
+    parser.add_argument("--config", metavar="FILE", help="JSON config file")
+    parser.add_argument("--out", metavar="DIR", help="write outputs into DIR (default: stdout)")
+    parser.add_argument(
+        "--tolerance",
+        choices=sorted(PROFILES),
+        help="tolerance profile for pass/fail checks (default: strict for calibrate, else desk)",
     )
-    for name, fn, help_text in commands:
-        sp = sub.add_parser(name, help=help_text)
-        # the zoo is calibrated against the strict profile
-        _add_common(sp, "strict" if name == "calibrate" else "desk")
-        sp.set_defaults(func=fn)
+    parser.add_argument("--seed", type=int, default=0, help="seed of the box-count grid offsets")
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    if args.tolerance is None:
+        # the zoo is calibrated against the strict profile
+        args.tolerance = "strict" if args.command == "calibrate" else "desk"
+    body = _COMMANDS[args.command][0]
     try:
-        return int(args.func(args))
+        with _stage("input"):
+            # calibrate runs its built-in zoo and reads no config
+            cfg = {} if args.command == "calibrate" else _load_config(args.config)
+        return int(body(cfg, args))
     except _StageFailure as exc:
         print(f"error {exc}", file=sys.stderr)
         return 3 if isinstance(exc.cause, NumericBudgetError) else 2

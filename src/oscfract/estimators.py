@@ -49,7 +49,6 @@ class DimensionEstimate:
     stderr: float
     fit_window: tuple[float, float]  # (eps_max, eps_min) actually used
     r_squared: float
-    method: str
     inconclusive: bool = False
 
     def to_dict(self) -> dict:
@@ -58,7 +57,7 @@ class DimensionEstimate:
             "stderr": self.stderr,
             "fit_window": list(self.fit_window),
             "r_squared": self.r_squared,
-            "method": self.method,
+            "method": "box-count",
             "inconclusive": self.inconclusive,
         }
 
@@ -252,15 +251,11 @@ def box_count(
 
 
 def estimate_dimension(
-    epsilons: np.ndarray,
-    counts: np.ndarray,
-    method: str = "box-count",
-    plateau_tol: float = 0.05,
-    min_run: int = 4,
+    epsilons: np.ndarray, counts: np.ndarray, min_run: int = 4
 ) -> DimensionEstimate:
     """Slope of log N vs log(1/eps) over the longest stable-slope plateau.
 
-    Local slopes within plateau_tol of their median form candidate runs; the
+    Local slopes within 0.05 of their median form candidate runs; the
     longest run (smallest-eps run on ties, where the asymptotics live) is
     fitted by least squares.  No run of min_run slopes -> the global fit is
     returned with inconclusive=True.
@@ -273,7 +268,7 @@ def estimate_dimension(
     y = np.log(counts)
     local = np.diff(y) / np.diff(x)
     med = np.median(local)
-    good = np.abs(local - med) <= plateau_tol
+    good = np.abs(local - med) <= 0.05
     best: Optional[tuple[int, int]] = None
     i = 0
     while i < len(good):
@@ -302,7 +297,6 @@ def estimate_dimension(
         stderr,
         (float(epsilons[sl][0]), float(epsilons[sl][-1])),
         r2,
-        method,
         inconclusive,
     )
 

@@ -84,7 +84,8 @@ class QuadratureConfig:
     def __post_init__(self) -> None:
         if self.points_per_wavelength < 8:
             raise ValueError("points_per_wavelength must be >= 8")
-        for name in ("panel_order", "min_panels", "radial_bins"):
+        budgets = ("max_panels", "max_nodes", "memory_budget_mb")
+        for name in ("panel_order", "min_panels", "radial_bins", *budgets):
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
@@ -574,7 +575,6 @@ def leading_term_fit(
     f0: float,
     beta: float,
     k: int = 0,
-    threshold: float = 0.04,
     correction_exponent: Optional[float] = None,
 ) -> FitResult:
     """Estimate a in I(tau) ~ e^{i tau f0} a tau^beta (log tau)^k over the top decade.
@@ -582,7 +582,7 @@ def leading_term_fit(
     The per-sample estimates z_i = I(tau_i) e^{-i tau_i f0} tau_i^{-beta}
     (log tau_i)^{-k} are averaged; residual is their relative spread.  A wrong
     beta leaves a power-law drift in z and inflates the residual, which is the
-    misfit signal (confirmed = residual <= threshold).  With
+    misfit signal (confirmed = residual <= 0.04).  With
     correction_exponent = delta, a two-term complex least squares
     a tau^beta + b tau^{beta+delta} absorbs the first subleading term; the
     residual is still reported from the one-term spread.
@@ -605,5 +605,5 @@ def leading_term_fit(
         coef, *_ = np.linalg.lstsq(basis, z, rcond=None)
         value = complex(coef[0])
     return FitResult(
-        value, residual, residual <= threshold, (float(t.min()), float(t.max())), k
+        value, residual, residual <= 0.04, (float(t.min()), float(t.max())), k
     )

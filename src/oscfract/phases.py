@@ -12,11 +12,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from typing import Mapping
 
 import numpy as np
 
 MultiIndex = tuple[int, ...]
+
+
+def _typed(v, kind: type, name: str):
+    """v itself if it is a kind (Integral or Real) and not a bool; never coerced."""
+    if isinstance(v, bool) or not isinstance(v, kind):
+        what = "an integer" if kind is Integral else "a number"
+        raise TypeError(f"{name} must be {what}, got {v!r}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -45,10 +54,16 @@ class PolynomialPhase:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "PolynomialPhase":
-        """Parse {"n": 2, "terms": [{"k": [2, 0], "c": 1.0}, ...]}."""
+        """Parse {"n": 2, "terms": [{"k": [2, 0], "c": 1.0}, ...]}.
+
+        n and every exponent must be integers and c a number.
+        """
         try:
-            n = int(data["n"])
-            terms = {tuple(int(e) for e in t["k"]): float(t["c"]) for t in data["terms"]}
+            n = _typed(data["n"], Integral, "n")
+            terms = {
+                tuple(_typed(e, Integral, "exponent") for e in t["k"]): _typed(t["c"], Real, "c")
+                for t in data["terms"]
+            }
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed phase spec: {exc}") from exc
         return cls(n, terms)
@@ -102,8 +117,10 @@ class AmplitudeSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping, dimension: int) -> "AmplitudeSpec":
+        """Parse {"radius": 1.0, "phi0": 1.0}; each must be a number and defaults to 1."""
         try:
-            return cls(dimension, float(data.get("radius", 1.0)), float(data.get("phi0", 1.0)))
+            radius, phi0 = (float(_typed(data.get(k, 1.0), Real, k)) for k in ("radius", "phi0"))
+            return cls(dimension, radius, phi0)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"malformed amplitude spec: {exc}") from exc
 
@@ -208,7 +225,7 @@ class CriticalPointReport:
 
 
 def verify_isolated_critical_point(
-    phase: PolynomialPhase, amp: AmplitudeSpec, grid: int = 64
+    phase: PolynomialPhase, amp: AmplitudeSpec
 ) -> CriticalPointReport:
     """Scan |grad f| over the annulus {delta <= |x| <= R} for a second critical point.
 
@@ -231,6 +248,7 @@ def verify_isolated_critical_point(
         rad = np.sqrt(np.sum(pts**2, axis=-1))
         return (rad >= delta) & (rad <= R)
 
+    grid = 64  # points per axis of the scan
     axes = [np.linspace(-R, R, grid)] * n
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
     mesh = mesh[in_annulus(mesh)]

@@ -1,6 +1,14 @@
-"""CLI subcommands exercised in process: formats, determinism, exit codes.
+"""CLI commands exercised in process: formats, determinism, exit codes.
 
 Verified here:
+
+* the front end: `--help` lists all eight commands with their one-line
+  help, usage errors exit 2, options may come before or after the command,
+  the default tolerance is strict for calibrate and desk for verify, and a
+  missing config reads as an `[input]` error for every command that needs
+  one;
+* cli.verify(cfg, seed) returns the report and curve that `verify --out`
+  writes, config after config, as a sweep would call it;
 
 * newton: JSON report with exact rational distance/remoteness strings and
   the nondegeneracy block, byte-identical across runs;
@@ -9,7 +17,8 @@ Verified here:
 * curve and verify sample a 1D phase with f(0) = 0 on the same default tau
   window, so they write the same curve.csv;
 * dim / content: polyline CSV round trips (named re/im and x/y columns,
-  bare numeric, and a bare file whose first row is a nan,nan separator),
+  bare numeric, and a bare file whose first row is a nan,nan separator), a
+  polyline path that is not a string exits 2 before anything is opened,
   estimates near known values, seeded determinism, exit 2 on grid offsets
   below 1, exit 3 when content exceeds its row-interval cap;
 * dim and content on verify's curve.csv reproduce verify's own estimates
@@ -20,12 +29,15 @@ Verified here:
   into the coarse transient, exit 2 on malformed input, exit 3 on numeric
   budgets, and report byte-determinism;
 * config sections (amplitude, quadrature, tau, curve, eps, content) that are
-  not JSON objects, quadrature values that are not integers >= 1 where
-  counts are expected, a float or bool coefficient hypothesis, tau count,
-  eps count, cell cap or grid-offset count, a NaN, Infinity or overflowing
-  config number, a `connect` or `content.enabled` switch that is not a
-  JSON boolean, and quadrature on an n = 4 phase, exit 2 with a message
-  that names the problem; a null hypothesis still asks for one;
+  not JSON objects, quadrature counts and budgets that are not integers
+  >= 1 (strings and bools included), a float or bool coefficient
+  hypothesis, tau count, eps count, cell cap or grid-offset count, a string,
+  bool or null where a float key (tau min/max, max_step, eps max/min, d,
+  content.d, amplitude radius/phi0) expects a number, a bool n or a float
+  exponent in the phase, a NaN, Infinity or overflowing config number, a
+  `connect` or `content.enabled` switch that is not a JSON boolean, and
+  quadrature on an n = 4 phase, exit 2 with a message that names the
+  problem; a null hypothesis still asks for one;
 * the module entry point through a real subprocess.
 """
 
@@ -198,7 +210,9 @@ def test_non_object_config_section_is_an_input_error(tmp_path, capsys, command, 
 @pytest.mark.parametrize(
     "key, value",
     [("radial_bins", 0), ("radial_bins", -3), ("panel_order", 2.5), ("panel_order", True),
-     ("min_panels", 0)],
+     ("min_panels", 0), ("max_panels", "400000"), ("max_panels", True),
+     ("max_nodes", "200000000"), ("max_nodes", True), ("memory_budget_mb", "1400"),
+     ("memory_budget_mb", True)],
 )
 def test_bad_quadrature_count_is_an_input_error(tmp_path, capsys, key, value):
     sphere = [{"k": [2 if j == i else 0 for j in range(3)], "c": 1.0} for i in range(3)]
@@ -297,6 +311,49 @@ def test_overflowing_config_number_is_an_input_error(tmp_path, capsys):
     cfg.write_text(json.dumps(X_PLUS_2)[:-1] + ', "tau": {"max": 1e999}}', encoding="utf-8")
     assert main(["integrate", "--config", str(cfg)]) == 2
     assert "config numbers must be finite, got 1e999" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, extra, key, value",
+    [
+        ("integrate", {"tau": {"min": "8"}}, "min", '"8"'),
+        ("integrate", {"tau": {"max": True}}, "max", "true"),
+        ("curve", {"tau": {"count": 12}, "curve": {"max_step": "0.1"}}, "max_step", '"0.1"'),
+        ("verify", {"eps": {"curve": {"max": "1e-3"}}}, "max", '"1e-3"'),
+        ("verify", {"content": {"enabled": True, "d": True}}, "d", "true"),
+        ("dim", {"eps": {"max": 0.1, "min": False}}, "min", "false"),
+        ("content", {"d": "1.0"}, "d", '"1.0"'),
+        ("content", {"d": None}, "d", "null"),
+    ],
+    ids=["tau.min", "tau.max", "max_step", "eps.max", "content.d", "dim-eps.min", "d", "d-null"],
+)
+def test_non_numeric_float_key_is_an_input_error(tmp_path, capsys, command, extra, key, value):
+    csv = tmp_path / "seg.csv"
+    csv.write_text("x,y\n0,0\n1,0\n", encoding="utf-8")
+    cfg = _cfg(tmp_path, dict(X_PLUS_2_VERIFY, polyline_csv=str(csv), **extra))
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f'"{key}" must be a number, got {value}' in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "amplitude, text",
+    [({"radius": True}, "radius must be a number, got True"),
+     ({"phi0": "1"}, "phi0 must be a number, got '1'")],
+    ids=["radius-bool", "phi0-string"],
+)
+def test_non_numeric_amplitude_is_an_input_error(tmp_path, capsys, amplitude, text):
+    cfg = _cfg(tmp_path, dict(X_PLUS_2, amplitude=amplitude, tau={"min": 8, "max": 40, "count": 4}))
+    assert main(["integrate", "--config", cfg]) == 2
+    assert f"error [input] malformed amplitude spec: {text}" in capsys.readouterr().err
+
+
+def test_truncated_exponent_is_an_input_error(tmp_path, capsys):
+    # read with int() this phase was x^2: beta -1/2 and exit 0
+    cfg = _cfg(tmp_path, {"phase": {"n": True, "terms": [{"k": [2.7], "c": 1}]}})
+    assert main(["newton", "--config", cfg]) == 2
+    assert "malformed phase spec: n must be an integer, got True" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -414,6 +471,15 @@ def test_dim_rejects_unusable_columns(tmp_path):
 
 def test_dim_requires_polyline_key(tmp_path):
     assert main(["dim", "--config", _cfg(tmp_path, {})]) == 2
+
+
+@pytest.mark.parametrize("path", [-1, 2.5, None, ["curve.csv"]])
+@pytest.mark.parametrize("command", ["dim", "content"])
+def test_polyline_path_must_be_a_string(tmp_path, capsys, command, path):
+    # open() takes an integer as a file descriptor and would read or close it
+    assert main([command, "--config", _cfg(tmp_path, {"polyline_csv": path, "d": 1.0})]) == 2
+    err = capsys.readouterr().err
+    assert f'config needs "polyline_csv", a curve CSV path, got {json.dumps(path)}' in err
 
 
 @pytest.mark.parametrize("offsets", [0, -1])
@@ -621,6 +687,96 @@ def test_budget_exhaustion_maps_to_exit_3(tmp_path, capsys):
     assert main(["verify", "--config", cfg]) == 3
     assert main(["integrate", "--config", cfg]) == 3
     capsys.readouterr()
+
+
+# --- front end: one parser, one config read, verify as a function ---
+
+# the fold fixture of the benchmark's fold-verify workload
+FOLD_VERIFY = {
+    "phase": X2_PLUS_1["phase"],
+    "tau": {"min": 20.0, "max": 400.0, "count": 50},
+    "eps": {
+        "curve": {"max": 8e-3, "min": 8e-4, "count": 8},
+        "reflected_re": {"max": 2e-2, "min": 2e-3, "count": 8},
+        "reflected_im": {"max": 2e-2, "min": 2e-3, "count": 8},
+    },
+}
+
+
+def test_verify_function_returns_the_cli_report(tmp_path, capsys):
+    # a sweep is a loop over configs
+    for i, cfg in enumerate((FOLD_VERIFY, X_PLUS_2_VERIFY)):
+        report, curve = cli.verify(cfg, seed=5)
+        out = tmp_path / f"out{i}"
+        path = _cfg(tmp_path, cfg, f"config{i}.json")
+        assert main(["verify", "--config", path, "--seed", "5", "--out", str(out)]) == 0
+        assert cli._json_text(report) == (out / "report.json").read_text(encoding="utf-8")
+        assert (out / "curve.csv").read_bytes() == cli._csv_text(
+            curve.tau, curve.points[:, 0] + 1j * curve.points[:, 1]
+        ).encode()
+        assert report["pass"] is True and report["seed"] == 5
+    capsys.readouterr()
+
+
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    commands = {
+        "newton": "Newton polyhedron, remoteness, multiplicity",
+        "predict": "asymptotic prediction for a phase",
+        "integrate": "evaluate I(tau) on a grid; CSV out",
+        "curve": "winding-resolved curve polyline; CSV and SVG out",
+        "dim": "box dimension of a polyline CSV",
+        "content": "Minkowski content of a polyline CSV",
+        "calibrate": "synthetic-zoo pass/fail table",
+        "verify": "predict, measure, and compare; exit 0 iff pass",
+    }
+    for name, text in commands.items():
+        assert any(line.split() == [name, *text.split()] for line in lines), name
+
+
+@pytest.mark.parametrize(
+    "argv", [["bogus"], [], ["dim", "--seed", "x"], ["verify", "--tolerance", "lax"]]
+)
+def test_usage_errors_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def test_options_before_the_command(tmp_path):
+    t = np.linspace(0.0, 1.0, 64)
+    csv = tmp_path / "line.csv"
+    np.savetxt(csv, np.column_stack([t, t**2]), delimiter=",")
+    cfg = _cfg(tmp_path, {"polyline_csv": str(csv), "eps": {"max": 5e-2, "min": 2e-3, "count": 9}})
+    before = ["--seed", "3", "dim", "--config", cfg, "--out", str(tmp_path / "a")]
+    after = ["dim", "--config", cfg, "--out", str(tmp_path / "b"), "--seed", "3"]
+    assert main(before) == main(after) == 0
+    assert (tmp_path / "a" / "dim.json").read_bytes() == (tmp_path / "b" / "dim.json").read_bytes()
+
+
+def test_default_tolerance_per_command(tmp_path, capsys, monkeypatch):
+    _mini_zoo(monkeypatch)
+    assert main(["calibrate", "--out", str(tmp_path / "c")]) == 0
+    report = json.loads((tmp_path / "c" / "calibrate.json").read_text())
+    assert report["tolerance"] == "strict" and report["tol_d"] == 0.03
+    cfg = _cfg(tmp_path, X_PLUS_2_VERIFY)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 0
+    report = json.loads((tmp_path / "v" / "report.json").read_text())
+    assert report["tolerance_profile"] == "desk"
+    assert report["checks"]["curve_dim"]["tol"] == 0.05
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "command", ["newton", "predict", "integrate", "curve", "dim", "content", "verify"]
+)
+def test_config_errors_read_the_input_stage(tmp_path, capsys, command):
+    assert main([command, "--config", str(tmp_path / "absent.json")]) == 2
+    assert capsys.readouterr().err.startswith("error [input] ")
 
 
 # --- module entry point ---

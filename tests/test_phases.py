@@ -2,7 +2,9 @@
 
 Verified here:
 * term normalization (zero coefficients dropped, exponent validation) and
-  the dict round trip, including rejection of malformed specs;
+  the dict round trip, including rejection of malformed specs and of spec
+  values of the wrong type (a bool or float n or exponent, a string or bool
+  coefficient or amplitude number);
 * vectorized evaluation matches an exact Fraction evaluation of each point,
   kept in this file, within 1e-13 of sum |c_k x^k| (property over random
   polynomials);
@@ -15,6 +17,7 @@ Verified here:
 """
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -67,6 +70,26 @@ def test_from_dict_malformed():
         PolynomialPhase.from_dict({"n": 1, "terms": [{"k": [2]}]})  # missing c
     with pytest.raises(ValueError):
         PolynomialPhase.from_dict({"n": 1, "terms": 17})
+
+
+@pytest.mark.parametrize(
+    "n, k, c, text",
+    [
+        (True, [2], 1, "n must be an integer, got True"),
+        (1.0, [2], 1, "n must be an integer, got 1.0"),
+        (1, [2.7], 1, "exponent must be an integer, got 2.7"),
+        (1, [2.0], 1, "exponent must be an integer, got 2.0"),
+        (1, [True], 1, "exponent must be an integer, got True"),
+        (1, "2", 1, "exponent must be an integer, got '2'"),
+        (1, [2], "1.0", "c must be a number, got '1.0'"),
+        (1, [2], True, "c must be a number, got True"),
+    ],
+    ids=["n-bool", "n-float", "k-float", "k-float-2", "k-bool", "k-string", "c-string", "c-bool"],
+)
+def test_from_dict_refuses_wrong_types(n, k, c, text):
+    # int() and float() would truncate or coerce each of these
+    with pytest.raises(ValueError, match=f"malformed phase spec: {re.escape(text)}"):
+        PolynomialPhase.from_dict({"n": n, "terms": [{"k": k, "c": c}]})
 
 
 def test_value_at_origin_and_degree():
@@ -176,8 +199,9 @@ def test_amplitude_dict_round_trip():
     amp = AmplitudeSpec.from_dict({"radius": 0.75, "phi0": 2.0}, 2)
     assert amp == AmplitudeSpec(2, 0.75, 2.0)
     assert AmplitudeSpec.from_dict({}, 1) == AmplitudeSpec(1)
-    with pytest.raises(ValueError):
-        AmplitudeSpec.from_dict({"radius": "wide"}, 1)
+    for bad in ({"radius": "wide"}, {"radius": True}, {"phi0": "2"}, {"phi0": False}):
+        with pytest.raises(ValueError, match="must be a number"):
+            AmplitudeSpec.from_dict(bad, 1)
 
 
 def test_critical_point_scan_accepts_isolated():
