@@ -39,6 +39,7 @@ from oscfract.estimators import (
     geometric_epsilons,
 )
 from oscfract.integrals import (
+    REFLECTED_STEP,
     CurvePolyline,
     IntegralSamples,
     NumericBudgetError,
@@ -168,15 +169,27 @@ _RECTIFIABLE_WINDOW = (3.0, 2000.0, 12)
 _CONTENT_WINDOW = (150.0, 700.0, 10)
 
 
-def _eps_window(pts: np.ndarray, spec: dict, window: tuple[float, float, int]) -> np.ndarray:
-    """Geometric eps from spec's max, min and count, defaulting to a window of pts' diameter."""
+def _eps_keys(spec: dict) -> dict:
+    """The eps window keys spec sets (max, min, count), type-checked.
+
+    The defaults need the polyline's diameter and are filled in by
+    _eps_window, so verify can refuse a bad key before it integrates.
+    """
+    keys = {key: _real(spec, key, None) for key in ("max", "min") if key in spec}
+    if "count" in spec:
+        keys["count"] = _count(spec, "count", 1)
+    return keys
+
+
+def _eps_window(pts: np.ndarray, keys: dict, window: tuple[float, float, int]) -> np.ndarray:
+    """Geometric eps from _eps_keys' max, min and count, defaulting to a window of pts' diameter."""
     ok = np.isfinite(pts).all(axis=1)
     if not ok.any():
         raise ValueError("polyline has no finite points")
     diam = float((pts[ok].max(axis=0) - pts[ok].min(axis=0)).max())
     big, small, count = window
-    hi, lo = _real(spec, "max", diam / big), _real(spec, "min", diam / small)
-    return geometric_epsilons(hi, lo, _count(spec, "count", count))
+    hi, lo = keys.get("max", diam / big), keys.get("min", diam / small)
+    return geometric_epsilons(hi, lo, keys.get("count", count))
 
 
 def _has_linear_term(phase: PolynomialPhase) -> bool:
@@ -284,12 +297,13 @@ def _diagram(phase: PolynomialPhase) -> Optional[DiagramInfo]:
 
 
 def _sampled(
-    cfg: dict, phase: PolynomialPhase, amp: AmplitudeSpec
+    cfg: dict, phase: PolynomialPhase, amp: AmplitudeSpec, refine: tuple[float, ...] = ()
 ) -> tuple[IntegralSamples, tuple[float, float, int]]:
     """I(tau) on the configured tau window (min, max, count), which is also returned.
 
     The default window depends on n.  A 1D phase with a linear term or with
-    f(0) = 0 traces a rectifiable curve and gets a shorter one.
+    f(0) = 0 traces a rectifiable curve and gets a shorter one.  refine goes
+    to sample_integral: the phase steps the curve and graphs will refine at.
     """
     n = phase.dimension
     if n == 1:
@@ -301,13 +315,13 @@ def _sampled(
         lo, hi, count = 8.0, 150.0, 30
     t = _section(cfg, "tau")
     window = (_real(t, "min", lo), _real(t, "max", hi), _count(t, "count", count))
-    return sample_integral(phase, amp, *window, _quad_from(cfg, n)), window
+    return sample_integral(phase, amp, *window, _quad_from(cfg, n), refine=refine), window
 
 
-def _curve(cfg: dict, samples: IntegralSamples) -> CurvePolyline:
-    default_step = math.pi / 16 if samples.phase.dimension == 1 else math.pi / 8
-    max_step = _real(_section(cfg, "curve"), "max_step", default_step)
-    return curve_from_samples(samples, max_step=max_step)
+def _curve_step(cfg: dict, phase: PolynomialPhase) -> float:
+    """The curve's max phase step: configured, else pi/16 in 1D and pi/8 above."""
+    default_step = math.pi / 16 if phase.dimension == 1 else math.pi / 8
+    return _real(_section(cfg, "curve"), "max_step", default_step)
 
 
 def _dimension(pts: np.ndarray, eps: np.ndarray, seed: int, **box_opts):
@@ -316,10 +330,16 @@ def _dimension(pts: np.ndarray, eps: np.ndarray, seed: int, **box_opts):
     return counts, estimate_dimension(eps, counts)
 
 
-def _content(pts: np.ndarray, d: float, spec: dict) -> ContentEstimate:
-    """Minkowski content at dimension d; spec may hold "eps" and "cell_cap"."""
-    eps = _eps_window(pts, _section(spec, "eps"), _CONTENT_WINDOW)
-    return estimate_content(pts, d, eps, cell_cap=_count(spec, "cell_cap", 120_000_000))
+def _content_opts(spec: dict) -> tuple[dict, int]:
+    """(eps keys, cell cap) of a content spec, which may hold "eps" and "cell_cap"."""
+    return _eps_keys(_section(spec, "eps")), _count(spec, "cell_cap", 120_000_000)
+
+
+def _content(pts: np.ndarray, d: float, opts: tuple[dict, int]) -> ContentEstimate:
+    """Minkowski content at dimension d, with the eps keys and cell cap of _content_opts."""
+    eps_keys, cell_cap = opts
+    eps = _eps_window(pts, eps_keys, _CONTENT_WINDOW)
+    return estimate_content(pts, d, eps, cell_cap=cell_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -419,10 +439,11 @@ def cmd_integrate(cfg: dict, args: argparse.Namespace) -> int:
 def cmd_curve(cfg: dict, args: argparse.Namespace) -> int:
     with _stage("input"):
         phase, amp = _inputs(cfg)
+        step = _curve_step(cfg, phase)
     with _stage("integrate"):
-        samples, _ = _sampled(cfg, phase, amp)
+        samples, _ = _sampled(cfg, phase, amp, refine=(step,))
     with _stage("curve"):
-        curve = _curve(cfg, samples)
+        curve = curve_from_samples(samples, max_step=step)
     _emit_curve(args, curve)
     return 0
 
@@ -439,7 +460,7 @@ def cmd_dim(cfg: dict, args: argparse.Namespace) -> int:
     with _stage("input"):
         pts = _polyline(cfg)
     with _stage("estimate"):
-        eps = _eps_window(pts, _section(cfg, "eps"), _DIM_WINDOW)
+        eps = _eps_window(pts, _eps_keys(_section(cfg, "eps")), _DIM_WINDOW)
         offsets, connect = _count(cfg, "offsets", 4), _flag(cfg, "connect", True)
         counts, est = _dimension(pts, eps, args.seed, offsets=offsets, connect=connect)
         out = {
@@ -458,8 +479,9 @@ def cmd_content(cfg: dict, args: argparse.Namespace) -> int:
         if "d" not in cfg:
             raise ValueError('config needs "d"')
         d = _real(cfg, "d", None)
+        opts = _content_opts(cfg)
     with _stage("estimate"):
-        est = _content(pts, d, cfg)
+        est = _content(pts, d, opts)
         out = {"polyline_csv": cfg["polyline_csv"], "estimate": est.to_dict()}
     _emit(args, "content.json", _json_text(out))
     return 0
@@ -590,6 +612,10 @@ def _verdict_consistent(pred, verdict: str) -> bool:
     return verdict == "nondegenerate"
 
 
+# the polylines verify box-counts, each with its own "eps" section
+_MEASURED = ("curve", "reflected_re", "reflected_im")
+
+
 def verify(cfg: dict, seed: int = 0, tolerance: str = "desk") -> tuple[dict, CurvePolyline]:
     """Predict, integrate, measure and compare one config: (report, curve).
 
@@ -599,32 +625,41 @@ def verify(cfg: dict, seed: int = 0, tolerance: str = "desk") -> tuple[dict, Cur
     with _stage("input"):
         phase, amp = _inputs(cfg)
         tol_d = PROFILES[tolerance]
+        step = _curve_step(cfg, phase)
+        # every key is checked before the quadrature; only the eps defaults
+        # wait for the curve's diameter
+        eps_cfg = _section(cfg, "eps")
+        eps_keys = {key: _eps_keys(_section(eps_cfg, key)) for key in _MEASURED}
         ccfg = _section(cfg, "content")
         content_on = _flag(ccfg, "enabled", False)
+        if content_on:
+            content_d = _real(ccfg, "d", None) if "d" in ccfg else None
+            content_opts = _content_opts(ccfg)
         _validate_phase(phase, amp)
     with _stage("newton"):
         diagram = _diagram(phase)
     with _stage("predict"):
         pred = _predict(phase, amp, cfg, diagram)
     with _stage("integrate"):
-        samples, (lo, hi, count) = _sampled(cfg, phase, amp)
+        samples, (lo, hi, count) = _sampled(cfg, phase, amp, refine=(step, REFLECTED_STEP))
     with _stage("curve"):
-        curve = _curve(cfg, samples)
+        curve = curve_from_samples(samples, max_step=step)
         graph_re, graph_im = reflected_pair(samples)
     with _stage("estimate"):
-        eps_cfg = _section(cfg, "eps")
         window = _RECTIFIABLE_WINDOW if pred.rectifiable else _DIM_WINDOW
+        polylines = (
+            curve.points,
+            np.column_stack([graph_re.t, graph_re.x]),
+            np.column_stack([graph_im.t, graph_im.x]),
+        )
         estimates = {
-            key: _dimension(pts, _eps_window(pts, _section(eps_cfg, key), window), seed)[1]
-            for key, pts in (
-                ("curve", curve.points),
-                ("reflected_re", np.column_stack([graph_re.t, graph_re.x])),
-                ("reflected_im", np.column_stack([graph_im.t, graph_im.x])),
-            )
+            key: _dimension(pts, _eps_window(pts, eps_keys[key], window), seed)[1]
+            for key, pts in zip(_MEASURED, polylines)
         }
         content_est = None
         if content_on:
-            content_est = _content(curve.points, _real(ccfg, "d", float(pred.curve_dim)), ccfg)
+            d = float(pred.curve_dim) if content_d is None else content_d
+            content_est = _content(curve.points, d, content_opts)
     with _stage("report"):
         d_pred = float(pred.curve_dim)
         dp_pred = float(pred.osc_dim)

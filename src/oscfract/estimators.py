@@ -11,8 +11,8 @@ Measurement pipeline:
                 over random grid translations to suppress lattice bias; a
                 segment touches the cells of the pieces between its
                 gridline crossings (and, at an exact corner crossing, the
-                corner's cell), found without sorting and deduplicated in a
-                bitmap with one bit per grid cell;
+                corner's cell), found for both axes in one pass without
+                sorting, and deduplicated by one sort of their cell keys;
 * estimate_dimension
                 log N vs log(1/eps) slope over an automatically selected
                 plateau (curves built from integrals cross over from a
@@ -109,12 +109,10 @@ def _finite_rows(polyline: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # gridline crossings handled per block of segments: bounds the working arrays
-_CROSSING_BLOCK = 1 << 16
+_CROSSING_BLOCK = 1 << 15
 
 
-def _supercover_count(
-    P: np.ndarray, Q: np.ndarray, pts: np.ndarray, width: int, height: int
-) -> int:
+def _supercover_count(P: np.ndarray, Q: np.ndarray, pts: np.ndarray, height: int) -> int:
     """Number of distinct half-open unit cells touched by segments P->Q plus pts.
 
     Arrays are axis first: P and Q are (2, M), pts is (2, N).  The gridline
@@ -122,22 +120,25 @@ def _supercover_count(
     into pieces; a piece's cell is the floor of its midpoint, and a
     zero-length piece (crossings of both axes at one t, or a crossing at
     t = 1) contributes the floor of P + t (Q - P), so a segment through a
-    cell corner touches the corner's cell too.  No sort: the piece after a
-    crossing ends at the nearer of the next crossing on the same axis (the
-    next one generated) and the next on the other axis, found by comparing
-    the parameters of the two or three gridlines around the crossing point
-    with t.  Comparing parameters rather than reading floor(y) keeps exact
-    corner passes exact when rounding moves the crossing point off the
-    corner.  Cells are marked in a bitmap with one bit per cell of the
-    (width + 4) x (height + 4) grid (a margin of 2 either side of the cell
-    indices) and the set bits are counted.
+    cell corner touches the corner's cell too.  The crossings of axis 1 are
+    those of axis 0 on the segment with its coordinates swapped, so both
+    axes run through one pass over the stacked [axis 0 | swapped] segments.
+    No sort per segment: the piece after a crossing ends at the nearer of
+    the next crossing on the same axis (the next one generated) and the
+    next on the other axis, found by comparing the parameters of the two or
+    three gridlines around the crossing point with t.  Comparing parameters
+    rather than reading floor(y) keeps exact corner passes exact when
+    rounding moves the crossing point off the corner.  A marked cell (i, j)
+    becomes the int64 key (i + 2) (height + 4) + (j + 2), a margin of 2
+    either side of the cell indices; the keys are sorted once and the
+    distinct ones counted, so memory grows with the marks, not with the
+    bounding box.
     """
     stride = height + 4
-    bitmap = np.zeros(((width + 4) * stride + 63) // 64, np.uint64)
+    keys = []
 
     def mark(x: np.ndarray, y: np.ndarray) -> None:
-        key = (np.floor(x) * stride + np.floor(y) + (2 * stride + 2)).astype(np.uint64)
-        np.bitwise_or.at(bitmap, key >> 6, np.left_shift(np.uint64(1), key & 63))
+        keys.append((np.floor(x) * stride + np.floor(y) + (2 * stride + 2)).astype(np.int64))
 
     mark(*pts)
     d = Q - P
@@ -153,30 +154,27 @@ def _supercover_count(
     bounds = [0, *np.unique(cuts), P.shape[1]]
     for s0, s1 in zip(bounds[:-1], bounds[1:]):
         Pb, db = P[:, s0:s1], d[:, s0:s1]
+        m = s1 - s0
         # end of the first piece: the first crossing with t > 0, or 1
-        t_first = np.ones(s1 - s0)
-        for ax in range(2):
-            o = 1 - ax
-            n = cnt[ax, s0:s1]
-            tot = int(n.sum())
-            if not tot:
-                continue
+        t_first = np.ones(2 * m)
+        n = cnt[:, s0:s1].ravel()  # per segment of [axis 0 | swapped]
+        tot = int(n.sum())
+        if tot:
+            split = int(n[:m].sum())  # crossings of axis 0 come first
             end = np.cumsum(n)
             start = end - n
-            Pa, da = np.repeat(Pb[ax], n), np.repeat(db[ax], n)
-            Po, do = np.repeat(Pb[o], n), np.repeat(db[o], n)
+            Pa, da = np.repeat(Pb.ravel(), n), np.repeat(db.ravel(), n)
+            Po, do = np.repeat(Pb[::-1].ravel(), n), np.repeat(db[::-1].ravel(), n)
             # gridline k of each crossing: first + step * (its index in the segment)
-            step = np.sign(db[ax])
-            k = np.repeat(first[ax, s0:s1] - step * start, n) + np.repeat(step, n) * np.arange(tot)
+            step = np.sign(db.ravel())
+            k = np.repeat(first[:, s0:s1].ravel() - step * start, n) + np.repeat(step, n) * np.arange(tot)
             t = np.clip((k - Pa) / da, 0.0, 1.0)
             t_next = np.empty(tot)
             t_next[:-1] = t[1:]
             crossed = n > 0
             t_next[end[crossed] - 1] = 1.0
             head = start[crossed]
-            t_first[crossed] = np.minimum(
-                t_first[crossed], np.where(t[head] > 0, t[head], t_next[head])
-            )
+            t_first[crossed] = np.where(t[head] > 0, t[head], t_next[head])
             # gridlines of the other axis around the crossing point, in the
             # order they are crossed; those beyond the segment clip to 0 or
             # 1 and never end a piece early, and with no motion along the
@@ -195,13 +193,18 @@ def _supercover_count(
             corner = np.nonzero((t0 == t) | (t1 == t))[0]
             np.minimum(t_next, t_other, out=t_next)
             tm = 0.5 * (t + t_next)
-            cells = (Pa + tm * da, Po + tm * do)
-            mark(*cells[:: 1 - 2 * ax])  # in (x, y) order
-            tc = t[corner]
-            cells = (Pa[corner] + tc * da[corner], Po[corner] + tc * do[corner])
-            mark(*cells[:: 1 - 2 * ax])
-        mark(*(Pb + (0.5 * t_first) * db))
-    return int(np.bitwise_count(bitmap).sum())
+            a, o = Pa + tm * da, Po + tm * do
+            mark(a[:split], o[:split])  # in (x, y) order
+            mark(o[split:], a[split:])
+            tc, c = t[corner], np.searchsorted(corner, split)
+            a, o = Pa[corner] + tc * da[corner], Po[corner] + tc * do[corner]
+            mark(a[:c], o[:c])
+            mark(o[c:], a[c:])
+        mark(*(Pb + (0.5 * np.minimum(t_first[:m], t_first[m:])) * db))
+    cells = np.concatenate(keys)
+    keys.clear()
+    cells.sort()
+    return 1 + int(np.count_nonzero(cells[1:] != cells[:-1]))
 
 
 def box_count(
@@ -241,11 +244,11 @@ def box_count(
     counts = np.empty(len(epsilons))
     for i, eps in enumerate(epsilons):
         U = ((pts - lo) / eps).T
-        width, height = (int(c) + 3 for c in np.ceil(U.max(axis=1)))
+        height = int(np.ceil(U[1].max())) + 3
         UP, UQ = U[:, seg[:, 0]], U[:, seg[:, 1]]
         acc = 0
         for off in shifts:
-            acc += _supercover_count(UP + off, UQ + off, U + off, width, height)
+            acc += _supercover_count(UP + off, UQ + off, U + off, height)
         counts[i] = acc / offsets
     return counts
 

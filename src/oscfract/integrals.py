@@ -16,7 +16,11 @@ change the computed sum only by rounding:
   nodes with doubled weights (a node at 0 keeps its single weight), which
   every grid mode below sees as an axis of half the length;
 * a tau grid is evaluated on shared per-octave node grids (a grid built for
-  the octave's top tau is valid, merely finer than required, for the rest);
+  the octave's top tau is valid, merely finer than required, for the rest).
+  The octaves halve down from the sample window's top tau, and the refined
+  taus of the curve and the reflected graphs depend only on the samples
+  and f(0), so sample_integral plans them too: each octave grid is built
+  once, takes every tau set in turn, and is freed before the next;
 * each octave grid takes all of its taus in one batched pass.  Within a
   run of uniformly spaced taus (refinement fills every gap with one) the
   node phases advance by rotation, E_{k+1} = E_k e^{i dtau f}: one complex
@@ -39,8 +43,10 @@ weighted sums, so it is never held whole.  Tables are float64 throughout;
 a grid over its budget (max_nodes for the tensor, memory_budget_mb for the
 separable tables) raises NumericBudgetError rather than losing precision.
 
-Everything here is pure: grids are built per call chain, and the only
-state a grid changes is the batch that values() hands out through value().
+Everything here is pure: grids are built inside one call (sample_integral,
+or a refinement of a step it did not plan) and never cached across calls,
+and the only state a grid changes is the batch that values() hands out
+through value().
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ import functools
 import math
 import numbers
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -100,6 +106,9 @@ class IntegralSamples:
     cfg: QuadratureConfig
     # max |grad f| the grids were sized with; refinement reuses it
     grad_bound: float
+    # phase step -> I at the refined taus that are not samples, for each
+    # step sample_integral was asked to refine at
+    refined: dict[float, np.ndarray] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -152,8 +161,15 @@ _BATCH_BYTES = 8 * 2**20
 # CPU per tau), so the weighted sums below dot slices of at most this many.
 _DOT_TERMS = 10_000
 # The node tensor of 1D and mixed-variable phases is built this many bytes
-# of rows at a time (16 per node), so it is never held whole.
+# of rows at a time, so it is never held whole.  Building a block peaks at
+# about 72 bytes per node (tracemalloc, n = 1 to 3): the node coordinates,
+# weights, phase, radius and bump temporaries, of which the block keeps 16.
 _BLOCK_BYTES = 64 * 2**20
+_BLOCK_NODE_BYTES = 72
+# refined taus per phase step, at most (the default cap of the refinements)
+_MAX_POINTS = 2_000_000
+# phase step of the reflected graphs' refinement
+REFLECTED_STEP = 0.125
 
 
 def _batch_rows(bytes_per_tau: int) -> int:
@@ -355,15 +371,20 @@ class _QuadGrid:
 
     def _iter_blocks(self):
         """Yield (f - f0, w * phi) over the node tensor, _BLOCK_BYTES of rows at a time."""
-        n, x, w, R = self.phase.dimension, self._x, self._w, self.amp.radius
-        rows = max(1, _BLOCK_BYTES // (16 * x.size ** (n - 1)))
+        n, x = self.phase.dimension, self._x
+        rows = max(1, _BLOCK_BYTES // (_BLOCK_NODE_BYTES * x.size ** (n - 1)))
         for lo in range(0, x.size, rows):
-            axes = [x[lo : lo + rows]] + [x] * (n - 1)
-            pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-            ww = functools.reduce(np.multiply.outer, [w[lo : lo + rows]] + [w] * (n - 1))
-            f = eval_phase_array(self.phase, pts) - self.f0
-            u2 = np.sum(pts**2, axis=-1) / R**2
-            yield f.ravel(), (ww * self.amp.phi0 * bump_profile(u2)).ravel()
+            yield self._block(lo, lo + rows)
+
+    def _block(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """(f - f0, w * phi) on the tensor rows lo:hi; its temporaries die on return."""
+        n, x, w, R = self.phase.dimension, self._x, self._w, self.amp.radius
+        axes = [x[lo:hi]] + [x] * (n - 1)
+        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        ww = functools.reduce(np.multiply.outer, [w[lo:hi]] + [w] * (n - 1))
+        f = eval_phase_array(self.phase, pts) - self.f0
+        u2 = np.sum(pts**2, axis=-1) / R**2
+        return f.ravel(), (ww * self.amp.phi0 * bump_profile(u2)).ravel()
 
     def value(self, tau: float) -> complex:
         """I(tau), from the batch values() is handing out, else as a batch of one."""
@@ -446,24 +467,30 @@ def _eval_many(
     phase: PolynomialPhase,
     amp: AmplitudeSpec,
     cfg: QuadratureConfig,
-    taus: np.ndarray,
+    tau_sets: list[np.ndarray],
     grad_bound: float,
-) -> np.ndarray:
-    """Evaluate I at many tau, one batched pass per octave grid of |tau|."""
-    taus = np.asarray(taus, dtype=float)
-    refs = _octave_refs(taus)
-    out = np.empty(taus.shape, dtype=complex)
-    for ref in np.unique(refs):
-        sel = refs == ref
-        # no name holds the grid, so it is freed before the next one is built
-        out[sel] = _QuadGrid(phase, amp, cfg, float(ref), grad_bound).values(taus[sel])
+    top: float,
+) -> list[np.ndarray]:
+    """I at every tau of each set, on the octave grids of |tau| below top.
+
+    Each octave grid is built once and takes each set's taus on it as one
+    batched pass, set after set; it is freed before the next one is built.
+    """
+    refs = [_octave_refs(taus, top) for taus in tau_sets]
+    out = [np.empty(taus.shape, dtype=complex) for taus in tau_sets]
+    for ref in np.unique(np.concatenate(refs)):
+        grid = _QuadGrid(phase, amp, cfg, float(ref), grad_bound)
+        for taus, set_refs, values in zip(tau_sets, refs, out):
+            sel = set_refs == ref
+            if sel.any():
+                values[sel] = grid.values(taus[sel])
+        del grid
     return out
 
 
-def _octave_refs(taus: np.ndarray) -> np.ndarray:
+def _octave_refs(taus: np.ndarray, top: float) -> np.ndarray:
     """Per tau, the tau_ref of its shared grid: top/2^k, the smallest >= |tau|."""
     mags = np.abs(taus)
-    top = float(mags.max(initial=0.0))
     if top == 0.0:
         return np.zeros_like(mags)
     with np.errstate(divide="ignore"):
@@ -480,17 +507,31 @@ def sample_integral(
     tau_max: float,
     count: int,
     cfg: Optional[QuadratureConfig] = None,
+    refine: tuple[float, ...] = (),
 ) -> IntegralSamples:
-    """I(tau) on a geometric grid tau_min * r^i, r = (tau_max/tau_min)^(1/(count-1))."""
+    """I(tau) on a geometric grid tau_min * r^i, r = (tau_max/tau_min)^(1/(count-1)).
+
+    refine lists the phase steps that curve_from_samples (its max_step) and
+    reflected_pair (REFLECTED_STEP) will refine at.  Refined taus depend
+    only on the sample taus and f(0), so I at each step's new taus (at most
+    _MAX_POINTS per step) is evaluated here, on the octave grids built for
+    the samples, and kept on the result for those two to read.
+    """
     if not 0 < tau_min < tau_max < math.inf:
         raise ValueError(f"need 0 < tau_min < tau_max < inf, got [{tau_min}, {tau_max}]")
     if count < 2:
         raise ValueError(f"count must be >= 2, got {count}")
+    for step in refine:
+        _check_step(step)
     cfg = cfg or QuadratureConfig()
     taus = np.geomspace(tau_min, tau_max, count)
     L = gradient_bound(phase, amp)
-    values = _eval_many(phase, amp, cfg, taus, L)
-    return IntegralSamples(taus, values, phase, amp, cfg, L)
+    extra = [_refinement(taus, phase, step, _MAX_POINTS) for step in refine]
+    values, *refined = _eval_many(
+        phase, amp, cfg, [taus] + [full[new] for full, new in extra], L, float(taus.max())
+    )
+    by_step = {float(step): v for step, v in zip(refine, refined)}
+    return IntegralSamples(taus, values, phase, amp, cfg, L, by_step)
 
 
 def _refined_taus(taus: np.ndarray, max_step: float, cap: int) -> np.ndarray:
@@ -515,10 +556,27 @@ def _refined_taus(taus: np.ndarray, max_step: float, cap: int) -> np.ndarray:
     return np.concatenate(pieces)
 
 
+def _refinement(
+    taus: np.ndarray, phase: PolynomialPhase, phase_step: float, max_points: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(full, new): taus refined so that tau f(0) advances at most phase_step.
+
+    new marks the refined taus that are not in taus.
+    """
+    f0 = abs(phase.value_at_origin)
+    full = _refined_taus(taus, phase_step / f0, max_points) if f0 > 0 else taus
+    return full, ~np.isin(full, taus)
+
+
+def _check_step(phase_step: float) -> None:
+    if not 0 < phase_step <= math.pi / 8.0 + 1e-12:
+        raise ValueError(f"max_step must be in (0, pi/8], got {phase_step}")
+
+
 def curve_from_samples(
     samples: IntegralSamples,
     max_step: float = math.pi / 8.0,
-    max_points: int = 2_000_000,
+    max_points: int = _MAX_POINTS,
 ) -> CurvePolyline:
     """Polyline (Re I, Im I) with the winding resolved: steps of tau f(0) <= max_step.
 
@@ -527,23 +585,22 @@ def curve_from_samples(
     polyline chords under-resolve the spiral by well under a percent of arc
     length.
     """
-    if not 0 < max_step <= math.pi / 8.0 + 1e-12:
-        raise ValueError(f"max_step must be in (0, pi/8], got {max_step}")
+    _check_step(max_step)
     full, values = _refined_eval(samples, max_step, max_points)
     pts = np.column_stack([values.real, values.imag])
     return CurvePolyline(pts, full)
 
 
 def reflected_pair(
-    samples: IntegralSamples, max_points: int = 2_000_000
+    samples: IntegralSamples, max_points: int = _MAX_POINTS
 ) -> tuple[ReflectedGraph, ReflectedGraph]:
     """Graphs (t, Re I(1/t)) and (t, Im I(1/t)) from one refinement pass.
 
     The chirp is resolved by uniform tau steps of at most 1/(8 f(0)), i.e.
     t steps <= t^2/(8 f(0)): the oscillation e^{i tau f(0)} advances at most
-    1/8 radian between points.
+    REFLECTED_STEP = 1/8 radian between points.
     """
-    full, values = _refined_eval(samples, 0.125, max_points)
+    full, values = _refined_eval(samples, REFLECTED_STEP, max_points)
     t = 1.0 / full[::-1]
     return (
         ReflectedGraph(t, values.real[::-1], "re"),
@@ -556,18 +613,21 @@ def _refined_eval(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Taus refined so that tau f(0) advances at most phase_step, and I on them.
 
-    Values at the sample taus are reused; only the inserted taus are evaluated.
+    Values at the sample taus are reused, and so are those sample_integral
+    evaluated at this phase step; only the other new taus are evaluated, on
+    the octave grids of the samples' top tau.
     """
-    f0 = abs(samples.phase.value_at_origin)
-    full = samples.tau
-    if f0 > 0:
-        full = _refined_taus(full, phase_step / f0, max_points)
-    known = {float(t): v for t, v in zip(samples.tau, samples.values)}
-    missing = np.array([t for t in full if float(t) not in known], dtype=float)
-    if missing.size:
-        vals = _eval_many(samples.phase, samples.amp, samples.cfg, missing, samples.grad_bound)
-        known.update({float(t): v for t, v in zip(missing, vals)})
-    return full, np.array([known[float(t)] for t in full], dtype=complex)
+    full, new = _refinement(samples.tau, samples.phase, phase_step, max_points)
+    values = np.empty(full.size, dtype=complex)
+    values[~new] = samples.values[np.searchsorted(samples.tau, full[~new])]
+    known = samples.refined.get(float(phase_step))
+    if known is None:
+        (known,) = _eval_many(
+            samples.phase, samples.amp, samples.cfg, [full[new]],
+            samples.grad_bound, float(samples.tau.max()),
+        )
+    values[new] = known
+    return full, values
 
 
 def leading_term_fit(

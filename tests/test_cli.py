@@ -28,6 +28,10 @@ Verified here:
   wiring (desk passes where strict fails), exit 1 when the window is forced
   into the coarse transient, exit 2 on malformed input, exit 3 on numeric
   budgets, and report byte-determinism;
+* verify on x^2+y^4+1 and the sphere builds each octave grid of its tau
+  window once, for the samples, the curve and the reflected graphs, with
+  at most one grid alive at a time; a bad eps or content key exits 2 in
+  the input stage, before any grid is built;
 * config sections (amplitude, quadrature, tau, curve, eps, content) that are
   not JSON objects, quadrature counts and budgets that are not integers
   >= 1 (strings and bools included), a float or bool coefficient
@@ -46,13 +50,16 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oscfract.cli as cli
+from oscfract import integrals
 from oscfract.cli import main
+from oscfract.integrals import _octave_refs
 
 # no critical point in the support: the rectifiable pipeline is fast
 X_PLUS_2 = {"phase": {"n": 1, "terms": [{"k": [1], "c": 1.0}, {"k": [0], "c": 2.0}]}}
@@ -62,6 +69,17 @@ X2_Y4_1 = {
         "n": 2,
         "terms": [{"k": [2, 0], "c": 1.0}, {"k": [0, 4], "c": 1.0}, {"k": [0, 0], "c": 1.0}],
     }
+}
+# sep2d and sep3d quadrature on the windows of the benchmark's verify runs
+X2_Y4_1_VERIFY = dict(
+    X2_Y4_1, amplitude={"radius": 0.6}, tau={"min": 10.0, "max": 120.0, "count": 30}
+)
+SPHERE = {
+    "phase": {
+        "n": 3,
+        "terms": [{"k": k, "c": 1.0} for k in ([2, 0, 0], [0, 2, 0], [0, 0, 2], [0, 0, 0])],
+    },
+    "tau": {"min": 3.0, "max": 20.0, "count": 12},
 }
 # curve window calibrated for the x+2 spiral (diam/90 .. diam/2000)
 X_PLUS_2_VERIFY = dict(
@@ -335,6 +353,25 @@ def test_non_numeric_float_key_is_an_input_error(tmp_path, capsys, command, extr
     err = capsys.readouterr().err
     assert f'"{key}" must be a number, got {value}' in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ({"eps": {"curve": {"max": "1e-3"}}}, '"max" must be a number, got "1e-3"'),
+        ({"eps": {"reflected_im": {"count": 2.5}}}, '"count" must be an integer >= 1, got 2.5'),
+        ({"content": {"enabled": True, "d": True}}, '"d" must be a number, got true'),
+        ({"content": {"enabled": True, "eps": {"min": "0"}}}, '"min" must be a number, got "0"'),
+    ],
+    ids=["eps.max", "eps.count", "content.d", "content.eps.min"],
+)
+def test_verify_checks_estimator_keys_before_integrating(tmp_path, capsys, monkeypatch, extra, message):
+    builds = []
+    monkeypatch.setattr(integrals._QuadGrid, "__init__", lambda self, *a: builds.append(a))
+    assert main(["verify", "--config", _cfg(tmp_path, dict(SPHERE, **extra))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [input] ") and message in err
+    assert builds == []
 
 
 @pytest.mark.parametrize(
@@ -716,6 +753,25 @@ def test_verify_function_returns_the_cli_report(tmp_path, capsys):
         ).encode()
         assert report["pass"] is True and report["seed"] == 5
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("cfg", [X2_Y4_1_VERIFY, SPHERE], ids=["x^2+y^4+1", "sphere"])
+def test_verify_builds_each_octave_grid_once(monkeypatch, cfg):
+    # the samples, the curve and the reflected graphs share one grid per
+    # octave of the tau window, and a grid is gone before the next is built
+    refs, grids, alive = [], [], []
+    init = integrals._QuadGrid.__init__
+
+    def tracked(self, phase, amp, qcfg, tau_ref, grad_bound=None):
+        alive.append(sum(ref() is not None for ref in grids))
+        init(self, phase, amp, qcfg, tau_ref, grad_bound)
+        refs.append(tau_ref)
+        grids.append(weakref.ref(self))
+
+    monkeypatch.setattr(integrals._QuadGrid, "__init__", tracked)
+    report, curve = cli.verify(cfg)
+    assert sorted(refs) == sorted(set(_octave_refs(curve.tau, report["tau"]["max"])))
+    assert max(alive) == 0
 
 
 def test_help_lists_every_command(capsys):

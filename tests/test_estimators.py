@@ -14,6 +14,8 @@ Verified here:
   repeated points and connect=False, on a lattice diagonal whose computed
   crossing points round off their corners, on vertices a few ulps from a
   cell corner, and on a chirp with four offsets, whole or split into blocks;
+* box_count on a 50-point curve at eps = diam/30000 matches the reference
+  with a memory peak under 16 MB, far below its bounding grid's cell count;
 * box_count input validation (eps finite and positive, offsets >= 1);
 * estimate_dimension on exact power laws (recovered to machine precision),
   plateau selection across a regime crossover, the smallest-eps tiebreak,
@@ -32,6 +34,7 @@ Verified here:
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -310,6 +313,23 @@ def test_crossing_blocks_do_not_change_counts(monkeypatch):
     whole = box_count(pts, eps, offsets=2, seed=5)
     monkeypatch.setattr(estimators, "_CROSSING_BLOCK", 7)
     assert np.array_equal(box_count(pts, eps, offsets=2, seed=5), whole)
+
+
+def test_sparse_box_count_stays_small():
+    # a short smooth curve at eps = diam/30000 spans a bounding grid of
+    # about 10^9 cells but touches only about 10^5 of them: memory follows
+    # the cells marked, not the bounding box
+    th = np.linspace(0.0, 2.5, 50)
+    pts = np.column_stack([np.cos(th) * (1.0 + 0.3 * th), np.sin(th)])
+    eps = np.array([np.hypot(*np.ptp(pts, axis=0)) / 30000.0])
+    tracemalloc.start()
+    try:
+        counts = box_count(pts, eps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert np.array_equal(counts, _reference_box_count(pts, eps, 4, 0))
 
 
 @pytest.mark.parametrize(

@@ -17,12 +17,17 @@ Verified here:
 * per-octave shared grids reproduce single-tau evaluations, and the
   batched, phase-rotated pass over refined taus matches per-tau evaluation
   on the same octave grid to 1e-12 in every grid mode, across re-seeds;
+* sample_integral evaluates the refined taus of the steps it is asked to
+  plan on the sample grids, building each octave grid once, and the curve
+  and reflected graphs read them back bit for bit equal to a standalone
+  refinement, which still serves any step that was not planned;
 * winding refinement: phase advance per step bounded, original samples
   reused exactly, t-grid of the reflected graphs increasing with both
   components extracted from one pass;
 * 1D and mixed-variable phases share the streamed node tensor: summed in
   blocks of three rows it gives exactly the one-block sums in the 1d,
-  gen2d and gen3d modes;
+  gen2d and gen3d modes, and building one block peaks within 1.5 times
+  its byte budget;
 * every budget (panels, nodes, memory, refinement points) raises
   NumericBudgetError instead of degrading: separable tables stay float64,
   and a table that would fit the budget only at float32 raises; a phase
@@ -33,6 +38,7 @@ Verified here:
 """
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -44,6 +50,7 @@ from scipy.integrate import quad
 
 from oscfract import integrals
 from oscfract.integrals import (
+    REFLECTED_STEP,
     IntegralSamples,
     NumericBudgetError,
     QuadratureConfig,
@@ -253,7 +260,8 @@ def test_refined_values_match_direct_evaluation():
     assert abs(got - direct) <= 1e-7 * abs(direct)
 
     # every refined point, batched and phase-rotated, against a per-tau
-    # evaluation on the same octave grid, in each grid mode
+    # evaluation on the same octave grid (an octave of the samples' top
+    # tau), in each grid mode
     sphere = PolynomialPhase(
         3, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0, (0, 0, 0): 1.0}
     )
@@ -274,7 +282,7 @@ def test_refined_values_match_direct_evaluation():
         new = ~np.isin(curve.tau, samples.tau)
         taus = curve.tau[new]
         got = curve.points[new, 0] + 1j * curve.points[new, 1]
-        refs = _octave_refs(taus)
+        refs = _octave_refs(taus, top=samples.tau.max())
         if mode == "1d":
             assert np.sum(refs == refs.max()) > 2 * _RESEED
         for ref in np.unique(refs):
@@ -283,6 +291,42 @@ def test_refined_values_match_direct_evaluation():
             sel = refs == ref
             direct = np.array([grid.value(t) for t in taus[sel]])
             assert np.max(np.abs(got[sel] - direct) / np.abs(direct)) <= 1e-12, mode
+
+
+def test_planned_refinement_matches_standalone_refinement(monkeypatch):
+    # sample_integral evaluates the curve's and the graphs' refined taus on
+    # the sample grids, one batch per tau set, so the values are those a
+    # standalone refinement computes on the same octave grids, bit for bit
+    plain = sample_integral(X2, A1, 10.0, 80.0, 6)
+    refs = []
+    init = _QuadGrid.__init__
+
+    def counting(self, phase, amp, cfg, tau_ref, grad_bound=None):
+        refs.append(tau_ref)
+        init(self, phase, amp, cfg, tau_ref, grad_bound)
+
+    monkeypatch.setattr(_QuadGrid, "__init__", counting)
+    step = math.pi / 16.0
+    planned = sample_integral(X2, A1, 10.0, 80.0, 6, refine=(step, REFLECTED_STEP))
+    assert sorted(refs) == [10.0, 20.0, 40.0, 80.0]
+    assert set(planned.refined) == {step, REFLECTED_STEP}
+    assert np.array_equal(planned.values, plain.values)
+    refs.clear()
+    curve = curve_from_samples(planned, max_step=step)
+    re, im = reflected_pair(planned)
+    assert refs == []  # nothing left to evaluate
+    alone = curve_from_samples(plain, max_step=step)
+    assert np.array_equal(curve.tau, alone.tau)
+    assert np.array_equal(curve.points, alone.points)
+    re_alone, im_alone = reflected_pair(plain)
+    assert np.array_equal(re.x, re_alone.x) and np.array_equal(im.x, im_alone.x)
+    # a step that was not planned is evaluated on its own
+    other = curve_from_samples(planned, max_step=math.pi / 12.0)
+    assert refs and np.array_equal(
+        other.points, curve_from_samples(plain, max_step=math.pi / 12.0).points
+    )
+    with pytest.raises(ValueError, match="max_step"):
+        sample_integral(X2, A1, 10.0, 80.0, 6, refine=(math.pi / 4.0,))
 
 
 def test_zero_critical_value_skips_refinement():
@@ -366,9 +410,27 @@ def test_streamed_blocks_match_one_block(monkeypatch, mode, phase, amp, tau):
     monkeypatch.setattr(integrals, "_DOT_TERMS", 3 * m ** (n - 1))
     assert len(list(grid._iter_blocks())) == 1
     whole = grid.values(taus)
-    monkeypatch.setattr(integrals, "_BLOCK_BYTES", 16 * 3 * m ** (n - 1))
+    monkeypatch.setattr(integrals, "_BLOCK_BYTES", integrals._BLOCK_NODE_BYTES * 3 * m ** (n - 1))
     assert len(list(grid._iter_blocks())) == -(-m // 3)
     assert np.array_equal(grid.values(taus), whole)
+
+
+def test_tensor_block_peak_stays_near_its_budget(monkeypatch):
+    # rows are sized by what building a block takes, not by the 16 bytes
+    # per node the block keeps
+    monkeypatch.setattr(integrals, "_BLOCK_BYTES", 2**20)
+    mixed = _P(2, {(2, 0): 1.0, (1, 1): 2.0, (0, 2): 1.0, (0, 0): 1.0})
+    grid = _QuadGrid(mixed, AmplitudeSpec(2), QuadratureConfig(min_panels=400), 1.0)
+    assert grid.mode == "gen2d"
+    blocks = grid._iter_blocks()
+    tracemalloc.start()
+    try:
+        g, a = next(blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.size == a.size < grid.nodes_per_axis**2
+    assert peak <= 1.5 * 2**20
 
 
 def test_budget_tensor_nodes():
