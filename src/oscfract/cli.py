@@ -57,7 +57,7 @@ from oscfract.phases import (
 )
 from oscfract.predict import (
     content_from_coefficient,
-    greenblatt_coefficient,
+    greenblatt_closed_form,
     predict_1d,
     predict_2d,
     predict_nd,
@@ -360,7 +360,7 @@ def _a0beta_2d(phase: PolynomialPhase, amp: AmplitudeSpec) -> Optional[complex]:
         elif i == 0 and j >= 2:
             q = j
     if p and q:
-        return greenblatt_coefficient(p, q, amp.phi0)
+        return greenblatt_closed_form(p, q, amp.phi0)
     return None
 
 

@@ -583,7 +583,7 @@ def curve_from_samples(
     The sample grid is refined (new integral evaluations, not interpolation)
     wherever consecutive phase advance exceeds max_step (default pi/8), so
     polyline chords under-resolve the spiral by well under a percent of arc
-    length.
+    length.  Past max_points refined taus NumericBudgetError is raised.
     """
     _check_step(max_step)
     full, values = _refined_eval(samples, max_step, max_points)
@@ -591,16 +591,14 @@ def curve_from_samples(
     return CurvePolyline(pts, full)
 
 
-def reflected_pair(
-    samples: IntegralSamples, max_points: int = _MAX_POINTS
-) -> tuple[ReflectedGraph, ReflectedGraph]:
+def reflected_pair(samples: IntegralSamples) -> tuple[ReflectedGraph, ReflectedGraph]:
     """Graphs (t, Re I(1/t)) and (t, Im I(1/t)) from one refinement pass.
 
     The chirp is resolved by uniform tau steps of at most 1/(8 f(0)), i.e.
     t steps <= t^2/(8 f(0)): the oscillation e^{i tau f(0)} advances at most
     REFLECTED_STEP = 1/8 radian between points.
     """
-    full, values = _refined_eval(samples, REFLECTED_STEP, max_points)
+    full, values = _refined_eval(samples, REFLECTED_STEP, _MAX_POINTS)
     t = 1.0 / full[::-1]
     return (
         ReflectedGraph(t, values.real[::-1], "re"),

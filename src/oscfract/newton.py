@@ -2,8 +2,8 @@
 
 The polyhedron is conv(reduced support) + non-negative orthant.  Everything
 that feeds exponents downstream (distance c, remoteness beta = -1/c, the
-multiplicity of the face met by the bisector) is computed in exact rational
-arithmetic; floating point appears only in the nondegeneracy sampler.
+multiplicity of the face met by the bisector) is exact, in integers and
+Fractions; floating point appears only in the nondegeneracy sampler.
 
 One route serves every n: the polyhedron is described by the candidate
 supporting hyperplanes spanned by support points and coordinate directions,
@@ -34,7 +34,7 @@ from oscfract.phases import (
     scan_and_refine,
 )
 
-Inequality = tuple[tuple[Fraction, ...], Fraction]  # (w, ell): <w, k> >= ell on P
+Inequality = tuple[tuple[int, ...], int]  # (w, ell), coprime: <w, k> >= ell on P
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,7 @@ def _normalize_inequality(w: Sequence[int], ell: int) -> Optional[Inequality]:
     for x in w:
         g = math.gcd(g, abs(x))
     g = math.gcd(g, abs(ell))
-    return tuple(Fraction(x, g) for x in w), Fraction(ell, g)
+    return tuple(x // g for x in w), ell // g
 
 
 def _det(rows: Sequence[Sequence[int]]) -> int:
@@ -175,9 +175,9 @@ def newton_polyhedron(support: Iterable[MultiIndex]) -> NewtonPolyhedron:
     return NewtonPolyhedron(n, minimal, tuple(sorted(ineqs)))
 
 
-def _rank(rows: list[tuple[Fraction, ...]]) -> int:
+def _rank(rows: list[tuple[int, ...]]) -> int:
     """Exact rank over the rationals by Gaussian elimination."""
-    mat = [list(r) for r in rows]
+    mat = [[Fraction(x) for x in r] for r in rows]
     rank = 0
     cols = len(mat[0]) if mat else 0
     for col in range(cols):
@@ -198,7 +198,7 @@ def _rank(rows: list[tuple[Fraction, ...]]) -> int:
 
 def distance_and_remoteness(poly: NewtonPolyhedron) -> tuple[Fraction, Fraction]:
     """c = min{t : t(1,..,1) in P} and beta = -1/c, exact."""
-    c = max(ell / sum(w) for w, ell in poly.inequalities)
+    c = max(Fraction(ell, sum(w)) for w, ell in poly.inequalities)
     if c <= 0:
         raise ValueError("degenerate polyhedron: non-positive distance")
     return c, Fraction(-1, 1) / c
@@ -235,9 +235,7 @@ def _face_from_tight_set(
 ) -> Optional[CompactFace]:
     """Build the compact face cut out by a set of tight inequalities, if compact."""
     n = poly.dimension
-    wsum = [Fraction(0)] * n
-    for w, _ in tight:
-        wsum = [a + b for a, b in zip(wsum, w)]
+    wsum = [sum(col) for col in zip(*(w for w, _ in tight))]
     if any(x == 0 for x in wsum):
         return None  # no strictly positive supporting functional: unbounded face
     codim = _rank([w for w, _ in tight])
@@ -245,7 +243,7 @@ def _face_from_tight_set(
     if not pts:
         return None
     level = sum(wi * pi for wi, pi in zip(wsum, pts[0]))
-    weights = tuple(w / level for w in wsum)
+    weights = tuple(Fraction(w, level) for w in wsum)
     return CompactFace(n - codim, tuple(sorted(pts)), weights, Fraction(1))
 
 
@@ -283,17 +281,23 @@ def compact_faces(poly: NewtonPolyhedron) -> tuple[CompactFace, ...]:
     return tuple(sorted(faces.values(), key=lambda f: (f.dim, f.points)))
 
 
-def _fundamental_domain(n: int, samples: int) -> tuple[np.ndarray, float]:
-    """Points with each |x_i| on a geometric grid over [1/2, 2], all sign patterns.
+# grid points per free coordinate of each chart of the nondegeneracy scan
+_CHART_SAMPLES = 48
 
-    Returns the points and the grid's smallest spacing, the first refinement step.
+
+def _fundamental_domain(n: int) -> tuple[np.ndarray, float]:
+    """The charts {x_i = +-1, |x_j| <= 1 for j != i}, each on a uniform grid.
+
+    A face polynomial is quasi-homogeneous with positive weights w, so the
+    zeros of its gradient come in orbits t -> (t^w_1 x_1, ..., t^w_n x_n),
+    t > 0.  Every orbit off the axes meets a chart, where
+    max_i |x_i|^(1/w_i) = 1, whatever the weights.  Returns the points and
+    the grid spacing, the first refinement step.
     """
-    mags = np.geomspace(0.5, 2.0, samples)
-    grids = []
-    for signs in itertools.product((-1.0, 1.0), repeat=n):
-        axes = [s * mags for s in signs]
-        grids.append(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n))
-    return np.concatenate(grids, axis=0), float(mags[1] - mags[0])
+    axis = np.linspace(-1.0, 1.0, _CHART_SAMPLES)
+    free = np.array(list(itertools.product(axis, repeat=n - 1)))  # (1, 0) for n = 1
+    charts = [np.insert(free, i, s, axis=1) for i in range(n) for s in (-1.0, 1.0)]
+    return np.concatenate(charts), float(axis[1] - axis[0])
 
 
 def _min_residual(
@@ -321,16 +325,14 @@ def _min_residual(
 
 
 def r_nondegeneracy_check(
-    phase: PolynomialPhase,
-    faces: Optional[Sequence[CompactFace]] = None,
-    samples: int = 24,
+    phase: PolynomialPhase, faces: Optional[Sequence[CompactFace]] = None
 ):
     """Sample the face polynomials' gradients for common zeros off the axes.
 
-    For each compact face gamma the partials of f_gamma are evaluated over a
-    fundamental domain (each |x_i| in [1/2, 2], all sign patterns), with local
-    refinement around the smallest normalized residual.  Diagnostic only: a
-    pass means no counterexample was found at this resolution.
+    For each compact face gamma the partials of f_gamma are evaluated over
+    the charts of _fundamental_domain, which every dilation orbit off the
+    axes meets, with local refinement around the smallest normalized
+    residual.  Diagnostic only: a pass means no counterexample was found.
 
     A face whose polynomial is one monomial c x^k (every vertex) is not
     scanned: off the axes its gradient never vanishes, and each partial
@@ -343,7 +345,7 @@ def r_nondegeneracy_check(
         raise ValueError("nondegeneracy sampling supports n <= 3")
     if faces is None:
         faces = compact_faces(newton_polyhedron(reduced_support(phase)))
-    domain, spacing = _fundamental_domain(n, samples)
+    domain, spacing = _fundamental_domain(n)
     reports = []
     for face in faces:
         fg = face.polynomial(phase)
@@ -354,7 +356,7 @@ def r_nondegeneracy_check(
         reports.append(
             FaceCheck(face, bool(res > 1e-6), res, tuple(float(x) for x in witness))
         )
-    return NondegeneracyReport(all(r.passed for r in reports), tuple(reports), samples)
+    return NondegeneracyReport(all(r.passed for r in reports), tuple(reports))
 
 
 @dataclass(frozen=True)
@@ -369,7 +371,6 @@ class FaceCheck:
 class NondegeneracyReport:
     passed: bool
     checks: tuple[FaceCheck, ...]
-    samples: int
 
 
 def newton_diagram(phase: PolynomialPhase) -> DiagramInfo:

@@ -10,10 +10,11 @@ d = d' = 1.
 The n = 1 content constant is explicit only for critical order s = 2; for
 s >= 3 the leading coefficient must be measured from the integral itself
 (integrals.leading_term_fit) and passed to content_from_coefficient at
-beta = -1/s.  For n = 2 phases
-x^p + y^q + f0 the coefficient a_{0,beta} comes from a limit formula for
-the leading term, evaluated here both by numerical integration and in
-closed form (Beta functions), for any p, q >= 2.
+beta = -1/s.  For n = 2 phases x^p + y^q + f0 the coefficient a_{0,beta}
+comes from a limit formula for the leading term.  Predictions take it in
+closed form (Beta functions), for any p, q >= 2; greenblatt_coefficient
+evaluates the same formula by quadrature as a reference, and is the only
+code here that needs scipy, which it imports when called.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Union
-
-from scipy.integrate import quad
 
 from oscfract.newton import DiagramInfo
 
@@ -351,6 +350,8 @@ def greenblatt_coefficient(p: int, q: int, phi00: float = 1.0) -> complex:
     |y| -> inf.  For every (p, q) the result is cross-checked against
     greenblatt_closed_form to 1e-6 relative.
     """
+    from scipy.integrate import quad
+
     _validate_pq(p, q)
     beta = -1.0 / p - 1.0 / q
 

@@ -12,7 +12,9 @@ Verified here:
 
 * newton: JSON report with exact rational distance/remoteness strings and
   the nondegeneracy block, byte-identical across runs;
-* predict: 1D report on stdout, 2D report with the closed-form coefficient;
+* predict: 1D report on stdout, 2D report with the closed-form coefficient,
+  also on x^p + y^2 for p = 29..35, where the reference quadrature fails,
+  and a fresh interpreter that runs it never loads scipy;
 * integrate / curve: CSV header and row count, SVG path structure;
 * curve and verify sample a 1D phase with f(0) = 0 on the same default tau
   window, so they write the same curve.csv;
@@ -60,6 +62,7 @@ import oscfract.cli as cli
 from oscfract import integrals
 from oscfract.cli import main
 from oscfract.integrals import _octave_refs
+from oscfract.predict import greenblatt_closed_form
 
 # no critical point in the support: the rectifiable pipeline is fast
 X_PLUS_2 = {"phase": {"n": 1, "terms": [{"k": [1], "c": 1.0}, {"k": [0], "c": 2.0}]}}
@@ -155,6 +158,19 @@ def test_predict_2d_includes_coefficient_and_diagram(tmp_path, capsys):
     coeff = complex(*pred["leading_coeff"])
     assert abs(coeff) == pytest.approx(3.2131131218545580, abs=1e-9)
     assert out["newton"]["c"] == "4/3"
+
+
+@pytest.mark.parametrize("p", [29, 31, 33, 35])
+def test_predict_takes_the_closed_form_where_the_quadrature_fails(tmp_path, capsys, p):
+    # greenblatt_coefficient's quadrature does not converge on x^p + y^2 for
+    # these p; predict reads the closed form and never integrates
+    phase = {
+        "n": 2,
+        "terms": [{"k": [p, 0], "c": 1.0}, {"k": [0, 2], "c": 1.0}, {"k": [0, 0], "c": 1.0}],
+    }
+    assert main(["predict", "--config", _cfg(tmp_path, {"phase": phase})]) == 0
+    pred = json.loads(capsys.readouterr().out)["prediction"]
+    assert complex(*pred["leading_coeff"]) == greenblatt_closed_form(p, 2)
 
 
 def test_predict_rectifiable_for_linear_phase(tmp_path, capsys):
@@ -836,6 +852,26 @@ def test_config_errors_read_the_input_stage(tmp_path, capsys, command):
 
 
 # --- module entry point ---
+
+
+def test_predict_leaves_scipy_unloaded(tmp_path):
+    # a fresh interpreter: the parent test process may hold scipy already
+    cfg = _cfg(tmp_path, X2_Y4_1)
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+    code = (
+        "import sys\n"
+        "from oscfract.cli import main\n"
+        f"rc = main(['predict', '--config', {cfg!r}, '--out', {str(tmp_path / 'out')!r}])\n"
+        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    # main first prints the path it wrote; the last line is the script's
+    assert proc.stdout.splitlines()[-1] == "0 []", proc.stderr
+    assert (tmp_path / "out" / "predict.json").exists()
 
 
 def test_module_entry_point_subprocess(tmp_path):

