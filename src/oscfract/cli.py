@@ -298,8 +298,8 @@ def _diagram(phase: PolynomialPhase) -> Optional[DiagramInfo]:
 
 def _sampled(
     cfg: dict, phase: PolynomialPhase, amp: AmplitudeSpec, refine: tuple[float, ...] = ()
-) -> tuple[IntegralSamples, tuple[float, float, int]]:
-    """I(tau) on the configured tau window (min, max, count), which is also returned.
+) -> IntegralSamples:
+    """I(tau) on the configured tau window (min, max, count).
 
     The default window depends on n.  A 1D phase with a linear term or with
     f(0) = 0 traces a rectifiable curve and gets a shorter one.  refine goes
@@ -315,7 +315,7 @@ def _sampled(
         lo, hi, count = 8.0, 150.0, 30
     t = _section(cfg, "tau")
     window = (_real(t, "min", lo), _real(t, "max", hi), _count(t, "count", count))
-    return sample_integral(phase, amp, *window, _quad_from(cfg, n), refine=refine), window
+    return sample_integral(phase, amp, *window, _quad_from(cfg, n), refine=refine)
 
 
 def _curve_step(cfg: dict, phase: PolynomialPhase) -> float:
@@ -431,7 +431,7 @@ def cmd_integrate(cfg: dict, args: argparse.Namespace) -> int:
     with _stage("input"):
         phase, amp = _inputs(cfg)
     with _stage("integrate"):
-        samples, _ = _sampled(cfg, phase, amp)
+        samples = _sampled(cfg, phase, amp)
     _emit(args, "samples.csv", _csv_text(samples.tau, samples.values))
     return 0
 
@@ -441,7 +441,7 @@ def cmd_curve(cfg: dict, args: argparse.Namespace) -> int:
         phase, amp = _inputs(cfg)
         step = _curve_step(cfg, phase)
     with _stage("integrate"):
-        samples, _ = _sampled(cfg, phase, amp, refine=(step,))
+        samples = _sampled(cfg, phase, amp, refine=(step,))
     with _stage("curve"):
         curve = curve_from_samples(samples, max_step=step)
     _emit_curve(args, curve)
@@ -641,7 +641,7 @@ def verify(cfg: dict, seed: int = 0, tolerance: str = "desk") -> tuple[dict, Cur
     with _stage("predict"):
         pred = _predict(phase, amp, cfg, diagram)
     with _stage("integrate"):
-        samples, (lo, hi, count) = _sampled(cfg, phase, amp, refine=(step, REFLECTED_STEP))
+        samples = _sampled(cfg, phase, amp, refine=(step, REFLECTED_STEP))
     with _stage("curve"):
         curve = curve_from_samples(samples, max_step=step)
         graph_re, graph_im = reflected_pair(samples)
@@ -661,6 +661,7 @@ def verify(cfg: dict, seed: int = 0, tolerance: str = "desk") -> tuple[dict, Cur
             d = float(pred.curve_dim) if content_d is None else content_d
             content_est = _content(curve.points, d, content_opts)
     with _stage("report"):
+        tau = samples.tau  # geomspace keeps the window's ends exact
         d_pred = float(pred.curve_dim)
         dp_pred = float(pred.osc_dim)
         deltas = {
@@ -695,7 +696,7 @@ def verify(cfg: dict, seed: int = 0, tolerance: str = "desk") -> tuple[dict, Cur
             "phase": str(phase),
             "phase_spec": phase.to_dict(),
             "amplitude": amp.to_dict(),
-            "tau": {"min": lo, "max": hi, "count": count},
+            "tau": {"min": float(tau[0]), "max": float(tau[-1]), "count": tau.size},
             "seed": seed,
             "tolerance_profile": tolerance,
             "newton": None if diagram is None else diagram.to_dict(),

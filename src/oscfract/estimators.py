@@ -112,6 +112,19 @@ def _finite_rows(polyline: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _CROSSING_BLOCK = 1 << 15
 
 
+def _blocks(counts: np.ndarray, size: int) -> list[tuple[int, int]]:
+    """(i0, i1) ranges of whole items, about size counts each.
+
+    A cut falls before the first item whose running count reaches each
+    multiple of size, so an item of more than size counts stands alone.
+    """
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    cuts = np.searchsorted(ends, np.arange(size, total, size))
+    bounds = np.unique(np.concatenate([[0], cuts, [len(counts)]])).tolist()
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
 def _supercover_count(P: np.ndarray, Q: np.ndarray, pts: np.ndarray, height: int) -> int:
     """Number of distinct half-open unit cells touched by segments P->Q plus pts.
 
@@ -147,12 +160,7 @@ def _supercover_count(P: np.ndarray, Q: np.ndarray, pts: np.ndarray, height: int
     cnt = np.where(d != 0, np.maximum(0, hi - lo + 1), 0).astype(np.int64)
     # first gridline crossed, in the order of t
     first = np.where(d > 0, lo, hi)
-    # blocks of whole segments with about _CROSSING_BLOCK crossings each
-    ends = np.cumsum(cnt.sum(axis=0))
-    total = int(ends[-1]) if len(ends) else 0
-    cuts = np.searchsorted(ends, np.arange(_CROSSING_BLOCK, total, _CROSSING_BLOCK))
-    bounds = [0, *np.unique(cuts), P.shape[1]]
-    for s0, s1 in zip(bounds[:-1], bounds[1:]):
+    for s0, s1 in _blocks(cnt.sum(axis=0), _CROSSING_BLOCK):
         Pb, db = P[:, s0:s1], d[:, s0:s1]
         m = s1 - s0
         # end of the first piece: the first crossing with t > 0, or 1
@@ -328,13 +336,8 @@ def _row_length(A, D, eps, lo, span, y, weight, s0, cnt) -> float:
     rows s0[i] <= k < s0[i] + cnt[i].  Row k's intervals are shifted k span
     to the right, so one sort orders every row's intervals.
     """
-    ends = np.cumsum(cnt)
-    if ends[-1] == 0:
-        return 0.0
-    cuts = np.searchsorted(ends, np.arange(_INTERVAL_BLOCK, ends[-1], _INTERVAL_BLOCK))
-    bounds = np.unique(np.concatenate([[0], cuts, [len(A)]]))
     runs = []
-    for b0, b1 in zip(bounds[:-1], bounds[1:]):
+    for b0, b1 in _blocks(cnt, _INTERVAL_BLOCK):
         nb = cnt[b0:b1]
         c = np.repeat(np.arange(b0, b1), nb)
         k = np.arange(len(c)) - np.repeat(np.cumsum(nb) - nb - s0[b0:b1], nb)

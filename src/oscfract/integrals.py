@@ -166,7 +166,7 @@ _DOT_TERMS = 10_000
 # weights, phase, radius and bump temporaries, of which the block keeps 16.
 _BLOCK_BYTES = 64 * 2**20
 _BLOCK_NODE_BYTES = 72
-# refined taus per phase step, at most (the default cap of the refinements)
+# refined taus per phase step, at most
 _MAX_POINTS = 2_000_000
 # phase step of the reflected graphs' refinement
 REFLECTED_STEP = 0.125
@@ -179,7 +179,7 @@ def _batch_rows(bytes_per_tau: int) -> int:
 def _rotation_steps(taus: np.ndarray) -> np.ndarray:
     """Per tau, the step it is rotated by from the tau before it; NaN = direct exp.
 
-    A run of equal steps (to rounding), such as one gap that _refined_taus
+    A run of equal steps (to rounding), such as one gap that _refinement
     fills with a linspace, is cut into segments of at most _RESEED steps.
     Every segment of three or more taus rotates by its mean step, so a
     rotated tau stays within a few ulps of the given one; shorter segments
@@ -231,7 +231,8 @@ def _weighted_sums(taus: np.ndarray, steps: np.ndarray, blocks) -> np.ndarray:
     Each block is cut into slices of at most _DOT_TERMS nodes, and each
     slice takes one dot per tau.  A matrix-vector product over a batch of
     taus woke BLAS's worker threads too, whose spin-wait added about 15%
-    CPU time to a fold-verify pass.
+    CPU time to a fold-verify pass.  A block and everything made from it
+    are freed before the next block is built.
     """
     core = np.zeros(taus.size, dtype=complex)
     for g, a in blocks:
@@ -240,6 +241,7 @@ def _weighted_sums(taus: np.ndarray, steps: np.ndarray, blocks) -> np.ndarray:
             for lo, hi, E in _phase_rows(taus, steps, gs, _batch_rows(16 * gs.size)):
                 for k in range(hi - lo):
                     core[lo + k] += E[k] @ a_s
+        del g, a, gs, a_s, E
     return core
 
 
@@ -513,58 +515,49 @@ def sample_integral(
 
     refine lists the phase steps that curve_from_samples (its max_step) and
     reflected_pair (REFLECTED_STEP) will refine at.  Refined taus depend
-    only on the sample taus and f(0), so I at each step's new taus (at most
-    _MAX_POINTS per step) is evaluated here, on the octave grids built for
-    the samples, and kept on the result for those two to read.
+    only on the sample taus and f(0), so I at each distinct step's new taus
+    (at most _MAX_POINTS per step) is evaluated here, once, on the octave
+    grids built for the samples, and kept on the result for those two to
+    read.
     """
     if not 0 < tau_min < tau_max < math.inf:
         raise ValueError(f"need 0 < tau_min < tau_max < inf, got [{tau_min}, {tau_max}]")
     if count < 2:
         raise ValueError(f"count must be >= 2, got {count}")
-    for step in refine:
+    steps = list(dict.fromkeys(float(step) for step in refine))
+    for step in steps:
         _check_step(step)
     cfg = cfg or QuadratureConfig()
     taus = np.geomspace(tau_min, tau_max, count)
     L = gradient_bound(phase, amp)
-    extra = [_refinement(taus, phase, step, _MAX_POINTS) for step in refine]
+    extra = [_refinement(taus, phase, step) for step in steps]
     values, *refined = _eval_many(
         phase, amp, cfg, [taus] + [full[new] for full, new in extra], L, float(taus.max())
     )
-    by_step = {float(step): v for step, v in zip(refine, refined)}
+    by_step = dict(zip(steps, refined))
     return IntegralSamples(taus, values, phase, amp, cfg, L, by_step)
 
 
-def _refined_taus(taus: np.ndarray, max_step: float, cap: int) -> np.ndarray:
-    """Insert uniform tau points so consecutive gaps stay below max_step."""
-    if not np.isfinite(max_step) or max_step <= 0:
-        return taus
-    gaps = np.diff(taus)
-    extra = np.ceil(gaps / max_step).astype(int) - 1
-    extra = np.maximum(extra, 0)
-    total = taus.size + int(extra.sum())
-    if total > cap:
-        raise NumericBudgetError(
-            f"winding refinement needs {total} curve points (cap {cap}); "
-            "raise the cap or narrow the tau range"
-        )
-    if extra.sum() == 0:
-        return taus
-    pieces = [taus[:1]]
-    for i, k in enumerate(extra):
-        seg = np.linspace(taus[i], taus[i + 1], k + 2)[1:]
-        pieces.append(seg)
-    return np.concatenate(pieces)
-
-
 def _refinement(
-    taus: np.ndarray, phase: PolynomialPhase, phase_step: float, max_points: int
+    taus: np.ndarray, phase: PolynomialPhase, phase_step: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(full, new): taus refined so that tau f(0) advances at most phase_step.
+    """(full, new): uniform taus inserted so that tau f(0) advances at most phase_step.
 
-    new marks the refined taus that are not in taus.
+    new marks the refined taus that are not in taus.  Past _MAX_POINTS taus
+    NumericBudgetError is raised.
     """
     f0 = abs(phase.value_at_origin)
-    full = _refined_taus(taus, phase_step / f0, max_points) if f0 > 0 else taus
+    if f0 == 0.0:
+        return taus, np.zeros(taus.size, dtype=bool)
+    extra = np.maximum(np.ceil(np.diff(taus) / (phase_step / f0)).astype(int) - 1, 0)
+    total = taus.size + int(extra.sum())
+    if total > _MAX_POINTS:
+        raise NumericBudgetError(
+            f"winding refinement needs {total} curve points (cap {_MAX_POINTS}); "
+            "narrow the tau range or raise max_step"
+        )
+    pieces = [np.linspace(taus[i], taus[i + 1], k + 2)[1:] for i, k in enumerate(extra)]
+    full = np.concatenate([taus[:1], *pieces])
     return full, ~np.isin(full, taus)
 
 
@@ -573,59 +566,41 @@ def _check_step(phase_step: float) -> None:
         raise ValueError(f"max_step must be in (0, pi/8], got {phase_step}")
 
 
-def curve_from_samples(
-    samples: IntegralSamples,
-    max_step: float = math.pi / 8.0,
-    max_points: int = _MAX_POINTS,
-) -> CurvePolyline:
+def curve_from_samples(samples: IntegralSamples, max_step: float = math.pi / 8.0) -> CurvePolyline:
     """Polyline (Re I, Im I) with the winding resolved: steps of tau f(0) <= max_step.
 
     The sample grid is refined (new integral evaluations, not interpolation)
     wherever consecutive phase advance exceeds max_step (default pi/8), so
     polyline chords under-resolve the spiral by well under a percent of arc
-    length.  Past max_points refined taus NumericBudgetError is raised.
+    length.  Values at the sample taus are reused, and so are those that
+    sample_integral evaluated at this step; only the other new taus are
+    evaluated, on the octave grids of the samples' top tau.
     """
     _check_step(max_step)
-    full, values = _refined_eval(samples, max_step, max_points)
-    pts = np.column_stack([values.real, values.imag])
-    return CurvePolyline(pts, full)
-
-
-def reflected_pair(samples: IntegralSamples) -> tuple[ReflectedGraph, ReflectedGraph]:
-    """Graphs (t, Re I(1/t)) and (t, Im I(1/t)) from one refinement pass.
-
-    The chirp is resolved by uniform tau steps of at most 1/(8 f(0)), i.e.
-    t steps <= t^2/(8 f(0)): the oscillation e^{i tau f(0)} advances at most
-    REFLECTED_STEP = 1/8 radian between points.
-    """
-    full, values = _refined_eval(samples, REFLECTED_STEP, _MAX_POINTS)
-    t = 1.0 / full[::-1]
-    return (
-        ReflectedGraph(t, values.real[::-1], "re"),
-        ReflectedGraph(t, values.imag[::-1], "im"),
-    )
-
-
-def _refined_eval(
-    samples: IntegralSamples, phase_step: float, max_points: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Taus refined so that tau f(0) advances at most phase_step, and I on them.
-
-    Values at the sample taus are reused, and so are those sample_integral
-    evaluated at this phase step; only the other new taus are evaluated, on
-    the octave grids of the samples' top tau.
-    """
-    full, new = _refinement(samples.tau, samples.phase, phase_step, max_points)
+    full, new = _refinement(samples.tau, samples.phase, max_step)
     values = np.empty(full.size, dtype=complex)
     values[~new] = samples.values[np.searchsorted(samples.tau, full[~new])]
-    known = samples.refined.get(float(phase_step))
+    known = samples.refined.get(float(max_step))
     if known is None:
         (known,) = _eval_many(
             samples.phase, samples.amp, samples.cfg, [full[new]],
             samples.grad_bound, float(samples.tau.max()),
         )
     values[new] = known
-    return full, values
+    return CurvePolyline(np.column_stack([values.real, values.imag]), full)
+
+
+def reflected_pair(samples: IntegralSamples) -> tuple[ReflectedGraph, ReflectedGraph]:
+    """Graphs (t, Re I(1/t)) and (t, Im I(1/t)): the curve at REFLECTED_STEP, reversed.
+
+    The chirp is resolved by uniform tau steps of at most 1/(8 f(0)), i.e.
+    t steps <= t^2/(8 f(0)): the oscillation e^{i tau f(0)} advances at most
+    REFLECTED_STEP = 1/8 radian between points.
+    """
+    curve = curve_from_samples(samples, REFLECTED_STEP)
+    t = 1.0 / curve.tau[::-1]
+    pts = curve.points[::-1]
+    return ReflectedGraph(t, pts[:, 0], "re"), ReflectedGraph(t, pts[:, 1], "im")
 
 
 def leading_term_fit(

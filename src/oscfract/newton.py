@@ -176,24 +176,14 @@ def newton_polyhedron(support: Iterable[MultiIndex]) -> NewtonPolyhedron:
 
 
 def _rank(rows: list[tuple[int, ...]]) -> int:
-    """Exact rank over the rationals by Gaussian elimination."""
-    mat = [[Fraction(x) for x in r] for r in rows]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        pv = mat[rank][col]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                factor = mat[r][col] / pv
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
+    """Exact rank: the order of the largest nonzero minor, by _det."""
+    n = len(rows[0]) if rows else 0
+    for k in range(min(len(rows), n), 0, -1):
+        for sub in itertools.combinations(rows, k):
+            for cols in itertools.combinations(range(n), k):
+                if _det([[r[j] for j in cols] for r in sub]):
+                    return k
+    return 0
 
 
 def distance_and_remoteness(poly: NewtonPolyhedron) -> tuple[Fraction, Fraction]:

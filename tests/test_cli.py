@@ -30,6 +30,9 @@ Verified here:
   wiring (desk passes where strict fails), exit 1 when the window is forced
   into the coarse transient, exit 2 on malformed input, exit 3 on numeric
   budgets, and report byte-determinism;
+* verify gates content: on the fold fixture with content on, the check
+  reads M_hat / predicted - 1 and fails the run, and against a degenerate
+  prediction only a degenerate-infinity or inconclusive verdict passes;
 * verify on x^2+y^4+1 and the sphere builds each octave grid of its tau
   window once, for the samples, the curve and the reflected graphs, with
   at most one grid alive at a time; a bad eps or content key exits 2 in
@@ -62,7 +65,9 @@ import oscfract.cli as cli
 from oscfract import integrals
 from oscfract.cli import main
 from oscfract.integrals import _octave_refs
-from oscfract.predict import greenblatt_closed_form
+from oscfract.newton import newton_diagram
+from oscfract.phases import PolynomialPhase
+from oscfract.predict import greenblatt_closed_form, predict_2d
 
 # no critical point in the support: the rectifiable pipeline is fast
 X_PLUS_2 = {"phase": {"n": 1, "terms": [{"k": [1], "c": 1.0}, {"k": [0], "c": 2.0}]}}
@@ -769,6 +774,29 @@ def test_verify_function_returns_the_cli_report(tmp_path, capsys):
         ).encode()
         assert report["pass"] is True and report["seed"] == 5
     capsys.readouterr()
+
+
+def test_verify_gates_content_against_the_prediction(tmp_path, capsys):
+    path = _cfg(tmp_path, dict(FOLD_VERIFY, content={"enabled": True}))
+    assert main(["verify", "--config", path, "--out", str(tmp_path / "out")]) == 1
+    capsys.readouterr()
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    m_hat = report["measured"]["content"]["M_hat"]
+    rel = m_hat / report["predicted"]["content"] - 1.0
+    check = report["checks"]["content"]
+    assert check["rel_delta"] == report["deltas"]["content_rel"] == rel
+    assert check["rtol"] == cli._CONTENT_RTOL < abs(rel)
+    assert check["pass"] is False and report["pass"] is False
+    assert report["checks"]["curve_dim"]["pass"] is True
+
+
+def test_content_verdict_against_a_degenerate_prediction():
+    # x^2 y^2 + 1: the bisector meets a vertex, multiplicity 1
+    pred = predict_2d(newton_diagram(PolynomialPhase(2, {(2, 2): 1.0, (0, 0): 1.0})), 1.0)
+    assert pred.degenerate and not pred.rectifiable
+    verdicts = ("nondegenerate", "degenerate-infinity", "degenerate-zero", "inconclusive")
+    accepted = [v for v in verdicts if cli._verdict_consistent(pred, v)]
+    assert accepted == ["degenerate-infinity", "inconclusive"]
 
 
 @pytest.mark.parametrize("cfg", [X2_Y4_1_VERIFY, SPHERE], ids=["x^2+y^4+1", "sphere"])

@@ -18,16 +18,18 @@ Verified here:
   batched, phase-rotated pass over refined taus matches per-tau evaluation
   on the same octave grid to 1e-12 in every grid mode, across re-seeds;
 * sample_integral evaluates the refined taus of the steps it is asked to
-  plan on the sample grids, building each octave grid once, and the curve
-  and reflected graphs read them back bit for bit equal to a standalone
-  refinement, which still serves any step that was not planned;
+  plan on the sample grids, building each octave grid once and evaluating
+  a step listed twice once, and the curve and reflected graphs read them
+  back bit for bit equal to a standalone refinement, which still serves
+  any step that was not planned;
 * winding refinement: phase advance per step bounded, original samples
   reused exactly, t-grid of the reflected graphs increasing with both
   components extracted from one pass;
 * 1D and mixed-variable phases share the streamed node tensor: summed in
   blocks of three rows it gives exactly the one-block sums in the 1d,
-  gen2d and gen3d modes, and building one block peaks within 1.5 times
-  its byte budget;
+  gen2d and gen3d modes, building one block peaks within 1.5 times its
+  byte budget, and a pass over 45 blocks within 1.3 times, since each
+  block is freed before the next is built;
 * every budget (panels, nodes, memory, refinement points) raises
   NumericBudgetError instead of degrading: separable tables stay float64,
   and a table that would fit the budget only at float32 raises; a phase
@@ -329,6 +331,22 @@ def test_planned_refinement_matches_standalone_refinement(monkeypatch):
         sample_integral(X2, A1, 10.0, 80.0, 6, refine=(math.pi / 4.0,))
 
 
+def test_each_distinct_step_is_planned_once(monkeypatch):
+    # a curve refined at REFLECTED_STEP shares the graphs' evaluations
+    evaluated = []
+    values = _QuadGrid.values
+
+    def counting(self, taus):
+        evaluated.extend(np.asarray(taus).tolist())
+        return values(self, taus)
+
+    monkeypatch.setattr(_QuadGrid, "values", counting)
+    samples = sample_integral(X2, A1, 10.0, 80.0, 6, refine=(REFLECTED_STEP, 0.125))
+    assert list(samples.refined) == [REFLECTED_STEP]
+    curve = curve_from_samples(samples, max_step=0.125)
+    assert sorted(evaluated) == sorted(curve.tau)
+
+
 def test_zero_critical_value_skips_refinement():
     phase = PolynomialPhase(1, {(2,): 1.0})  # f(0) = 0
     samples = sample_integral(phase, A1, 10.0, 100.0, 7)
@@ -433,16 +451,35 @@ def test_tensor_block_peak_stays_near_its_budget(monkeypatch):
     assert peak <= 1.5 * 2**20
 
 
+def test_streamed_sums_free_each_block_before_the_next(monkeypatch):
+    # the sums let go of a block, its slices and its phase rows before the
+    # generator builds the next block, so two blocks are never alive at once
+    budget = 4 * 2**20
+    monkeypatch.setattr(integrals, "_BLOCK_BYTES", budget)
+    mixed = _P(2, {(2, 0): 1.0, (1, 1): 2.0, (0, 2): 1.0, (0, 0): 1.0})
+    grid = _QuadGrid(mixed, AmplitudeSpec(2), QuadratureConfig(min_panels=400), 1.0)
+    assert grid.mode == "gen2d"
+    assert len(list(grid._iter_blocks())) == 45
+    tracemalloc.start()
+    try:
+        grid.values(np.array([0.2, 0.5, 1.0]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * budget
+
+
 def test_budget_tensor_nodes():
     mixed = PolynomialPhase(2, {(2, 0): 1.0, (1, 1): 1.0, (0, 2): 1.0, (0, 0): 1.0})
     with pytest.raises(NumericBudgetError):
         eval_integral(mixed, AmplitudeSpec(2), 20.0, QuadratureConfig(max_nodes=10_000))
 
 
-def test_budget_refinement_points():
+def test_budget_refinement_points(monkeypatch):
     samples = sample_integral(X2, A1, 1.0, 100.0, 2)
+    monkeypatch.setattr(integrals, "_MAX_POINTS", 50)
     with pytest.raises(NumericBudgetError):
-        curve_from_samples(samples, max_points=50)
+        curve_from_samples(samples)
 
 
 def test_config_validation():

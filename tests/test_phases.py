@@ -13,7 +13,8 @@ Verified here:
 * bump profile support, the weighted profile phi0 * bump(|x/R|^2) against
   its closed form, and amplitude validation;
 * the critical-point scan passes phases with an isolated critical point at
-  the origin and flags a second interior critical point.
+  the origin, degenerate ones of order up to 9 included, and flags second
+  interior critical points, isolated or along a curve.
 """
 
 import math
@@ -222,6 +223,45 @@ def test_critical_point_scan_flags_second_zero():
     rep = verify_isolated_critical_point(phase, AmplitudeSpec(1))
     assert not rep.passed
     assert min(abs(rep.point[0] - 0.25), abs(rep.point[0] - 0.5)) < 1e-3
+
+
+_P = PolynomialPhase
+
+
+@pytest.mark.parametrize(
+    "phase",
+    [_P(1, {(s,): 1.0, (0,): 1.0}) for s in range(5, 10)]
+    + [
+        _P(1, {(5,): -1.0, (0,): 1.0}),
+        _P(1, {(6,): -1.0, (0,): 1.0}),
+        _P(2, {(2, 0): 1.0, (0, 6): 1.0, (0, 0): 1.0}),
+        _P(2, {(2, 0): 1.0, (0, 8): 1.0, (0, 0): 1.0}),
+        _P(3, {(6, 0, 0): 1.0, (0, 6, 0): 1.0, (0, 0, 6): 1.0}),
+    ],
+    ids=str,
+)
+def test_critical_point_scan_accepts_degenerate_origin(phase):
+    # the refined minimum is the origin's own zero, seen at the annulus's
+    # inner edge far below the threshold; |grad f| falls further inward
+    rep = verify_isolated_critical_point(phase, AmplitudeSpec(phase.dimension))
+    assert rep.min_gradient <= 1e-7 * rep.median_gradient
+    assert rep.passed
+
+
+@pytest.mark.parametrize(
+    "phase",
+    [
+        _P(1, {(4,): 1.0, (2,): -0.5, (0,): 1 / 16}),  # (x^2 - 1/4)^2
+        _P(2, {(2, 0): 1.0, (0, 4): 1.0, (0, 2): -0.5, (0, 0): 1 / 16}),  # x^2 + (y^2 - 1/4)^2
+        # (x^2 + y^2 - 1/4)^2: a circle of critical points
+        _P(2, {(4, 0): 1.0, (2, 2): 2.0, (0, 4): 1.0, (2, 0): -0.5, (0, 2): -0.5, (0, 0): 1 / 16}),
+    ],
+    ids=str,
+)
+def test_critical_point_scan_flags_zeros_away_from_origin(phase):
+    rep = verify_isolated_critical_point(phase, AmplitudeSpec(phase.dimension))
+    assert not rep.passed
+    assert math.hypot(*rep.point) == pytest.approx(0.5, abs=1e-3)
 
 
 def test_critical_point_scan_dimension_cap():

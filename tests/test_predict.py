@@ -13,6 +13,10 @@ Verified here:
 * branch order: f(0) = 0 is rectifiable before the n > 2 hypothesis is
   checked, and a multiplicity-1 diagram ignores a supplied coefficient;
 * caustic family validation and the k -> infinity limit dimension;
+* the caustic table against the Newton route: the normal forms
+  x^(k+1) + y^2 + 1 (A_k, k = 1..8) and x^2 y +- y^(k-1) + 1 (D_k,
+  k = 4..9) give the table's beta with multiplicity 0, pass the
+  R-nondegeneracy check, and predict_2d gives the table's curve dimension;
 * the leading-coefficient quadrature matches the closed form for every
   2 <= p, q <= 12, odd exponents included, to 1e-6, and both match the
   frozen modulus for (2, 4); a property test extends the match to
@@ -33,7 +37,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 
-from oscfract.newton import newton_diagram
+from oscfract.newton import newton_diagram, r_nondegeneracy_check
 from oscfract.phases import PolynomialPhase
 from oscfract.predict import (
     CausticType,
@@ -240,6 +244,26 @@ def test_caustic_families():
         CausticType("D", 3, 2)
     with pytest.raises(ValueError):
         CausticType("D", 4, 1)
+
+
+@pytest.mark.parametrize(
+    "family, k, phase",
+    [("A", k, PolynomialPhase(2, {(k + 1, 0): 1.0, (0, 2): 1.0, (0, 0): 1.0})) for k in range(1, 9)]
+    + [
+        ("D", k, PolynomialPhase(2, {(2, 1): 1.0, (0, k - 1): sign, (0, 0): 1.0}))
+        for k in range(4, 10)
+        for sign in (1.0, -1.0)
+    ],
+    ids=str,
+)
+def test_caustic_table_matches_the_newton_route(family, k, phase):
+    diagram = newton_diagram(phase)
+    caustic = caustic_prediction(CausticType(family, k, 2))
+    assert diagram.remoteness == caustic.beta
+    assert diagram.multiplicity == 0
+    assert r_nondegeneracy_check(phase, diagram.faces).passed
+    # A_1 sits at beta = -1, which both routes read as d = 1
+    assert predict_2d(diagram, 1.0).curve_dim == caustic.curve_dim
 
 
 def test_caustic_dimension_increases_toward_limit():
