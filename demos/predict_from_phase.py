@@ -20,7 +20,6 @@ from oscfract.predict import (
     caustic_prediction,
     greenblatt_coefficient,
     predict_1d,
-    predict_2d,
     predict_nd,
     predict_no_critical_point,
 )
@@ -52,29 +51,35 @@ show("x + 2 (no crit pt)", predict_no_critical_point(2.0))
 # 2. Two variables: remoteness is read off the Newton diagram.  For
 #    x^p + y^q the leading coefficient has a closed form, so the content
 #    of the x^2 + y^4 curve is again explicit.  (p, q) = (2, 2) sits on the
-#    beta = -1 boundary where the curve is marginally rectifiable and no
-#    coefficient applies.
+#    beta = -1 boundary: d = 1, but the curve's length grows like log tau,
+#    and no coefficient applies.
 print("\ntwo-dimensional phases")
 for p, q in ((2, 2), (2, 4), (3, 5)):
     phase = PolynomialPhase(2, {(p, 0): 1.0, (0, q): 1.0, (0, 0): 1.0})
     info = newton_diagram(phase)
     a = None if (p, q) == (2, 2) else greenblatt_coefficient(p, q)
-    show(f"x^{p} + y^{q} + 1", predict_2d(info, 1.0, a0beta=a))
+    show(f"x^{p} + y^{q} + 1", predict_nd(info, 1.0, a))
 
 # A vertex on the bisector has multiplicity 1: the leading term picks up a
 # log tau and the content degenerates to infinity at the same dimension.
 vertex = PolynomialPhase(2, {(2, 2): 1.0, (5, 0): 1.0, (0, 5): 1.0, (0, 0): 1.0})
 info = newton_diagram(vertex)
-show("x^2y^2 + x^5 + y^5 + 1", predict_2d(info, 1.0))
+show("x^2y^2 + x^5 + y^5 + 1", predict_nd(info, 1.0))
 
-# 3. Three and more variables: the analogous coefficients have no general
-#    algorithm, so the caller asserts how many of them vanish
-#    (coeff_hypothesis = largest k with a nonzero log^k coefficient).
+# 3. Three and more variables: the same function reads the log power off
+#    the diagram.  x^2y^2 + x^6 + y^6 + z^4 meets the bisector on the edge
+#    (2,2,0)-(0,0,4), so its multiplicity is 1 and its content infinite.
 print("\nhigher-dimensional phases")
 sphere = PolynomialPhase(3, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0, (0, 0, 0): 1.0})
-show("x^2+y^2+z^2+1", predict_nd(newton_diagram(sphere), 1.0, coeff_hypothesis=0))
+show("x^2+y^2+z^2+1", predict_nd(newton_diagram(sphere), 1.0))
 quartic = PolynomialPhase(3, {(4, 0, 0): 1.0, (0, 4, 0): 1.0, (0, 0, 4): 1.0, (0, 0, 0): 1.0})
-show("x^4+y^4+z^4+1", predict_nd(newton_diagram(quartic), 1.0, coeff_hypothesis=0))
+show("x^4+y^4+z^4+1", predict_nd(newton_diagram(quartic), 1.0))
+edge = PolynomialPhase(
+    3, {(2, 2, 0): 1.0, (6, 0, 0): 1.0, (0, 6, 0): 1.0, (0, 0, 4): 1.0, (0, 0, 0): 1.0}
+)
+logged = predict_nd(newton_diagram(edge), 1.0)
+show("x^2y^2+x^6+y^6+z^4+1", logged)
+assert logged.multiplicity_K == 1 and logged.degenerate
 
 # 4. Caustics: near an A_k or D_k point of a caustic the normal forms give
 #    beta directly, and d increases toward 4/(1+n) as k grows.

@@ -9,6 +9,8 @@ estimates the same quantities from geometry alone.  Agreement of the two
 routes is the verification criterion exposed by the CLI.
 """
 
+from math import gamma
+
 from oscfract.phases import (
     AmplitudeSpec,
     PolynomialPhase,
@@ -17,7 +19,6 @@ from oscfract.phases import (
     verify_isolated_critical_point,
 )
 from oscfract.newton import DiagramInfo, newton_diagram, r_nondegeneracy_check
-from oscfract.specfun import gamma
 from oscfract.predict import (
     AsymptoticPrediction,
     CausticType,
@@ -26,7 +27,6 @@ from oscfract.predict import (
     greenblatt_coefficient,
     greenblatt_closed_form,
     predict_1d,
-    predict_2d,
     predict_nd,
     predict_no_critical_point,
 )
@@ -91,7 +91,6 @@ __all__ = [
     "newton_diagram",
     "partial_derivative",
     "predict_1d",
-    "predict_2d",
     "predict_nd",
     "predict_no_critical_point",
     "r_nondegeneracy_check",

@@ -59,7 +59,6 @@ from oscfract.predict import (
     content_from_coefficient,
     greenblatt_closed_form,
     predict_1d,
-    predict_2d,
     predict_nd,
     predict_no_critical_point,
 )
@@ -135,15 +134,15 @@ def _quad_from(cfg: dict, n: int) -> QuadratureConfig:
         raise ValueError(f"malformed quadrature config: {exc}") from exc
 
 
-def _count(spec: dict, key: str, default: int, least: int = 1) -> int:
-    """spec[key] (default when absent) as an integer >= least.
+def _count(spec: dict, key: str, default: int) -> int:
+    """spec[key] (default when absent) as an integer >= 1.
 
     Floats and bools are refused rather than truncated, as QuadratureConfig
     does for its counts.
     """
     v = spec.get(key, default)
-    if isinstance(v, bool) or not isinstance(v, int) or v < least:
-        raise ValueError(f'"{key}" must be an integer >= {least}, got {json.dumps(v)}')
+    if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+        raise ValueError(f'"{key}" must be an integer >= 1, got {json.dumps(v)}')
     return v
 
 
@@ -364,7 +363,7 @@ def _a0beta_2d(phase: PolynomialPhase, amp: AmplitudeSpec) -> Optional[complex]:
     return None
 
 
-def _predict(phase: PolynomialPhase, amp: AmplitudeSpec, cfg: dict, diagram):
+def _predict(phase: PolynomialPhase, amp: AmplitudeSpec, diagram):
     n = phase.dimension
     f0 = phase.value_at_origin
     if _has_linear_term(phase):
@@ -373,12 +372,9 @@ def _predict(phase: PolynomialPhase, amp: AmplitudeSpec, cfg: dict, diagram):
         s = critical_order_1d(phase)
         f_second = 2.0 * phase.terms.get((2,), 0.0) if s == 2 else None
         return predict_1d(s, f0, amp.phi0, f_second)
-    if n == 2:
-        return predict_2d(diagram, f0, _a0beta_2d(phase, amp))
-    hyp = cfg.get("coeff_hypothesis", 0)
-    if hyp is not None:
-        hyp = _count(cfg, "coeff_hypothesis", 0, least=0)
-    return predict_nd(diagram, f0, hyp)
+    # the coefficient enters only the content, which exists for beta > -1
+    leading = _a0beta_2d(phase, amp) if n == 2 and diagram.remoteness > -1 else None
+    return predict_nd(diagram, f0, leading)
 
 
 def _validate_phase(phase: PolynomialPhase, amp: AmplitudeSpec) -> None:
@@ -419,7 +415,7 @@ def cmd_predict(cfg: dict, args: argparse.Namespace) -> int:
     with _stage("newton"):
         diagram = _diagram(phase)
     with _stage("predict"):
-        pred = _predict(phase, amp, cfg, diagram)
+        pred = _predict(phase, amp, diagram)
         out = {"phase": str(phase), "prediction": pred.to_dict()}
         if diagram is not None:
             out["newton"] = diagram.to_dict()
@@ -639,7 +635,7 @@ def verify(cfg: dict, seed: int = 0, tolerance: str = "desk") -> tuple[dict, Cur
     with _stage("newton"):
         diagram = _diagram(phase)
     with _stage("predict"):
-        pred = _predict(phase, amp, cfg, diagram)
+        pred = _predict(phase, amp, diagram)
     with _stage("integrate"):
         samples = _sampled(cfg, phase, amp, refine=(step, REFLECTED_STEP))
     with _stage("curve"):

@@ -64,17 +64,15 @@ class DiagramInfo:
     faces: tuple[CompactFace, ...]
     distance: Fraction
     remoteness: Fraction
-    multiplicity: int
-    is_remote: bool
-    center_points: tuple[MultiIndex, ...]  # support points on the face met by the bisector
-    center_codim: int
+    multiplicity: int  # n - 1 - dim of the face met by the bisector
+    center_points: tuple[MultiIndex, ...]  # support points on that face
 
     def to_dict(self) -> dict:
         return {
             "c": str(self.distance),
             "beta": str(self.remoteness),
             "multiplicity": self.multiplicity,
-            "remote": self.is_remote,
+            "remote": self.distance > 1,
             "faces": [
                 {
                     "dim": f.dim,
@@ -366,9 +364,9 @@ class NondegeneracyReport:
 def newton_diagram(phase: PolynomialPhase) -> DiagramInfo:
     """Full diagram data for a phase: faces, c, beta, multiplicity, bisector face.
 
-    For n > 3 the face list is empty; c, beta, the multiplicity and the
-    bisector face's support points are exact for every n, and they are all
-    that the n > 2 prediction route consumes.
+    c, beta, the multiplicity and the bisector face's support points are
+    exact for every n; the predictions read beta and the multiplicity.  For
+    n > 3 the face list is empty.
     """
     n = phase.dimension
     poly = newton_polyhedron(reduced_support(phase))
@@ -378,4 +376,4 @@ def newton_diagram(phase: PolynomialPhase) -> DiagramInfo:
     codim = _rank([w for w, _ in tight])
     center_pts = tuple(_points_on(poly, tight))
     faces = compact_faces(poly) if n <= 3 else ()
-    return DiagramInfo(n, faces, c, beta, codim - 1, c > 1, center_pts, codim)
+    return DiagramInfo(n, faces, c, beta, codim - 1, center_pts)

@@ -10,6 +10,7 @@ reproducible.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from numbers import Integral, Real
@@ -187,27 +188,62 @@ def bump_profile(u) -> np.ndarray:
     return out
 
 
+def _dips(grid: np.ndarray, vals: np.ndarray, spacing: float) -> np.ndarray:
+    """Indices of the grid's local minima, smallest value first.
+
+    The points lie on a lattice of the given spacing.  A point is a local
+    minimum when it is below each of the up to 3^n - 1 points one step
+    away, ties going to the smaller index, so a plateau gives one point.  A
+    point listed twice counts once.
+    """
+    # C-order cell numbers, with a free cell on each side; a scan grid has far
+    # fewer than 2^31 cells, and int32 keeps the scan's memory peak down
+    shape, cells = [], np.zeros(len(grid), dtype=np.int32)
+    for col in grid.T:
+        k = np.rint((col - col.min()) / spacing).astype(np.int32) + 1
+        shape.append(int(k.max()) + 2)
+        cells = cells * shape[-1] + k
+    m = len(grid)
+    # the smallest index of the points in each cell, m in an empty one
+    owner = np.full(math.prod(shape), m, dtype=np.min_scalar_type(m))
+    np.minimum.at(owner, cells, np.arange(m, dtype=owner.dtype))
+    v = np.append(vals, np.inf)  # an empty cell beats nothing
+    strides = [math.prod(shape[i + 1 :]) for i in range(len(shape))]
+    dips = np.arange(m)
+    # axis neighbours first: along smooth slopes they drop the most points
+    for step in sorted(itertools.product((-1, 0, 1), repeat=len(shape)), key=np.count_nonzero):
+        offset = sum(s * t for s, t in zip(step, strides))
+        if offset:
+            nb = owner[cells[dips] + offset]
+            dips = dips[(v[dips] < v[nb]) | ((v[dips] == v[nb]) & (dips < nb))]
+    dips = dips[owner[cells[dips]] == dips]  # the first copy of a repeated point
+    return dips[np.lexsort((dips, vals[dips]))]
+
+
 def scan_and_refine(func, grid: np.ndarray, spacing: float, rounds: int, admissible):
     """Smallest value of func over a grid of admissible points, refined locally.
 
-    The 8 smallest values of the scan seed `rounds` rounds of refinement:
+    The grid lies on a lattice of the given spacing.  The best point of each
+    of the 8 deepest local dips of the scan seeds its own refinement, so a
+    zero away from the deepest dip is still refined: for `rounds` rounds,
     func is evaluated on a 5^n stencil of half-width `spacing` around each
-    candidate, the 8 best admissible points are kept, and the spacing is
-    divided by 4.  `admissible` maps an (m, n) array of points to a boolean
-    mask.  Returns (smallest value, its point, the scan's values).
+    candidate, each candidate moves to the best admissible point of its
+    stencil, and the spacing is divided by 4.  `admissible` maps an (m, n)
+    array of points to a boolean mask.  Returns (smallest value, its point,
+    the scan's values).
     """
     n = grid.shape[-1]
     vals = func(grid)
-    cand = grid[np.argsort(vals)[:8]]
+    cand = grid[_dips(grid, vals, spacing)[:8]]
     local = np.stack(
         np.meshgrid(*([np.linspace(-1.0, 1.0, 5)] * n), indexing="ij"), axis=-1
     ).reshape(-1, n)
+    rows = np.arange(len(cand))
     for _ in range(rounds):
-        pts = (cand[:, None, :] + spacing * local[None, :, :]).reshape(-1, n)
-        pts = pts[admissible(pts)]
-        if pts.size == 0:
-            break
-        cand = pts[np.argsort(func(pts))[:8]]
+        pts = cand[:, None, :] + spacing * local[None, :, :]
+        flat = pts.reshape(-1, n)
+        cost = np.where(admissible(flat), func(flat), np.inf).reshape(len(cand), -1)
+        cand = pts[rows, np.argmin(cost, axis=1)]
         spacing /= 4.0
     best = func(cand)
     i = int(np.argmin(best))
@@ -229,10 +265,11 @@ def verify_isolated_critical_point(
 ) -> CriticalPointReport:
     """Scan |grad f| over the annulus {delta <= |x| <= R} for a second critical point.
 
-    Uniform grid scan followed by local subdivision refinement around the
-    smallest values.  The verdict compares the refined minimum against the
-    annulus median: a true interior zero is driven many orders of magnitude
-    below the median, while a minimum pinned to the annulus boundary is not.
+    Uniform grid scan followed by local subdivision refinement in each of
+    the deepest dips of the scan.  The verdict compares the refined minimum
+    against the annulus median: a true interior zero is driven many orders
+    of magnitude below the median, while a minimum pinned to the annulus
+    boundary is not.
     A degenerate origin drives |grad f| that low at the annulus's inner
     edge too, so a minimum also passes when |grad f| is smaller still at
     0.99 times its point: it then falls toward the origin.

@@ -4,13 +4,16 @@ Dimension conventions: the curve dimension d = 2/(1-beta) applies to the
 plane curve tau -> (Re I, Im I); the oscillatory dimension d' = (beta+3)/2
 applies to the reflected graphs of Re I(1/t), Im I(1/t).  Both live in
 (1, 2] for beta in (-1, 0].  A critical value f(0) = 0, a missing critical
-point, or beta <= -1 each collapse everything to the rectifiable case
-d = d' = 1.
+point, or beta < -1 each collapse everything to the rectifiable case
+d = d' = 1.  At beta = -1 the formulas still give d = d' = 1, but the curve
+is not rectifiable: |I'(tau)| ~ |a| f0 / tau, so its length grows like
+log tau (a hyperbolic spiral).
 
 The n = 1 content constant is explicit only for critical order s = 2; for
 s >= 3 the leading coefficient must be measured from the integral itself
 (integrals.leading_term_fit) and passed to content_from_coefficient at
-beta = -1/s.  For n = 2 phases x^p + y^q + f0 the coefficient a_{0,beta}
+beta = -1/s.  For n >= 2 the diagram gives beta and the log power of the
+leading term; for phases x^p + y^q + f0 the coefficient a_{0,beta}
 comes from a limit formula for the leading term.  Predictions take it in
 closed form (Beta functions), for any p, q >= 2; greenblatt_coefficient
 evaluates the same formula by quadrature as a reference, and is the only
@@ -116,27 +119,29 @@ def _rectifiable(
 
 
 def _power_law(
-    beta: Fraction,
-    mult: int,
-    f0: float,
-    leading: Optional[complex] = None,
-    degenerate: bool = False,
-    note: str = "",
+    beta: Fraction, mult: int, f0: float, leading: Optional[complex] = None
 ) -> AsymptoticPrediction:
-    """Prediction read off I(tau) e^{-i tau f0} ~ leading tau^beta.
+    """Prediction read off I(tau) e^{-i tau f0} ~ leading tau^beta log^mult tau.
 
-    f(0) = 0 is rectifiable whatever else holds.  Otherwise d = 2/(1-beta)
-    and d' = (beta+3)/2; the content is infinite for a degenerate (log)
-    leading term, follows from the leading coefficient when one is given and
-    beta > -1, and is unknown otherwise.
+    f(0) = 0 is rectifiable whatever else holds, and so is beta < -1.  At
+    beta = -1, d = d' = 1 but the curve is not rectifiable (its length grows
+    like log tau).  Otherwise d = 2/(1-beta) and d' = (beta+3)/2; the content
+    is infinite when the leading term carries a log factor (mult > 0),
+    follows from the leading coefficient when one is given, and is unknown
+    otherwise.
     """
     if f0 == 0.0:
         return _rectifiable(beta, mult, 0.0, "f(0) = 0: graphs and curve are rectifiable")
     f0 = abs(f0)  # conjugation invariance: I(tau) for -f0 is the conjugate curve
-    content = None
-    if degenerate:
-        content = math.inf
-    elif leading is not None and beta > -1:
+    if beta < -1:
+        return _rectifiable(beta, mult, f0, f"polyhedron not remote (beta = {beta}): rectifiable")
+    content, degenerate, note = None, False, ""
+    if beta == -1:
+        note = "beta = -1: boundary case, d = 1 but the curve's length grows like log tau"
+    elif mult:
+        leading, content, degenerate = None, math.inf, True
+        note = f"multiplicity {mult}: leading term carries log^{mult} tau; content degenerate"
+    elif leading is not None:
         content = content_from_coefficient(beta, leading, f0)
     return AsymptoticPrediction(
         beta=beta,
@@ -214,64 +219,28 @@ def predict_1d(
     return _power_law(Fraction(-1, s), 0, f0, leading)
 
 
-def predict_2d(
-    diagram: DiagramInfo, f0: float, a0beta: Optional[complex] = None
-) -> AsymptoticPrediction:
-    """Prediction for n = 2 from the Newton diagram (adapted coordinates assumed).
-
-    Case (i): multiplicity 0, or beta = -1 -- nondegenerate; content from
-    a_{0,beta} when supplied and beta > -1.  Case (ii): multiplicity 1 with
-    beta > -1 -- the leading term carries log tau and the content degenerates
-    to infinity.
-    """
-    if diagram.dimension != 2:
-        raise ValueError("predict_2d requires a 2-dimensional diagram")
-    beta, mult = diagram.remoteness, diagram.multiplicity
-    if beta < -1:
-        raise ValueError(
-            f"beta = {beta} < -1 in 2D implies a linear term: origin is not a critical point"
-        )
-    if mult and beta > -1:
-        note = "multiplicity 1: leading term carries log tau; content degenerate"
-        return _power_law(beta, mult, f0, degenerate=True, note=note)
-    note = ""
-    if beta == -1:
-        note = "beta = -1: boundary case, curve marginally rectifiable (d = 1)"
-    return _power_law(beta, mult, f0, a0beta, note=note)
-
-
 def predict_nd(
-    diagram: DiagramInfo, f0: float, coeff_hypothesis: Optional[int]
+    diagram: DiagramInfo, f0: float, leading: Optional[complex] = None
 ) -> AsymptoticPrediction:
-    """Prediction for n > 2 under a caller-supplied coefficient hypothesis.
+    """Prediction for n >= 2 from the Newton diagram (adapted coordinates assumed).
 
-    coeff_hypothesis is the largest k with a_{k,beta} != 0: k = 0 gives the
-    nondegenerate case, k >= 1 the degenerate one.  There is no general
-    algorithm for these coefficients, so they are asserted, not computed.
-    A non-remote polyhedron (beta <= -1) forces the rectifiable prediction.
+    For an R-nondegenerate phase whose polyhedron is remote (beta > -1),
+    the oscillation index is beta = -1/c and the leading term carries
+    log^m tau, m = n - 1 - dim of the face the bisector meets: the diagram's
+    multiplicity (Varchenko 1976).  m = 0 is nondegenerate, with a content
+    when the leading coefficient is given; m >= 1 makes the content
+    infinite.  beta <= -1 ignores the multiplicity (the saddle xy + 1 has
+    m = 1 in these coordinates).  A support without linear terms has
+    c >= 2/n, so beta < -n/2 means the origin is not a critical point.
     """
-    if diagram.dimension <= 2:
-        raise ValueError("predict_nd is for n > 2; use predict_1d/predict_2d")
-    beta, mult = diagram.remoteness, diagram.multiplicity
-    # f(0) = 0 is rectifiable whatever the polyhedron and hypothesis: _power_law
-    # checks it first
-    if f0 != 0.0:
-        if beta <= -1:
-            return _rectifiable(
-                beta, mult, abs(f0), f"polyhedron not remote (beta = {beta}): rectifiable"
-            )
-        if coeff_hypothesis is None:
-            raise ValueError(
-                "coeff_hypothesis required for n > 2: pass the largest k with a_{k,beta} != 0"
-            )
-        if not 0 <= coeff_hypothesis <= diagram.dimension - 1:
-            raise ValueError(
-                f"coeff_hypothesis {coeff_hypothesis} outside 0..n-1 ({diagram.dimension - 1})"
-            )
-    if coeff_hypothesis:
-        note = f"a_{{{coeff_hypothesis},beta}} != 0: leading term carries log^k tau"
-        return _power_law(beta, mult, f0, degenerate=True, note=note)
-    return _power_law(beta, mult, f0)
+    n, beta = diagram.dimension, diagram.remoteness
+    if n < 2:
+        raise ValueError("predict_nd is for n >= 2; use predict_1d")
+    if beta < Fraction(-n, 2):
+        raise ValueError(
+            f"beta = {beta} < -n/2 implies a linear term: origin is not a critical point"
+        )
+    return _power_law(beta, diagram.multiplicity, f0, leading)
 
 
 def caustic_prediction(caustic: CausticType) -> AsymptoticPrediction:
@@ -285,13 +254,7 @@ def caustic_prediction(caustic: CausticType) -> AsymptoticPrediction:
         g = Fraction(k - 1, 2 * k + 2)
     else:
         g = Fraction(k - 2, 2 * k - 2)
-    beta = g - Fraction(n, 2)
-    if beta <= -1:
-        pred = _rectifiable(
-            beta, 0, 1.0, f"beta = {beta} <= -1: rectifiable for this (family, k, n)"
-        )
-    else:
-        pred = _power_law(beta, 0, 1.0)
+    pred = _power_law(g - Fraction(n, 2), 0, 1.0)
     return replace(pred, limit_dim=Fraction(4, 1 + n))
 
 

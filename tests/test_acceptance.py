@@ -31,6 +31,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oscfract import gamma
 from oscfract.cli import _ZOO_CONTENT, _ZOO_DIMS, _ZOO_VERDICTS
 from oscfract.estimators import (
     box_count,
@@ -54,7 +55,6 @@ from oscfract.predict import (
     greenblatt_coefficient,
     predict_1d,
 )
-from oscfract.specfun import gamma
 
 CONTENT_X2 = 3.0 * 2.0 ** (2.0 / 3.0) * math.pi  # exact content for x^2 + 1
 

@@ -14,7 +14,10 @@ Verified here:
   the nondegeneracy block, byte-identical across runs;
 * predict: 1D report on stdout, 2D report with the closed-form coefficient,
   also on x^p + y^2 for p = 29..35, where the reference quadrature fails,
-  and a fresh interpreter that runs it never loads scipy;
+  x^2 + y^2 + 1 (beta = -1) with exit 0 and no coefficient, the 3D
+  multiplicity read off the diagram (x^4 + y^4 + z^4 + 1 nondegenerate,
+  x^2 y^2 + x^6 + y^6 + z^4 + 1 degenerate with an infinite content), and
+  a fresh interpreter that runs it never loads scipy;
 * integrate / curve: CSV header and row count, SVG path structure;
 * curve and verify sample a 1D phase with f(0) = 0 on the same default tau
   window, so they write the same curve.csv;
@@ -39,14 +42,14 @@ Verified here:
   the input stage, before any grid is built;
 * config sections (amplitude, quadrature, tau, curve, eps, content) that are
   not JSON objects, quadrature counts and budgets that are not integers
-  >= 1 (strings and bools included), a float or bool coefficient
-  hypothesis, tau count, eps count, cell cap or grid-offset count, a string,
+  >= 1 (strings and bools included), a float or bool tau count, eps count,
+  cell cap or grid-offset count, a string,
   bool or null where a float key (tau min/max, max_step, eps max/min, d,
   content.d, amplitude radius/phi0) expects a number, a bool n or a float
   exponent in the phase, a NaN, Infinity or overflowing config number, a
   `connect` or `content.enabled` switch that is not a JSON boolean, and
   quadrature on an n = 4 phase, exit 2 with a message that names the
-  problem; a null hypothesis still asks for one;
+  problem;
 * the module entry point through a real subprocess.
 """
 
@@ -67,7 +70,7 @@ from oscfract.cli import main
 from oscfract.integrals import _octave_refs
 from oscfract.newton import newton_diagram
 from oscfract.phases import PolynomialPhase
-from oscfract.predict import greenblatt_closed_form, predict_2d
+from oscfract.predict import greenblatt_closed_form, predict_nd
 
 # no critical point in the support: the rectifiable pipeline is fast
 X_PLUS_2 = {"phase": {"n": 1, "terms": [{"k": [1], "c": 1.0}, {"k": [0], "c": 2.0}]}}
@@ -153,7 +156,7 @@ def test_predict_1d_report(tmp_path, capsys):
     assert pred["rectifiable"] is False
 
 
-def test_predict_2d_includes_coefficient_and_diagram(tmp_path, capsys):
+def test_predict_x2_y4_includes_coefficient_and_diagram(tmp_path, capsys):
     rc = main(["predict", "--config", _cfg(tmp_path, X2_Y4_1)])
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
@@ -176,6 +179,39 @@ def test_predict_takes_the_closed_form_where_the_quadrature_fails(tmp_path, caps
     assert main(["predict", "--config", _cfg(tmp_path, {"phase": phase})]) == 0
     pred = json.loads(capsys.readouterr().out)["prediction"]
     assert complex(*pred["leading_coeff"]) == greenblatt_closed_form(p, 2)
+
+
+def _diagonal(*powers, extra=()):
+    """sum_i x_i^{a_i} + 1 plus the (k, c) pairs of extra, as a config."""
+    n = len(powers)
+    terms = [{"k": [a if j == i else 0 for j in range(n)], "c": 1.0} for i, a in enumerate(powers)]
+    terms += [{"k": list(k), "c": c} for k, c in extra] + [{"k": [0] * n, "c": 1.0}]
+    return {"phase": {"n": n, "terms": terms}}
+
+
+def test_predict_beta_minus_one_needs_no_coefficient(tmp_path, capsys):
+    # x^2 + y^2 + 1 has no a_{0,beta}; at beta = -1 the prediction uses none
+    assert main(["predict", "--config", _cfg(tmp_path, _diagonal(2, 2))]) == 0
+    pred = json.loads(capsys.readouterr().out)["prediction"]
+    assert pred["beta"] == "-1"
+    assert pred["curve_dim"] == pred["osc_dim"] == "1"
+    assert pred["rectifiable"] is False and pred["degenerate"] is False
+    assert pred["content"] is None and "leading_coeff" not in pred
+
+
+@pytest.mark.parametrize(
+    "cfg, multiplicity",
+    [(_diagonal(4, 4, 4), 0), (_diagonal(6, 6, 4, extra=[((2, 2, 0), 1.0)]), 1)],
+    ids=["x^4+y^4+z^4+1", "x^2y^2+x^6+y^6+z^4+1"],
+)
+def test_predict_reads_the_log_power_off_the_3d_diagram(tmp_path, capsys, cfg, multiplicity):
+    assert main(["predict", "--config", _cfg(tmp_path, cfg)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    pred = out["prediction"]
+    assert pred["beta"] == "-3/4" and pred["curve_dim"] == "8/7"
+    assert pred["multiplicity"] == out["newton"]["multiplicity"] == multiplicity
+    assert pred["degenerate"] is bool(multiplicity)
+    assert pred["content"] == ("inf" if multiplicity else None)
 
 
 def test_predict_rectifiable_for_linear_phase(tmp_path, capsys):
@@ -267,34 +303,6 @@ def test_bad_quadrature_count_is_an_input_error(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert f"{key} must be an integer >= 1" in err
     assert "Traceback" not in err
-
-
-QUARTIC_3D = {
-    "phase": {
-        "n": 3,
-        "terms": [{"k": [4 if j == i else 0 for j in range(3)], "c": 1.0} for i in range(3)]
-        + [{"k": [0, 0, 0], "c": 1.0}],
-    }
-}
-
-
-@pytest.mark.parametrize("hyp", [1.7, True], ids=["float", "bool"])
-def test_non_integer_coefficient_hypothesis_is_an_input_error(tmp_path, capsys, hyp):
-    cfg = _cfg(tmp_path, dict(QUARTIC_3D, coeff_hypothesis=hyp))
-    assert main(["predict", "--config", cfg]) == 2
-    err = capsys.readouterr().err
-    assert '"coeff_hypothesis" must be an integer >= 0' in err
-    assert "Traceback" not in err
-
-
-def test_coefficient_hypothesis_null_and_integers(tmp_path, capsys):
-    cfg = _cfg(tmp_path, dict(QUARTIC_3D, coeff_hypothesis=None))
-    assert main(["predict", "--config", cfg]) == 2
-    assert "coeff_hypothesis required" in capsys.readouterr().err
-    for hyp, degenerate in ((0, False), (1, True)):
-        cfg = _cfg(tmp_path, dict(QUARTIC_3D, coeff_hypothesis=hyp))
-        assert main(["predict", "--config", cfg]) == 0
-        assert json.loads(capsys.readouterr().out)["prediction"]["degenerate"] is degenerate
 
 
 def test_non_integer_tau_count_is_an_input_error(tmp_path, capsys):
@@ -792,7 +800,7 @@ def test_verify_gates_content_against_the_prediction(tmp_path, capsys):
 
 def test_content_verdict_against_a_degenerate_prediction():
     # x^2 y^2 + 1: the bisector meets a vertex, multiplicity 1
-    pred = predict_2d(newton_diagram(PolynomialPhase(2, {(2, 2): 1.0, (0, 0): 1.0})), 1.0)
+    pred = predict_nd(newton_diagram(PolynomialPhase(2, {(2, 2): 1.0, (0, 0): 1.0})), 1.0)
     assert pred.degenerate and not pred.rectifiable
     verdicts = ("nondegenerate", "degenerate-infinity", "degenerate-zero", "inconclusive")
     accepted = [v for v in verdicts if cli._verdict_consistent(pred, v)]

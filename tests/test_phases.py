@@ -14,7 +14,9 @@ Verified here:
   its closed form, and amplitude validation;
 * the critical-point scan passes phases with an isolated critical point at
   the origin, degenerate ones of order up to 9 included, and flags second
-  interior critical points, isolated or along a curve.
+  interior critical points, isolated or along a curve, also beside a
+  degenerate origin (x^5 - x^3/4 in 1D, 2D and 3D), whose scan values are
+  smaller than those near the second zero.
 """
 
 import math
@@ -262,6 +264,24 @@ def test_critical_point_scan_flags_zeros_away_from_origin(phase):
     rep = verify_isolated_critical_point(phase, AmplitudeSpec(phase.dimension))
     assert not rep.passed
     assert math.hypot(*rep.point) == pytest.approx(0.5, abs=1e-3)
+
+
+@pytest.mark.parametrize(
+    "phase",
+    [
+        _P(1, {(5,): 1.0, (3,): -0.25, (0,): 1.0}),
+        _P(2, {(5, 0): 1.0, (3, 0): -0.25, (0, 2): 1.0, (0, 0): 1.0}),
+        _P(3, {(5, 0, 0): 1.0, (3, 0, 0): -0.25, (0, 2, 0): 1.0, (0, 0, 2): 1.0}),
+    ],
+    ids=str,
+)
+def test_critical_point_scan_flags_a_zero_beside_a_degenerate_origin(phase):
+    # f_x = 5x^4 - 3x^2/4 also vanishes at x = +-sqrt(3/20); the scan's
+    # smallest values all lie near the origin, a shallower dip holds the zero
+    rep = verify_isolated_critical_point(phase, AmplitudeSpec(phase.dimension))
+    assert not rep.passed
+    assert abs(rep.point[0]) == pytest.approx(math.sqrt(3 / 20), abs=1e-6)
+    assert math.hypot(*rep.point[1:]) < 1e-6
 
 
 def test_critical_point_scan_dimension_cap():

@@ -6,17 +6,20 @@ Verified here:
 * the explicit s = 2 coefficient sqrt(2 pi / |f''|) e^{i pi sgn(f'')/4} and
   the frozen golden content 3 * 2^(2/3) * pi for x^2 + 1, from the
   coefficient formula at beta = -1/2;
-* 2D predictions from the diagram: nondegenerate, log-degenerate, the
-  beta = -1 boundary, and rejection of non-critical supports;
-* n > 2 predictions require the coefficient hypothesis and collapse to the
-  rectifiable case for non-remote polyhedra;
-* branch order: f(0) = 0 is rectifiable before the n > 2 hypothesis is
-  checked, and a multiplicity-1 diagram ignores a supplied coefficient;
+* one prediction for every n >= 2 from the diagram: nondegenerate at
+  multiplicity 0 (in 2D and 3D, with a content when a coefficient is
+  given; the quadrature route on x^4 + y^4 + z^4 + 1 fits better without
+  log tau than with it), log-degenerate at multiplicity 1 and 2 with an
+  infinite content and no coefficient, d = d' = 1 and not rectifiable at
+  beta = -1 (x^2 + y^2 + 1, x^2 + y^4 + z^4 + 1 and the A_1 caustic in
+  n = 2), the multiplicity ignored at beta <= -1, rejection of beta < -n/2
+  (a linear term) and of n = 1;
+* branch order: f(0) = 0 is rectifiable before the multiplicity is read;
 * caustic family validation and the k -> infinity limit dimension;
 * the caustic table against the Newton route: the normal forms
   x^(k+1) + y^2 + 1 (A_k, k = 1..8) and x^2 y +- y^(k-1) + 1 (D_k,
   k = 4..9) give the table's beta with multiplicity 0, pass the
-  R-nondegeneracy check, and predict_2d gives the table's curve dimension;
+  R-nondegeneracy check, and predict_nd gives the table's curve dimension;
 * the leading-coefficient quadrature matches the closed form for every
   2 <= p, q <= 12, odd exponents included, to 1e-6, and both match the
   frozen modulus for (2, 4); a property test extends the match to
@@ -37,8 +40,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 
+from oscfract.integrals import QuadratureConfig, leading_term_fit, sample_integral
 from oscfract.newton import newton_diagram, r_nondegeneracy_check
-from oscfract.phases import PolynomialPhase
+from oscfract.phases import AmplitudeSpec, PolynomialPhase
 from oscfract.predict import (
     CausticType,
     caustic_prediction,
@@ -46,7 +50,6 @@ from oscfract.predict import (
     greenblatt_closed_form,
     greenblatt_coefficient,
     predict_1d,
-    predict_2d,
     predict_nd,
     predict_no_critical_point,
 )
@@ -57,8 +60,8 @@ CONTENT_X2 = 14.960902449492015
 COEFF_24_ABS = 3.2131131218545580
 
 
-def _diagram2(terms):
-    return newton_diagram(PolynomialPhase(2, terms))
+def _diagram(terms):
+    return newton_diagram(PolynomialPhase(len(next(iter(terms))), terms))
 
 
 def test_dimension_predictions_exact():
@@ -137,98 +140,144 @@ def test_content_from_coefficient_domain():
         content_from_coefficient(Fraction(-1, 2), 0.0j, 1.0)
 
 
-def test_predict_2d_nondegenerate():
-    diag = _diagram2({(2, 0): 1.0, (0, 4): 1.0, (0, 0): 1.0})
-    pred = predict_2d(diag, 1.0)
+X2_Y4 = {(2, 0): 1.0, (0, 4): 1.0, (0, 0): 1.0}
+QUARTIC_3D = {(4, 0, 0): 1.0, (0, 4, 0): 1.0, (0, 0, 4): 1.0, (0, 0, 0): 1.0}
+
+
+@pytest.mark.parametrize("terms", [X2_Y4, QUARTIC_3D], ids=["2d", "3d"])
+def test_predict_nd_nondegenerate(terms):
+    diag = _diagram(terms)
+    pred = predict_nd(diag, 1.0)
     assert pred.beta == Fraction(-3, 4)
+    assert pred.multiplicity_K == 0
     assert pred.curve_dim == Fraction(8, 7)
     assert pred.osc_dim == Fraction(9, 8)
     assert pred.content is None
-    coeff = greenblatt_closed_form(2, 4)
-    with_coeff = predict_2d(diag, 1.0, a0beta=coeff)
+    assert not pred.degenerate and not pred.rectifiable
+    coeff = greenblatt_closed_form(2, 4)  # any nonzero coefficient gives a content
+    with_coeff = predict_nd(diag, 1.0, coeff)
     assert with_coeff.content == pytest.approx(
         content_from_coefficient(Fraction(-3, 4), coeff, 1.0)
     )
 
 
-def test_predict_2d_log_degenerate():
-    diag = _diagram2({(2, 2): 1.0, (0, 0): 1.0})
-    pred = predict_2d(diag, 1.0)
-    assert pred.multiplicity_K == 1
+def test_quadrature_finds_no_log_factor_on_the_3d_quartic():
+    # multiplicity 0: on the default 3D window the one-term fit without
+    # log tau is tighter than the one with it (0.066 against 0.165).  The
+    # coarser grid reads both residuals as the default one does, to 1e-8,
+    # in 280 MB instead of 2.3 GB
+    cfg = QuadratureConfig(panel_order=2, radial_bins=2048)
+    phase, amp = PolynomialPhase(3, QUARTIC_3D), AmplitudeSpec(3)
+    samples = sample_integral(phase, amp, 8.0, 150.0, 30, cfg)
+    flat = leading_term_fit(samples, 1.0, -0.75, k=0)
+    logged = leading_term_fit(samples, 1.0, -0.75, k=1)
+    assert flat.residual < logged.residual
+
+
+@pytest.mark.parametrize(
+    "terms, beta, mult",
+    [
+        ({(2, 2): 1.0, (0, 0): 1.0}, Fraction(-1, 2), 1),
+        # the bisector meets the edge (2,2,0)-(0,0,4) at (4/3, 4/3, 4/3)
+        (
+            {(2, 2, 0): 1.0, (6, 0, 0): 1.0, (0, 6, 0): 1.0, (0, 0, 4): 1.0, (0, 0, 0): 1.0},
+            Fraction(-3, 4),
+            1,
+        ),
+        ({(2, 2, 2): 1.0, (0, 0, 0): 1.0}, Fraction(-1, 2), 2),
+    ],
+    ids=["2d-vertex", "3d-edge", "3d-vertex"],
+)
+def test_predict_nd_log_degenerate(terms, beta, mult):
+    pred = predict_nd(_diagram(terms), 1.0)
+    assert pred.beta == beta
+    assert pred.multiplicity_K == mult
     assert pred.degenerate
     assert math.isinf(pred.content)
-    assert pred.curve_dim == Fraction(4, 3)
+    assert pred.curve_dim == 2 / (1 - beta)
+    assert f"log^{mult} tau" in pred.note
 
 
-def test_predict_2d_multiplicity_one_ignores_coefficient():
-    diag = _diagram2({(2, 2): 1.0, (0, 0): 1.0})
-    pred = predict_2d(diag, 1.0, a0beta=1.0 + 1.0j)
+def test_predict_nd_multiplicity_ignores_coefficient():
+    pred = predict_nd(_diagram({(2, 2): 1.0, (0, 0): 1.0}), 1.0, 1.0 + 1.0j)
     assert pred.leading_coeff is None
     assert math.isinf(pred.content)
     assert pred.degenerate
 
 
-def test_predict_2d_boundary_beta():
-    diag = _diagram2({(2, 0): 1.0, (0, 2): 1.0, (0, 0): 1.0})
-    pred = predict_2d(diag, 1.0)
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda: predict_nd(_diagram({(2, 0): 1.0, (0, 2): 1.0, (0, 0): 1.0}), 1.0),
+        lambda: predict_nd(
+            _diagram({(2, 0, 0): 1.0, (0, 4, 0): 1.0, (0, 0, 4): 1.0, (0, 0, 0): 1.0}), 1.0
+        ),
+        lambda: caustic_prediction(CausticType("A", 1, 2)),
+    ],
+    ids=["x^2+y^2+1", "x^2+y^4+z^4+1", "A_1-n2"],
+)
+def test_beta_minus_one_has_dimension_one_and_infinite_length(route):
+    # |I'| ~ |a| f0 / tau: the length grows like log tau, so d = d' = 1 and
+    # the curve is not rectifiable; the multiplicity plays no part
+    pred = route()
     assert pred.beta == -1
-    assert pred.curve_dim == 1
+    assert pred.curve_dim == 1 and pred.osc_dim == 1
+    assert not pred.rectifiable
     assert not pred.degenerate
+    assert pred.content is None
     assert "boundary" in pred.note
 
 
-def test_predict_2d_rejects_linear_support():
-    diag = _diagram2({(1, 0): 1.0, (0, 1): 1.0})
-    with pytest.raises(ValueError):
-        predict_2d(diag, 1.0)
+def test_predict_nd_ignores_the_multiplicity_at_and_below_beta_minus_one():
+    # the Morse saddle xy + 1 has multiplicity 1 in these coordinates
+    saddle = predict_nd(_diagram({(1, 1): 1.0, (0, 0): 1.0}), 1.0)
+    assert saddle.beta == -1 and saddle.multiplicity_K == 1
+    assert not saddle.degenerate and saddle.curve_dim == 1
+    below = predict_nd(_diagram({(1, 1, 0): 1.0, (0, 0, 2): 1.0, (0, 0, 0): 1.0}), 1.0)
+    assert below.beta == Fraction(-3, 2) and below.multiplicity_K == 1
+    assert below.rectifiable and not below.degenerate
 
 
-def test_predict_2d_zero_critical_value():
-    diag = _diagram2({(2, 0): 1.0, (0, 4): 1.0})
-    assert predict_2d(diag, 0.0).rectifiable
-
-
-def test_predict_nd_requires_hypothesis():
-    phase = PolynomialPhase(
-        3, {(4, 0, 0): 1.0, (0, 4, 0): 1.0, (0, 0, 4): 1.0, (0, 0, 0): 1.0}
-    )
-    diag = newton_diagram(phase)
-    with pytest.raises(ValueError):
-        predict_nd(diag, 1.0, None)
-    with pytest.raises(ValueError):
-        predict_nd(diag, 1.0, 3)
-    flat = predict_nd(diag, 1.0, 0)
-    assert flat.curve_dim == Fraction(8, 7)
-    assert not flat.degenerate
-    logged = predict_nd(diag, 1.0, 1)
-    assert logged.degenerate
-    assert math.isinf(logged.content)
+@pytest.mark.parametrize(
+    "terms",
+    [{(1, 0): 1.0, (0, 1): 1.0}, {(1, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0}],
+    ids=["2d", "3d"],
+)
+def test_predict_nd_rejects_linear_support(terms):
+    # beta < -n/2: no support without a linear term reaches it
+    with pytest.raises(ValueError, match="linear term"):
+        predict_nd(_diagram(terms), 1.0)
 
 
 def test_predict_nd_non_remote_is_rectifiable():
     phase = PolynomialPhase(
         3, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0, (0, 0, 0): 1.0}
     )
-    pred = predict_nd(newton_diagram(phase), 1.0, None)  # hypothesis not needed
+    pred = predict_nd(newton_diagram(phase), 1.0)
     assert pred.rectifiable
     assert pred.beta == Fraction(-3, 2)
     assert pred.curve_dim == 1
 
 
 def test_predict_nd_zero_critical_value_before_hypothesis():
-    phase = PolynomialPhase(3, {(4, 0, 0): 1.0, (0, 4, 0): 1.0, (0, 0, 4): 1.0})
-    diag = newton_diagram(phase)
-    for hyp in (None, 9):
-        pred = predict_nd(diag, 0.0, hyp)
+    # f(0) = 0 is rectifiable before the log power (once a user hypothesis,
+    # now the multiplicity) is read
+    for terms in (
+        {(2, 0): 1.0, (0, 4): 1.0},
+        {(4, 0, 0): 1.0, (0, 4, 0): 1.0, (0, 0, 4): 1.0},
+        {(2, 2, 0): 1.0, (6, 0, 0): 1.0, (0, 6, 0): 1.0, (0, 0, 4): 1.0},
+    ):
+        pred = predict_nd(_diagram(terms), 0.0)
         assert pred.rectifiable
+        assert not pred.degenerate
         assert pred.curve_dim == 1
         assert pred.f0 == 0.0
 
 
 def test_predict_nd_rejects_low_dimension():
-    diag = _diagram2({(2, 0): 1.0, (0, 4): 1.0})
-    with pytest.raises(ValueError):
-        predict_nd(diag, 1.0, 0)
+    diag = newton_diagram(PolynomialPhase(1, {(2,): 1.0, (0,): 1.0}))
+    with pytest.raises(ValueError, match="predict_1d"):
+        predict_nd(diag, 1.0)
 
 
 def test_caustic_families():
@@ -263,7 +312,7 @@ def test_caustic_table_matches_the_newton_route(family, k, phase):
     assert diagram.multiplicity == 0
     assert r_nondegeneracy_check(phase, diagram.faces).passed
     # A_1 sits at beta = -1, which both routes read as d = 1
-    assert predict_2d(diagram, 1.0).curve_dim == caustic.curve_dim
+    assert predict_nd(diagram, 1.0).curve_dim == caustic.curve_dim
 
 
 def test_caustic_dimension_increases_toward_limit():
@@ -364,8 +413,8 @@ def test_no_critical_point_prediction():
 
 
 def test_serialization():
-    diag = _diagram2({(2, 2): 1.0, (0, 0): 1.0})
-    deg = predict_2d(diag, 1.0).to_dict()
+    diag = _diagram({(2, 2): 1.0, (0, 0): 1.0})
+    deg = predict_nd(diag, 1.0).to_dict()
     assert deg["content"] == "inf"
     assert deg["beta"] == "-1/2"
     assert deg["curve_dim"] == "4/3"

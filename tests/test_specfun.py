@@ -1,4 +1,4 @@
-"""oscfract.specfun.gamma against closed forms and independent references.
+"""oscfract.gamma against closed forms and independent references.
 
 The name is the standard library's math.gamma; these checks pin what the
 coefficient formulas in predict.py rely on.
@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscfract.specfun import gamma
+from oscfract import gamma
 
 
 def test_gamma_half_integer():
