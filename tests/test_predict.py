@@ -259,11 +259,18 @@ def test_predict_nd_non_remote_is_rectifiable():
     assert pred.curve_dim == 1
 
 
+def test_predict_2d_zero_critical_value():
+    pred = predict_nd(_diagram({(2, 0): 1.0, (0, 4): 1.0}), 0.0)
+    assert pred.rectifiable
+    assert not pred.degenerate
+    assert pred.curve_dim == 1
+    assert pred.f0 == 0.0
+
+
 def test_predict_nd_zero_critical_value_before_hypothesis():
     # f(0) = 0 is rectifiable before the log power (once a user hypothesis,
     # now the multiplicity) is read
     for terms in (
-        {(2, 0): 1.0, (0, 4): 1.0},
         {(4, 0, 0): 1.0, (0, 4, 0): 1.0, (0, 0, 4): 1.0},
         {(2, 2, 0): 1.0, (6, 0, 0): 1.0, (0, 6, 0): 1.0, (0, 0, 4): 1.0},
     ):
