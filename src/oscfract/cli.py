@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -289,10 +290,26 @@ def _inputs(cfg: dict) -> tuple[PolynomialPhase, AmplitudeSpec]:
 
 
 def _diagram(phase: PolynomialPhase) -> Optional[DiagramInfo]:
-    """Newton diagram a prediction needs: none for n = 1 or without a critical point."""
-    if phase.dimension >= 2 and not _has_linear_term(phase):
-        return newton_diagram(phase)
-    return None
+    """Newton diagram a prediction needs: none for n = 1 or without a critical point.
+
+    beta is read off the principal face, the compact face the bisector meets,
+    so that face must be R-nondegenerate; a degenerate one is refused.  Only
+    n = 2 and 3 list faces; with no face matching the bisector's support
+    points there is nothing to check.
+    """
+    if phase.dimension < 2 or _has_linear_term(phase):
+        return None
+    diagram = newton_diagram(phase)
+    principal = [f for f in diagram.faces if f.points == diagram.center_points]
+    if principal:
+        (check,) = r_nondegeneracy_check(phase, principal).checks
+        if not check.passed:
+            raise ValueError(
+                f"principal face {[list(k) for k in check.face.points]} is R-degenerate:"
+                f" its gradient vanishes near {tuple(round(x, 4) for x in check.witness)},"
+                f" so beta = {diagram.remoteness} does not hold in these coordinates"
+            )
+    return diagram
 
 
 def _sampled(
@@ -746,7 +763,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    # built once per process; parse_args returns a fresh namespace each call
     width = max(map(len, _COMMANDS))
     parser = argparse.ArgumentParser(
         prog="oscfract",

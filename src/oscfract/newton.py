@@ -289,11 +289,13 @@ def _fundamental_domain(n: int) -> tuple[np.ndarray, float]:
 
 
 def _min_residual(
-    fg: PolynomialPhase, domain: np.ndarray, spacing: float
+    parts: Sequence[PolynomialPhase], domain: np.ndarray, spacing: float
 ) -> tuple[float, np.ndarray]:
-    """Smallest |grad f_gamma| / envelope over the domain, refined, and its point."""
-    n = fg.dimension
-    parts = [partial_derivative(fg, i) for i in range(n)]
+    """Smallest |grad f_gamma| / envelope over the domain, refined, and its point.
+
+    parts are the partials of f_gamma, one per coordinate.
+    """
+    n = len(parts)
     envelopes = [PolynomialPhase(n, {k: abs(c) for k, c in gp.terms.items()}) for gp in parts]
 
     def residual(pts: np.ndarray) -> np.ndarray:
@@ -322,25 +324,29 @@ def r_nondegeneracy_check(
     axes meets, with local refinement around the smallest normalized
     residual.  Diagnostic only: a pass means no counterexample was found.
 
-    A face whose polynomial is one monomial c x^k (every vertex) is not
-    scanned: off the axes its gradient never vanishes, and each partial
-    equals its own triangle-inequality envelope in modulus, so the residual
-    is 1 everywhere (a scan reads it to within an ulp); it is recorded as
-    exactly 1.0, passed, at the first domain point.
+    A face whose partials are each at most one monomial (every vertex, and
+    every face of a phase sum_i c_i x_i^a_i) is decided exactly instead:
+    off the axes a monomial never vanishes, and each partial equals its own
+    triangle-inequality envelope in modulus, so the residual is 1 everywhere
+    (a scan reads it to within an ulp).  It is recorded as exactly 1.0,
+    passed, with the witness (-1, ..., -1), the first point of the domain.
+    The domain is built only when some face needs the scan.
     """
     n = phase.dimension
     if n > 3:
         raise ValueError("nondegeneracy sampling supports n <= 3")
     if faces is None:
         faces = compact_faces(newton_polyhedron(reduced_support(phase)))
-    domain, spacing = _fundamental_domain(n)
+    domain = None
     reports = []
     for face in faces:
-        fg = face.polynomial(phase)
-        if len(fg.terms) == 1:
-            reports.append(FaceCheck(face, True, 1.0, tuple(float(x) for x in domain[0])))
+        parts = [partial_derivative(face.polynomial(phase), i) for i in range(n)]
+        if all(len(gp.terms) <= 1 for gp in parts):
+            reports.append(FaceCheck(face, True, 1.0, (-1.0,) * n))
             continue
-        res, witness = _min_residual(fg, domain, spacing)
+        if domain is None:
+            domain, spacing = _fundamental_domain(n)
+        res, witness = _min_residual(parts, domain, spacing)
         reports.append(
             FaceCheck(face, bool(res > 1e-6), res, tuple(float(x) for x in witness))
         )

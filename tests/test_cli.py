@@ -222,6 +222,49 @@ def test_predict_rectifiable_for_linear_phase(tmp_path, capsys):
     assert out["prediction"]["curve_dim"] == "1"
 
 
+# (x - y^2)^2 + y^6 + 1 and (x - y)^2 + y^4 + 1: the principal face's
+# polynomial is a square, so its gradient vanishes on an orbit off the axes
+R_DEGENERATE = {
+    "(x-y^2)^2+y^6+1": [((2, 0), 1.0), ((1, 2), -2.0), ((0, 4), 1.0), ((0, 6), 1.0)],
+    "(x-y)^2+y^4+1": [((2, 0), 1.0), ((1, 1), -2.0), ((0, 2), 1.0), ((0, 4), 1.0)],
+}
+
+
+def _phase_cfg(pairs, **extra):
+    terms = [{"k": list(k), "c": c} for k, c in pairs] + [{"k": [0, 0], "c": 1.0}]
+    return dict({"phase": {"n": 2, "terms": terms}}, **extra)
+
+
+@pytest.mark.parametrize("command", ["predict", "verify"])
+@pytest.mark.parametrize("name", sorted(R_DEGENERATE))
+def test_r_degenerate_principal_face_is_refused(tmp_path, capsys, monkeypatch, command, name):
+    def never(*args, **kwargs):
+        raise AssertionError("quadrature ran on an R-degenerate phase")
+
+    monkeypatch.setattr(cli, "sample_integral", never)
+    cfg = _cfg(tmp_path, _phase_cfg(R_DEGENERATE[name], amplitude={"radius": 0.6}))
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [newton] principal face ")
+    assert "is R-degenerate" in err
+
+
+@pytest.mark.parametrize("name", sorted(R_DEGENERATE))
+def test_newton_reports_an_r_degenerate_principal_face(tmp_path, capsys, name):
+    assert main(["newton", "--config", _cfg(tmp_path, _phase_cfg(R_DEGENERATE[name]))]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["r_nondegenerate"]["passed"] is False
+
+
+def test_predict_takes_a_scanned_nondegenerate_principal_face(tmp_path, capsys):
+    # x^2 + xy^2 + y^5 + 1: the principal edge (2,0)-(1,2) has a two-term
+    # partial, so the guard scans it, and it passes
+    cfg = _phase_cfg([((2, 0), 1.0), ((1, 2), 1.0), ((0, 5), 1.0)])
+    assert main(["predict", "--config", _cfg(tmp_path, cfg)]) == 0
+    pred = json.loads(capsys.readouterr().out)["prediction"]
+    assert pred["beta"] == "-3/4" and pred["curve_dim"] == "8/7"
+
+
 # --- integrate / curve ---
 
 
@@ -872,6 +915,15 @@ def test_default_tolerance_per_command(tmp_path, capsys, monkeypatch):
     report = json.loads((tmp_path / "c" / "calibrate.json").read_text())
     assert report["tolerance"] == "strict" and report["tol_d"] == 0.03
     cfg = _cfg(tmp_path, X_PLUS_2_VERIFY)
+    # one parser serves every call: neither a chosen profile nor a refused
+    # argument may stick to it
+    assert cli._parser() is cli._parser()
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "s"), "--tolerance", "strict"]) in (0, 1)
+    report = json.loads((tmp_path / "s" / "report.json").read_text())
+    assert report["tolerance_profile"] == "strict"
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--config", cfg, "--tolerance", "loose"])
+    assert exc.value.code == 2
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 0
     report = json.loads((tmp_path / "v" / "report.json").read_text())
     assert report["tolerance_profile"] == "desk"

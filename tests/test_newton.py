@@ -16,8 +16,10 @@ Verified here:
 * the gradient sampler passes R-nondegenerate phases and flags (x - y)^2,
   and (x - a y^2)^2 + y^6 for a = 10 and 1/10, whose zero orbits miss the
   box |x|, |y| in [1/2, 2];
-* on vertex faces (one monomial) the full scan reads 1 to within 4e-16, and
-  the sampler, which skips that scan, reports exactly 1.0 and a pass.
+* on faces whose partials are single monomials (every vertex, and every face
+  of a signed sum_i c_i x_i^a_i, a property over n = 2, 3) the full scan
+  reads 1 to within 4e-16, and the sampler, which skips that scan, reports
+  exactly 1.0 and a pass; a face with a two-term partial is still scanned.
 """
 
 import itertools
@@ -29,6 +31,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oscfract import newton
 from oscfract.newton import (
     _fundamental_domain,
     _min_residual,
@@ -40,7 +43,7 @@ from oscfract.newton import (
     r_nondegeneracy_check,
     reduced_support,
 )
-from oscfract.phases import PolynomialPhase
+from oscfract.phases import PolynomialPhase, partial_derivative
 
 
 def _solve_square(rows, rhs) -> Optional[list]:
@@ -304,6 +307,38 @@ def test_nondegeneracy_finds_zero_orbits_off_the_unit_box(a):
     assert abs(x - a * y * y) <= 1e-3 * abs(x)
 
 
+def _exact_faces_read_one_without_a_scan(phase: PolynomialPhase) -> list:
+    """Check every face whose partials are single monomials; return their checks.
+
+    A full scan of such a face reads 1 to within 4e-16, and the sampler
+    reports exactly 1.0, a pass and the witness (-1, ..., -1) without
+    calling _min_residual: the only calls are for the other faces.
+    """
+    n = phase.dimension
+    calls = []
+
+    def counted(parts, domain, spacing):
+        calls.append(parts)
+        return _min_residual(parts, domain, spacing)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(newton, "_min_residual", counted)
+        rep = r_nondegeneracy_check(phase)
+    domain, spacing = _fundamental_domain(n)
+    exact = []
+    for chk in rep.checks:
+        parts = [partial_derivative(chk.face.polynomial(phase), i) for i in range(n)]
+        if all(len(gp.terms) <= 1 for gp in parts):
+            scanned, _ = _min_residual(parts, domain, spacing)
+            assert abs(scanned - 1.0) <= 4e-16
+            assert chk.min_residual == 1.0
+            assert chk.passed
+            assert chk.witness == (-1.0,) * n
+            exact.append(chk)
+    assert len(calls) == len(rep.checks) - len(exact)
+    return exact
+
+
 @pytest.mark.parametrize(
     "n, terms",
     [
@@ -311,16 +346,50 @@ def test_nondegeneracy_finds_zero_orbits_off_the_unit_box(a):
         (2, {(2, 0): -3.0, (1, 2): 1.0, (0, 5): 0.5}),
         (3, {(2, 0, 0): 1.0, (0, 6, 0): 1.0, (0, 0, 6): 1.0, (0, 3, 3): 1.0}),
         (3, {(4, 0, 0): 2.0, (0, 4, 0): -1.0, (0, 0, 4): 1.0, (1, 1, 1): 1.0}),
+        (2, {(4, 0): 2.0, (0, 4): -1.0, (0, 0): 1.0}),
+        (3, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0, (0, 0, 0): 1.0}),
+        (3, {(4, 0, 0): -1.0, (0, 4, 0): 2.0, (0, 0, 6): 1.0}),
     ],
 )
 def test_vertex_faces_read_one_without_a_scan(n, terms):
     phase = PolynomialPhase(n, terms)
+    exact = _exact_faces_read_one_without_a_scan(phase)
+    assert any(len(chk.face.points) == 1 for chk in exact)
+    if all(sum(1 for e in k if e) <= 1 for k in terms):
+        # sum_i c_i x_i^a_i: every edge and facet is decided without a scan too
+        assert len(exact) == len(newton_diagram(phase).faces)
+        assert any(chk.face.dim >= 1 for chk in exact)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(2, 3).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.integers(2, 8), min_size=n, max_size=n),
+            st.lists(
+                st.floats(0.1, 10.0).flatmap(lambda c: st.sampled_from([c, -c])),
+                min_size=n,
+                max_size=n,
+            ),
+        )
+    )
+)
+def test_power_sums_are_decided_without_a_scan(case):
+    # signed sum_i c_i x_i^a_i: each face's partials are single monomials
+    n, powers, coeffs = case
+    axes = [tuple(a if j == i else 0 for j in range(n)) for i, a in enumerate(powers)]
+    phase = PolynomialPhase(n, dict(zip(axes, coeffs)))
+    exact = _exact_faces_read_one_without_a_scan(phase)
+    assert len(exact) == len(newton_diagram(phase).faces)
+
+
+def test_faces_with_a_two_term_partial_are_scanned():
+    # x^2 + xy^2 + y^5: on the edge (2,0)-(1,2), d/dx = 2x + y^2 has two terms
+    phase = PolynomialPhase(2, {(2, 0): 1.0, (1, 2): 1.0, (0, 5): 1.0, (0, 0): 1.0})
+    exact = _exact_faces_read_one_without_a_scan(phase)
+    assert all(chk.face.dim == 0 for chk in exact)
     rep = r_nondegeneracy_check(phase)
-    domain, spacing = _fundamental_domain(n)
-    vertices = [chk for chk in rep.checks if len(chk.face.points) == 1]
-    assert vertices
-    for chk in vertices:
-        scanned, _ = _min_residual(chk.face.polynomial(phase), domain, spacing)
-        assert abs(scanned - 1.0) <= 4e-16
-        assert chk.min_residual == 1.0
-        assert chk.passed
+    (edge,) = [chk for chk in rep.checks if chk.face.points == ((1, 2), (2, 0))]
+    assert edge.passed
+    assert edge.min_residual == pytest.approx(0.3972, abs=1e-4)
