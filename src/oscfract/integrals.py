@@ -31,11 +31,14 @@ change the computed sum only by rounding:
   e^{i tau f} across axes, reducing the tensor sum to matrix products
   against a cached amplitude table, one product per batch of taus;
 * in 3D the radial amplitude is binned over r^2 = x^2 + y^2 with an in-bin
-  linear correction, replacing the n^3 tensor by per-bin sums plus an
-  (n x bins) product over the bins that hold a node pair.  The binning
-  error is quadratic in the bin width and sits orders of magnitude below
-  the quadrature tolerance at the tau ranges used (documented in the
-  tests).
+  second-order correction: three moments of each bin's node pairs (in
+  powers of their offset from the bin centre) meet the amplitude, its
+  first derivative and half its second, replacing the n^3 tensor by
+  per-bin sums plus three (n x bins) products over the bins that hold a
+  node pair.  The binning error is cubic in the bin width: at the default
+  2,048 bins the sum reads 8.6e-12 and 1.5e-11 off the unbinned one on the
+  sphere (tau_ref 20 and 60) and 7.2e-13 on x^4+y^4+z^4 (tau_ref 37.5),
+  orders of magnitude below the quadrature tolerance (see the tests).
 
 1D and mixed-variable phases share one path: their node tensor (a single
 axis in 1D) is built a block of rows at a time and streamed through the
@@ -83,9 +86,10 @@ class QuadratureConfig:
     # budgets raise NumericBudgetError; no path falls back to lower precision
     max_nodes: int = 200_000_000  # node cap of the streamed tensor, 1D included
     memory_budget_mb: int = 1400  # float64 amplitude tables of the separable paths
-    # r^2 bins of width R^2/radial_bins for the 3D separable path; its
-    # tables hold only the bins a node pair falls in
-    radial_bins: int = 16384
+    # r^2 bins of width R^2/radial_bins for the 3D separable path, each
+    # corrected to second order within the bin; its tables hold only the
+    # bins a node pair falls in
+    radial_bins: int = 2048
 
     def __post_init__(self) -> None:
         if self.points_per_wavelength < 8:
@@ -359,17 +363,22 @@ class _QuadGrid:
         idx = idx[order]
         self._s_off = s_flat[order] - (idx + 0.5) * width
         self._bin_starts = np.flatnonzero(np.diff(idx, prepend=-1))
-        if 2 * m * self._bin_starts.size * 8 > budget:
+        if 3 * m * self._bin_starts.size * 8 > budget:
             raise NumericBudgetError(
-                f"radial tables ({m}, {self._bin_starts.size}) exceed memory budget "
+                f"radial tables 3 x ({m}, {self._bin_starts.size}) exceed memory budget "
                 f"({cfg.memory_budget_mb} MB); reduce tau or radial_bins"
             )
         centers = (idx[self._bin_starts] + 0.5) * width  # occupied bins only
         r2 = (x[:, None] ** 2 + centers[None, :]) / R**2  # (nodes_z, bins)
+        # at a pair radius s the amplitude is G(s) = phi0 exp(1 - q) with
+        # q = 1/(1 - r2), r2 = (z^2 + s)/R^2, so G' = -G q^2/R^2 and
+        # G'' = G (q^4 - 2 q^3)/R^4.  Inside the ball 1 - r2 >= 2^-53, so
+        # q^4 stays finite
         self._G0 = amp.phi0 * bump_profile(r2)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            d = np.where(r2 < 1.0, -1.0 / (1.0 - r2) ** 2 / R**2, 0.0)
-        self._G1 = self._G0 * d
+        with np.errstate(divide="ignore"):
+            q = np.where(r2 < 1.0, 1.0 / (1.0 - r2), 0.0)
+        self._G1 = -self._G0 * q**2 / R**2
+        self._G2 = self._G0 * (q**4 - 2.0 * q**3) / (2.0 * R**4)
 
     def _iter_blocks(self):
         """Yield (f - f0, w * phi) over the node tensor, _BLOCK_BYTES of rows at a time."""
@@ -434,21 +443,23 @@ class _QuadGrid:
 
     def _core_sep3d(self, taus: np.ndarray, steps: np.ndarray) -> np.ndarray:
         m, wx = self._x.size, self._w
-        starts, G0, G1 = self._bin_starts, self._G0, self._G1
+        starts, tables = self._bin_starts, (self._G0, self._G1, self._G2)
         core = np.empty(taus.size, dtype=complex)
-        # four real rows of bin sums and the per-node rows: ~48 bytes per bin and node
-        rows = _batch_rows(48 * starts.size + 48 * m)
+        # six real rows of bin sums and the per-node rows: ~64 bytes per bin, 48 per node
+        rows = _batch_rows(64 * starts.size + 48 * m)
         for lo, hi, E in _phase_rows(taus, steps, self._g, rows):
             b = hi - lo
             u, v = E[:, :m] * wx, E[:, m : 2 * m] * wx
-            w = np.empty((4 * b, starts.size))  # rows: Re w0, Im w0, Re w1, Im w1
+            # rows 2jb..2(j+1)b hold Re, then Im, of the moments sum(pair s_off^j)
+            w = np.empty((6 * b, starts.size))
             for k in range(b):
                 pair = u[k][self._ii] * v[k][self._jj]
-                w0 = np.add.reduceat(pair, starts)
-                w1 = np.add.reduceat(pair * self._s_off, starts)
-                w[k], w[b + k] = w0.real, w0.imag
-                w[2 * b + k], w[3 * b + k] = w1.real, w1.imag
-            slab = w[: 2 * b] @ G0.T + w[2 * b :] @ G1.T
+                for j in range(3):
+                    if j:
+                        pair *= self._s_off
+                    wj = np.add.reduceat(pair, starts)
+                    w[2 * j * b + k], w[(2 * j + 1) * b + k] = wj.real, wj.imag
+            slab = sum(w[2 * j * b : 2 * (j + 1) * b] @ G.T for j, G in enumerate(tables))
             wz = E[:, 2 * m :] * wx
             core[lo:hi] = np.sum(wz * (slab[:b] + 1j * slab[b:]), axis=1)
         return core

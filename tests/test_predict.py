@@ -164,9 +164,9 @@ def test_predict_nd_nondegenerate(terms):
 def test_quadrature_finds_no_log_factor_on_the_3d_quartic():
     # multiplicity 0: on the default 3D window the one-term fit without
     # log tau is tighter than the one with it (0.066 against 0.165).  The
-    # coarser grid reads both residuals as the default one does, to 1e-8,
-    # in 280 MB instead of 2.3 GB
-    cfg = QuadratureConfig(panel_order=2, radial_bins=2048)
+    # CLI's 3D grid reads both residuals as the default one does, to 1e-8,
+    # in 335 MB instead of 940 MB
+    cfg = QuadratureConfig(panel_order=2)
     phase, amp = PolynomialPhase(3, QUARTIC_3D), AmplitudeSpec(3)
     samples = sample_integral(phase, amp, 8.0, 150.0, 30, cfg)
     flat = leading_term_fit(samples, 1.0, -0.75, k=0)
