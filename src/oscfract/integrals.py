@@ -41,8 +41,9 @@ change the computed sum only by rounding:
   orders of magnitude below the quadrature tolerance (see the tests).
 
 1D and mixed-variable phases share one path: their node tensor (a single
-axis in 1D) is built a block of rows at a time and streamed through the
-weighted sums, so it is never held whole.  Tables are float64 throughout;
+axis in 1D) is built _DOT_TERMS nodes at a time, in C order, and each block
+takes one dot per tau, so a pass holds one block and one batch of phase
+rows whatever the node count.  Tables are float64 throughout;
 a grid over its budget (max_nodes for the tensor, memory_budget_mb for the
 separable tables) raises NumericBudgetError rather than losing precision.
 
@@ -138,7 +139,7 @@ class FitResult:
 
 
 def gradient_bound(phase: PolynomialPhase, amp: AmplitudeSpec) -> float:
-    """max |grad f| over the support ball, by dense sampling plus 5% headroom."""
+    """max |grad f| over the support ball, sampled inside it and on its sphere, plus 5% headroom."""
     n = phase.dimension
     if n > 3:
         raise ValueError(f"quadrature supports n <= 3, got a phase with n = {n}")
@@ -149,7 +150,11 @@ def gradient_bound(phase: PolynomialPhase, amp: AmplitudeSpec) -> float:
         ax = ax[per_axis // 2 :]  # |grad f| is even in each variable too
     pts = np.stack(np.meshgrid(*([ax] * n), indexing="ij"), axis=-1).reshape(-1, n)
     if n > 1:
-        pts = pts[np.sum(pts**2, axis=-1) <= R * R]
+        # the cube's outer faces, scaled onto the sphere, catch a maximum
+        # on the boundary between the points inside the ball
+        face = pts[np.abs(pts).max(axis=-1) == R]
+        sphere = R * face / np.linalg.norm(face, axis=-1, keepdims=True)
+        pts = np.concatenate([pts[np.sum(pts**2, axis=-1) <= R * R], sphere])
     return 1.05 * float(gradient_norm(phase, pts).max())
 
 
@@ -162,14 +167,8 @@ _BATCH_BYTES = 8 * 2**20
 # OpenBLAS runs a complex dot of at most 10^4 terms on one thread.  Longer
 # dots wake its worker threads, which on 2 CPUs doubled the CPU time and
 # saved no wall time (1d grid at tau 2000, 42,784 nodes: 316 against 151 us
-# CPU per tau), so the weighted sums below dot slices of at most this many.
+# CPU per tau), so the node tensor is streamed in blocks of this many nodes.
 _DOT_TERMS = 10_000
-# The node tensor of 1D and mixed-variable phases is built this many bytes
-# of rows at a time, so it is never held whole.  Building a block peaks at
-# about 72 bytes per node (tracemalloc, n = 1 to 3): the node coordinates,
-# weights, phase, radius and bump temporaries, of which the block keeps 16.
-_BLOCK_BYTES = 64 * 2**20
-_BLOCK_NODE_BYTES = 72
 # refined taus per phase step, at most
 _MAX_POINTS = 2_000_000
 # phase step of the reflected graphs' refinement
@@ -232,20 +231,18 @@ def _phase_rows(taus: np.ndarray, steps: np.ndarray, g: np.ndarray, rows: int):
 def _weighted_sums(taus: np.ndarray, steps: np.ndarray, blocks) -> np.ndarray:
     """Sum over (g, a) blocks of sum(a * exp(i tau g)), for every tau.
 
-    Each block is cut into slices of at most _DOT_TERMS nodes, and each
-    slice takes one dot per tau.  A matrix-vector product over a batch of
-    taus woke BLAS's worker threads too, whose spin-wait added about 15%
-    CPU time to a fold-verify pass.  A block and everything made from it
-    are freed before the next block is built.
+    Each block takes one dot per tau.  A matrix-vector product over a batch
+    of taus woke BLAS's worker threads, whose spin-wait added about 15% CPU
+    time to a fold-verify pass.  A block and its phase rows are freed
+    before the next block is built.
     """
     core = np.zeros(taus.size, dtype=complex)
     for g, a in blocks:
-        for s in range(0, g.size, _DOT_TERMS):
-            gs, a_s = g[s : s + _DOT_TERMS], a[s : s + _DOT_TERMS].astype(complex)
-            for lo, hi, E in _phase_rows(taus, steps, gs, _batch_rows(16 * gs.size)):
-                for k in range(hi - lo):
-                    core[lo + k] += E[k] @ a_s
-        del g, a, gs, a_s, E
+        a = a.astype(complex)
+        for lo, hi, E in _phase_rows(taus, steps, g, _batch_rows(16 * g.size)):
+            for k in range(hi - lo):
+                core[lo + k] += E[k] @ a
+        del g, a, E
     return core
 
 
@@ -320,7 +317,7 @@ class _QuadGrid:
         self._x, self._w = x, w
         split = _separable_split(phase) if n > 1 else None
         if split is None:
-            # 1D and mixed-variable phases: the node tensor, streamed in row blocks
+            # 1D and mixed-variable phases: the node tensor, streamed in blocks
             total = x.size**n
             if total > cfg.max_nodes:
                 raise NumericBudgetError(
@@ -363,6 +360,7 @@ class _QuadGrid:
         idx = idx[order]
         self._s_off = s_flat[order] - (idx + 0.5) * width
         self._bin_starts = np.flatnonzero(np.diff(idx, prepend=-1))
+        del s, keep, ii, jj, s_flat, order
         if 3 * m * self._bin_starts.size * 8 > budget:
             raise NumericBudgetError(
                 f"radial tables 3 x ({m}, {self._bin_starts.size}) exceed memory budget "
@@ -381,21 +379,16 @@ class _QuadGrid:
         self._G2 = self._G0 * (q**4 - 2.0 * q**3) / (2.0 * R**4)
 
     def _iter_blocks(self):
-        """Yield (f - f0, w * phi) over the node tensor, _BLOCK_BYTES of rows at a time."""
-        n, x = self.phase.dimension, self._x
-        rows = max(1, _BLOCK_BYTES // (_BLOCK_NODE_BYTES * x.size ** (n - 1)))
-        for lo in range(0, x.size, rows):
-            yield self._block(lo, lo + rows)
-
-    def _block(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """(f - f0, w * phi) on the tensor rows lo:hi; its temporaries die on return."""
+        """Yield (f - f0, w * phi) on C-order runs of at most _DOT_TERMS tensor nodes."""
         n, x, w, R = self.phase.dimension, self._x, self._w, self.amp.radius
-        axes = [x[lo:hi]] + [x] * (n - 1)
-        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        ww = functools.reduce(np.multiply.outer, [w[lo:hi]] + [w] * (n - 1))
-        f = eval_phase_array(self.phase, pts) - self.f0
-        u2 = np.sum(pts**2, axis=-1) / R**2
-        return f.ravel(), (ww * self.amp.phi0 * bump_profile(u2)).ravel()
+        total = x.size**n
+        for lo in range(0, total, _DOT_TERMS):
+            idx = np.unravel_index(np.arange(lo, min(total, lo + _DOT_TERMS)), (x.size,) * n)
+            pts = np.stack([x[i] for i in idx], axis=-1)
+            ww = functools.reduce(np.multiply, [w[i] for i in idx])
+            f = eval_phase_array(self.phase, pts) - self.f0
+            u2 = np.sum(pts**2, axis=-1) / R**2
+            yield f, ww * self.amp.phi0 * bump_profile(u2)
 
     def value(self, tau: float) -> complex:
         """I(tau), from the batch values() is handing out, else as a batch of one."""

@@ -27,11 +27,15 @@ Verified here:
 * winding refinement: phase advance per step bounded, original samples
   reused exactly, t-grid of the reflected graphs increasing with both
   components extracted from one pass;
-* 1D and mixed-variable phases share the streamed node tensor: summed in
-  blocks of three rows it gives exactly the one-block sums in the 1d,
-  gen2d and gen3d modes, building one block peaks within 1.5 times its
-  byte budget, and a pass over 45 blocks within 1.3 times, since each
-  block is freed before the next is built;
+* 1D and mixed-variable phases share the streamed node tensor: in blocks
+  of seven nodes it concatenates to the node tensor built on the whole
+  meshgrid, and its sums agree with the default blocks' to 1e-13, in the
+  1d, gen2d and gen3d modes; building one default block peaks below 1 MB,
+  and a 3-tau pass over 2.56M nodes below 2 MB, since each block and its
+  phase rows are freed before the next block is built;
+* gradient_bound samples the support sphere as well as the ball, so it
+  reaches 1.05 times a maximum of |grad f| that lies on the sphere between
+  the grid points inside the ball;
 * every budget (panels, nodes, memory, refinement points) raises
   NumericBudgetError instead of degrading: separable tables stay float64,
   and a table that would fit the budget only at float32 raises; a phase
@@ -41,6 +45,7 @@ Verified here:
   handles log factors, and the two-term correction removes subleading bias.
 """
 
+import functools
 import math
 import tracemalloc
 import warnings
@@ -464,29 +469,37 @@ def test_budget_separable_tables_stay_float64(phase, cfg):
     ids=["1d", "gen2d", "gen3d"],
 )
 def test_streamed_blocks_match_one_block(monkeypatch, mode, phase, amp, tau):
-    # blocks of three rows against one block: with dot slices of three rows
-    # in both runs the sums are added in the same order, so they agree exactly
+    # blocks of seven nodes concatenate to (f - f0, w phi) built on the
+    # whole meshgrid, and their sums agree with the default blocks'
     cfg = QuadratureConfig(panel_order=2, min_panels=12)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # non-separable 3D
         grid = _QuadGrid(phase, amp, cfg, tau)
     assert grid.mode == mode
-    n, m = phase.dimension, grid.nodes_per_axis
+    n, x, w = phase.dimension, grid._x, grid._w
     taus = np.linspace(-tau, tau, 7)
-    monkeypatch.setattr(integrals, "_DOT_TERMS", 3 * m ** (n - 1))
-    assert len(list(grid._iter_blocks())) == 1
-    whole = grid.values(taus)
-    monkeypatch.setattr(integrals, "_BLOCK_BYTES", integrals._BLOCK_NODE_BYTES * 3 * m ** (n - 1))
-    assert len(list(grid._iter_blocks())) == -(-m // 3)
-    assert np.array_equal(grid.values(taus), whole)
+    default = grid.values(taus)
+    monkeypatch.setattr(integrals, "_DOT_TERMS", 7)
+    blocks = list(grid._iter_blocks())
+    assert all(g.size == a.size <= 7 for g, a in blocks)
+    pts = np.stack(np.meshgrid(*[x] * n, indexing="ij"), axis=-1).reshape(-1, n)
+    ww = functools.reduce(np.multiply.outer, [w] * n).ravel()
+    u2 = np.sum(pts**2, axis=-1) / amp.radius**2
+    f = eval_phase_array(phase, pts) - phase.value_at_origin
+    assert np.array_equal(np.concatenate([g for g, _ in blocks]), f)
+    assert np.array_equal(np.concatenate([a for _, a in blocks]), ww * amp.phi0 * bump_profile(u2))
+    assert np.allclose(grid.values(taus), default, rtol=1e-13, atol=0.0)
 
 
-def test_tensor_block_peak_stays_near_its_budget(monkeypatch):
-    # rows are sized by what building a block takes, not by the 16 bytes
-    # per node the block keeps
-    monkeypatch.setattr(integrals, "_BLOCK_BYTES", 2**20)
-    mixed = _P(2, {(2, 0): 1.0, (1, 1): 2.0, (0, 2): 1.0, (0, 0): 1.0})
-    grid = _QuadGrid(mixed, AmplitudeSpec(2), QuadratureConfig(min_panels=400), 1.0)
+_MIXED_400 = (
+    _P(2, {(2, 0): 1.0, (1, 1): 2.0, (0, 2): 1.0, (0, 0): 1.0}),
+    AmplitudeSpec(2),
+    QuadratureConfig(min_panels=400),
+)
+
+
+def test_tensor_block_build_peaks_below_1_mb():
+    grid = _QuadGrid(*_MIXED_400, 1.0)
     assert grid.mode == "gen2d"
     blocks = grid._iter_blocks()
     tracemalloc.start()
@@ -495,26 +508,22 @@ def test_tensor_block_peak_stays_near_its_budget(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert g.size == a.size < grid.nodes_per_axis**2
-    assert peak <= 1.5 * 2**20
+    assert g.size == a.size == integrals._DOT_TERMS
+    assert peak < 1e6
 
 
-def test_streamed_sums_free_each_block_before_the_next(monkeypatch):
-    # the sums let go of a block, its slices and its phase rows before the
-    # generator builds the next block, so two blocks are never alive at once
-    budget = 4 * 2**20
-    monkeypatch.setattr(integrals, "_BLOCK_BYTES", budget)
-    mixed = _P(2, {(2, 0): 1.0, (1, 1): 2.0, (0, 2): 1.0, (0, 0): 1.0})
-    grid = _QuadGrid(mixed, AmplitudeSpec(2), QuadratureConfig(min_panels=400), 1.0)
-    assert grid.mode == "gen2d"
-    assert len(list(grid._iter_blocks())) == 45
+def test_streamed_sums_free_each_block_before_the_next():
+    # 2.56M nodes, whose f - f0 and w phi alone would take 41 MB: a pass
+    # holds one block and one batch of phase rows at a time
+    grid = _QuadGrid(*_MIXED_400, 1.0)
+    assert grid.mode == "gen2d" and grid.nodes_per_axis**2 == 2_560_000
     tracemalloc.start()
     try:
         grid.values(np.array([0.2, 0.5, 1.0]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.3 * budget
+    assert peak < 2e6
 
 
 def test_budget_tensor_nodes():
@@ -541,6 +550,20 @@ def test_gradient_bound_hits_support_extremes():
     assert gradient_bound(X2, A1) == pytest.approx(2.1, rel=1e-9)
     quartic = PolynomialPhase(2, {(2, 0): 1.0, (0, 4): 1.0})
     assert gradient_bound(quartic, AmplitudeSpec(2)) == pytest.approx(4.2, rel=1e-3)
+
+
+@pytest.mark.parametrize(
+    "phase, radius, top",
+    [
+        (_P(3, {(4, 0, 4): 1.0}), 0.6, 0.6**7 / 2),  # at x = z = R/sqrt(2)
+        (_P(3, {(0, 3, 3): 1.0}), 1.0, 0.75),  # at y = z = 1/sqrt(2)
+    ],
+    ids=["x4z4", "y3z3"],
+)
+def test_gradient_bound_reaches_a_maximum_on_the_sphere(phase, radius, top):
+    # the maximum lies on the sphere, between the grid points inside the ball
+    L = gradient_bound(phase, AmplitudeSpec(3, radius=radius))
+    assert L == pytest.approx(1.05 * top, rel=1e-12)
 
 
 def test_quadrature_refuses_four_dimensions_by_name():
