@@ -17,10 +17,11 @@ from fractions import Fraction
 from oscfract.estimators import estimate_content, geometric_epsilons
 from oscfract.integrals import curve_from_samples, sample_integral
 from oscfract.phases import AmplitudeSpec, PolynomialPhase
-from oscfract.predict import content_from_coefficient, predict_1d
+from oscfract.predict import content_from_coefficient, diagonal_coefficient, predict_1d
 
-# 1. The prediction: s = 2, f0 = 1, f''(0) = 2 make C1 and the content exact.
-pred = predict_1d(2, 1.0, f_second=2.0)
+# 1. The prediction: s = 2, f0 = 1 and the coefficient 1 of x^2 make C1 and
+#    the content exact.
+pred = predict_1d(2, 1.0, diagonal_coefficient({(2,): 1.0}))
 exact = 3.0 * 2.0 ** (2.0 / 3.0) * math.pi
 print(f"predicted content M = {pred.content:.12f}")
 print(f"closed form 3*2^(2/3)*pi = {exact:.12f}")

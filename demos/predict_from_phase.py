@@ -18,6 +18,7 @@ from oscfract.phases import PolynomialPhase
 from oscfract.predict import (
     CausticType,
     caustic_prediction,
+    diagonal_coefficient,
     greenblatt_coefficient,
     predict_1d,
     predict_nd,
@@ -40,19 +41,21 @@ def show(name, pred):
 
 
 # 1. One variable: the critical order s at the origin is all that matters.
-#    A fold (s=2) gives d = 4/3; for s = 2 the stationary-phase coefficient
-#    is explicit, so the content comes out as a number.
+#    A fold (s=2) gives d = 4/3.  For f = f0 + c x^s + ... the leading
+#    coefficient is a Fresnel constant of c x^s, so the content comes out as
+#    a number for every s; without the coefficient it stays open.
 print("one-dimensional phases")
-show("x^2 + 1 (fold)", predict_1d(2, 1.0, f_second=2.0))
-show("x^3 + 1 (cusp)", predict_1d(3, 1.0))
+show("x^2 + 1 (fold)", predict_1d(2, 1.0, diagonal_coefficient({(2,): 1.0})))
+show("x^3 + 1 (cusp)", predict_1d(3, 1.0, diagonal_coefficient({(3,): 1.0})))
 show("x^9 + 1", predict_1d(9, 1.0))
 show("x + 2 (no crit pt)", predict_no_critical_point(2.0))
 
 # 2. Two variables: remoteness is read off the Newton diagram.  For
 #    x^p + y^q the leading coefficient has a closed form, so the content
-#    of the x^2 + y^4 curve is again explicit.  (p, q) = (2, 2) sits on the
-#    beta = -1 boundary: d = 1, but the curve's length grows like log tau,
-#    and no coefficient applies.
+#    of the x^2 + y^4 curve is again explicit; greenblatt_coefficient gets
+#    the same number by quadrature.  (p, q) = (2, 2) sits on the beta = -1
+#    boundary: d = 1, but the curve's length grows like log tau, and no
+#    coefficient applies.
 print("\ntwo-dimensional phases")
 for p, q in ((2, 2), (2, 4), (3, 5)):
     phase = PolynomialPhase(2, {(p, 0): 1.0, (0, q): 1.0, (0, 0): 1.0})

@@ -24,6 +24,7 @@ from oscfract.predict import (
     CausticType,
     caustic_prediction,
     content_from_coefficient,
+    diagonal_coefficient,
     greenblatt_coefficient,
     greenblatt_closed_form,
     predict_1d,
@@ -77,6 +78,7 @@ __all__ = [
     "content_from_coefficient",
     "critical_order_1d",
     "curve_from_samples",
+    "diagonal_coefficient",
     "estimate_content",
     "estimate_dimension",
     "eval_integral",

@@ -58,7 +58,7 @@ from oscfract.phases import (
 )
 from oscfract.predict import (
     content_from_coefficient,
-    greenblatt_closed_form,
+    diagonal_coefficient,
     predict_1d,
     predict_nd,
     predict_no_critical_point,
@@ -362,24 +362,6 @@ def _content(pts: np.ndarray, d: float, opts: tuple[dict, int]) -> ContentEstima
 # prediction dispatch
 
 
-def _a0beta_2d(phase: PolynomialPhase, amp: AmplitudeSpec) -> Optional[complex]:
-    """Leading coefficient for phases that are exactly x^p + y^q (+ const)."""
-    mono = {k: c for k, c in phase.terms.items() if sum(k) > 0}
-    if len(mono) != 2:
-        return None
-    p = q = 0
-    for (i, j), c in mono.items():
-        if c != 1.0:
-            return None
-        if i >= 2 and j == 0:
-            p = i
-        elif i == 0 and j >= 2:
-            q = j
-    if p and q:
-        return greenblatt_closed_form(p, q, amp.phi0)
-    return None
-
-
 def _predict(phase: PolynomialPhase, amp: AmplitudeSpec, diagram):
     n = phase.dimension
     f0 = phase.value_at_origin
@@ -387,10 +369,13 @@ def _predict(phase: PolynomialPhase, amp: AmplitudeSpec, diagram):
         return predict_no_critical_point(f0)
     if n == 1:
         s = critical_order_1d(phase)
-        f_second = 2.0 * phase.terms.get((2,), 0.0) if s == 2 else None
-        return predict_1d(s, f0, amp.phi0, f_second)
-    # the coefficient enters only the content, which exists for beta > -1
-    leading = _a0beta_2d(phase, amp) if n == 2 and diagram.remoteness > -1 else None
+        return predict_1d(s, f0, diagonal_coefficient({(s,): phase.terms[(s,)]}, amp.phi0))
+    # the coefficient enters only the content, which exists for beta > -1; it
+    # is read off the principal part, the terms on the face the bisector meets
+    leading = None
+    if diagram.remoteness > -1:
+        part = {k: phase.terms[k] for k in diagram.center_points}
+        leading = diagonal_coefficient(part, amp.phi0)
     return predict_nd(diagram, f0, leading)
 
 

@@ -237,6 +237,8 @@ def _weighted_sums(taus: np.ndarray, steps: np.ndarray, blocks) -> np.ndarray:
     before the next block is built.
     """
     core = np.zeros(taus.size, dtype=complex)
+    if not taus.size:  # no phase rows, and so no block, to build
+        return core
     for g, a in blocks:
         a = a.astype(complex)
         for lo, hi, E in _phase_rows(taus, steps, g, _batch_rows(16 * g.size)):

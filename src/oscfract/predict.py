@@ -9,15 +9,13 @@ d = d' = 1.  At beta = -1 the formulas still give d = d' = 1, but the curve
 is not rectifiable: |I'(tau)| ~ |a| f0 / tau, so its length grows like
 log tau (a hyperbolic spiral).
 
-The n = 1 content constant is explicit only for critical order s = 2; for
-s >= 3 the leading coefficient must be measured from the integral itself
-(integrals.leading_term_fit) and passed to content_from_coefficient at
-beta = -1/s.  For n >= 2 the diagram gives beta and the log power of the
-leading term; for phases x^p + y^q + f0 the coefficient a_{0,beta}
-comes from a limit formula for the leading term.  Predictions take it in
-closed form (Beta functions), for any p, q >= 2; greenblatt_coefficient
-evaluates the same formula by quadrature as a reference, and is the only
-code here that needs scipy, which it imports when called.
+The leading coefficient a of I(tau) e^{-i tau f0} ~ a tau^beta has one
+closed form, diagonal_coefficient, for a principal part sum_i c_i x_i^{a_i}:
+every 1-d critical order and every diagonal face for n >= 2.  Other faces
+leave a, and so the content, unknown.  For n >= 2 the diagram gives beta
+and the log power of the leading term.  greenblatt_coefficient, the
+x^p + y^q coefficient by quadrature, is a reference and the only code here
+that needs scipy, which it imports when called.
 """
 
 from __future__ import annotations
@@ -194,28 +192,49 @@ def content_from_coefficient(beta: Rational, a0beta: complex, f0: float) -> floa
     )
 
 
-def predict_1d(
-    s: int, f0: float, phi0: float = 1.0, f_second: Optional[float] = None
-) -> AsymptoticPrediction:
+def diagonal_coefficient(part: dict, phi0: float = 1.0) -> Optional[complex]:
+    """Leading coefficient of a principal part sum_i c_i x_i^{a_i}, else None.
+
+    part maps multi-indices to coefficients.  When it holds exactly one pure
+    power c_i x_i^{a_i}, a_i >= 2, of each variable, e^{i tau part}
+    factorizes over the axes and
+
+        a = phi(0) prod_i (2/a_i) Gamma(1/a_i) |c_i|^{-1/a_i} z_i,
+
+    z_i = e^{i pi sgn(c_i)/(2 a_i)} for even a_i and cos(pi/(2 a_i)) for odd
+    a_i (Arnold, Gusein-Zade and Varchenko, vol. II).  The factors are
+    multiplied in (a_i, c_i) order, so permuting the axes gives the same bits.
+    """
+    n = len(next(iter(part)))
+    axes = {}
+    for k, c in part.items():
+        if c == 0.0:
+            raise ValueError(f"coefficient of {k} is 0: not a term of the principal part")
+        live = [i for i, e in enumerate(k) if e]
+        if len(live) != 1 or live[0] in axes or k[live[0]] < 2:
+            return None
+        axes[live[0]] = (k[live[0]], c)
+    if len(axes) != n:
+        return None
+    a = complex(phi0)
+    for e, c in sorted(axes.values()):
+        if e % 2:
+            z = math.cos(math.pi / (2 * e))
+        else:
+            z = cmath.exp(1j * math.pi * math.copysign(1.0, c) / (2 * e))
+        a *= 2 / e * math.gamma(1 / e) * abs(c) ** (-1 / e) * z
+    return a
+
+
+def predict_1d(s: int, f0: float, leading: Optional[complex] = None) -> AsymptoticPrediction:
     """Prediction for n = 1 with critical order s at the origin.
 
-    d = 2s/(s+1), d' = (3s-1)/(2s).  For s = 2 with f''(0) supplied, the
-    leading coefficient C1 = phi(0) sqrt(2 pi) |f''(0)|^{-1/2} e^{i pi sgn(f''(0))/4}
-    is explicit and the content follows; for s >= 3 both are left unknown
-    (measure C1 with leading_term_fit and pass it to content_from_coefficient
-    at beta = -1/s).
+    d = 2s/(s+1), d' = (3s-1)/(2s).  The content follows from the leading
+    coefficient when one is given: for f = f0 + c x^s + ... that is
+    diagonal_coefficient({(s,): c}, phi0).
     """
     if s < 2:
         raise ValueError(f"critical order must be >= 2, got {s}")
-    leading = None
-    if s == 2 and f_second is not None and f0 != 0.0:  # f(0) = 0 ignores f''(0)
-        if f_second == 0.0:
-            raise ValueError("s = 2 requires f''(0) != 0")
-        leading = (
-            phi0
-            * math.sqrt(2.0 * math.pi / abs(f_second))
-            * cmath.exp(1j * math.pi / 4.0 * math.copysign(1.0, f_second))
-        )
     return _power_law(Fraction(-1, s), 0, f0, leading)
 
 
@@ -259,41 +278,9 @@ def caustic_prediction(caustic: CausticType) -> AsymptoticPrediction:
 
 
 def greenblatt_closed_form(p: int, q: int, phi00: float = 1.0) -> complex:
-    """Closed-form a_{0,beta} for the phase x^p + y^q + f0, any p, q >= 2.
-
-    With beta = -1/p - 1/q and B the Beta function, the y integrals of
-    greenblatt_coefficient reduce (t = y^q) to three constants:
-
-        A  = int_0^inf (1 + y^q)^beta dy = B(1/q, 1/p)/q
-        B1 = int_1^inf (y^q - 1)^beta dy = B(1/p, beta + 1)/q
-        C  = int_0^1   (1 - y^q)^beta dy = B(1/q, beta + 1)/q
-
-    and each piece is one of 2A, 2B1, 2C, A + C, B1 or 0 by the parity of q
-    and the sign of (+-1)^p.  For p, q even this is
-    4 phi(0,0) e^{i pi (1/p + 1/q)/2} Gamma(1/p + 1) Gamma(1/q + 1).
-    """
+    """Closed-form a_{0,beta} for the phase x^p + y^q + f0, any p, q >= 2."""
     _validate_pq(p, q)
-    beta = -1.0 / p - 1.0 / q
-
-    def beta_fn(a: float, b: float) -> float:
-        return math.gamma(a) * math.gamma(b) / math.gamma(a + b)
-
-    A = beta_fn(1.0 / q, 1.0 / p) / q
-    B1 = beta_fn(1.0 / p, beta + 1.0) / q
-    C = beta_fn(1.0 / q, beta + 1.0) / q
-
-    def piece(xsign: float, part: int) -> float:
-        # q odd: y -> -y flips y^q, so only the sign of part * xsign^p counts:
-        # + gives 1 + |y|^q on one half line and 1 - |y|^q on the other, - gives
-        # |y|^q - 1 beyond one root.  q even: 1 + y^q on all of R, y^q - 1 for
-        # |y| > 1, 1 - y^q for |y| < 1, or -(1 + y^q), positive nowhere.
-        if q % 2:
-            return A + C if part * xsign**p > 0 else B1
-        if xsign**p > 0:
-            return 2.0 * A if part > 0 else 0.0
-        return 2.0 * B1 if part > 0 else 2.0 * C
-
-    return _from_pieces(p, q, phi00, piece)
+    return diagonal_coefficient({(p, 0): 1.0, (0, q): 1.0}, phi00)
 
 
 def greenblatt_coefficient(p: int, q: int, phi00: float = 1.0) -> complex:
@@ -353,7 +340,14 @@ def greenblatt_coefficient(p: int, q: int, phi00: float = 1.0) -> complex:
             )
         return val
 
-    a = _from_pieces(p, q, phi00, piece)
+    pref = phi00 / (p / q + 1.0)
+    c0 = pref * (piece(1.0, +1) + piece(-1.0, +1))
+    C0 = pref * (piece(1.0, -1) + piece(-1.0, -1))
+    a = (
+        -beta
+        * math.gamma(-beta)
+        * (cmath.exp(-0.5j * math.pi * beta) * c0 + cmath.exp(0.5j * math.pi * beta) * C0)
+    )
     closed = greenblatt_closed_form(p, q, phi00)
     if abs(a - closed) > 1e-6 * abs(closed):
         raise ArithmeticError(
@@ -361,19 +355,6 @@ def greenblatt_coefficient(p: int, q: int, phi00: float = 1.0) -> complex:
             f"{a} vs {closed}"
         )
     return a
-
-
-def _from_pieces(p: int, q: int, phi00: float, piece) -> complex:
-    """a_{0,beta} from the four y integrals piece(+-1, +-1) of S0_(+-)(+-1, y)^beta."""
-    beta = -1.0 / p - 1.0 / q
-    pref = phi00 / (p / q + 1.0)
-    c0 = pref * (piece(1.0, +1) + piece(-1.0, +1))
-    C0 = pref * (piece(1.0, -1) + piece(-1.0, -1))
-    return (
-        -beta
-        * math.gamma(-beta)
-        * (cmath.exp(-0.5j * math.pi * beta) * c0 + cmath.exp(0.5j * math.pi * beta) * C0)
-    )
 
 
 def _validate_pq(p: int, q: int) -> None:

@@ -33,6 +33,8 @@ Verified here:
   1d, gen2d and gen3d modes; building one default block peaks below 1 MB,
   and a 3-tau pass over 2.56M nodes below 2 MB, since each block and its
   phase rows are freed before the next block is built;
+* values() of an empty tau array is an empty complex array in every grid
+  mode (1d, sep2d, sep3d, gen2d, gen3d);
 * gradient_bound samples the support sphere as well as the ball, so it
   reaches 1.05 times a maximum of |grad f| that lies on the sphere between
   the grid points inside the ball;
@@ -489,6 +491,26 @@ def test_streamed_blocks_match_one_block(monkeypatch, mode, phase, amp, tau):
     assert np.array_equal(np.concatenate([g for g, _ in blocks]), f)
     assert np.array_equal(np.concatenate([a for _, a in blocks]), ww * amp.phi0 * bump_profile(u2))
     assert np.allclose(grid.values(taus), default, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "mode, phase",
+    [
+        ("1d", X3),
+        ("sep2d", _P(2, {(2, 0): 1.0, (0, 4): 1.0, (0, 0): 1.0})),
+        ("sep3d", _P(3, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0, (0, 0, 0): 1.0})),
+        ("gen2d", _P(2, {(2, 0): 1.0, (1, 1): 2.0, (0, 2): 1.0, (0, 0): 1.0})),
+        ("gen3d", _P(3, {(2, 0, 0): 1.0, (1, 1, 0): 2.0, (0, 0, 2): 1.0, (0, 0, 0): 1.0})),
+    ],
+    ids=["1d", "sep2d", "sep3d", "gen2d", "gen3d"],
+)
+def test_values_of_no_tau_is_an_empty_complex_array(mode, phase):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # non-separable 3D
+        grid = _QuadGrid(phase, AmplitudeSpec(phase.dimension), QuadratureConfig(panel_order=2), 2.0)
+    assert grid.mode == mode
+    out = grid.values(np.array([]))
+    assert out.dtype == complex and out.shape == (0,)
 
 
 _MIXED_400 = (

@@ -3,9 +3,15 @@
 Verified here:
 * predict_1d gives d = 4/3 (s = 2) and d = 3/2 (s = 3) as exact Fractions,
   and caustic A_k predictions in n = 1 coincide with predict_1d(s = k + 1);
-* the explicit s = 2 coefficient sqrt(2 pi / |f''|) e^{i pi sgn(f'')/4} and
+* the s = 2 coefficient sqrt(pi / |c|) e^{i pi sgn(c)/4} of c x^2 and
   the frozen golden content 3 * 2^(2/3) * pi for x^2 + 1, from the
   coefficient formula at beta = -1/2;
+* diagonal_coefficient against the quadrature route (leading_term_fit) at
+  5%: c x^s for s = 2..6 and c = 1, -2; 2x^2 + y^4 + 1, x^2 - y^4 + 1,
+  x^2 + y^4 + x^2 y^2 + 1 and x^2 + y^3 + 1 (a two-term fit); and
+  x^4 + y^4 + z^4 + 1; no coefficient on a principal face that is not
+  sum_i c_i x_i^{a_i} (x^2 + xy^2 + y^4, x^2 + y^6 + z^6 + y^3 z^3), and the
+  same bits under a permutation of the axes;
 * one prediction for every n >= 2 from the diagram: nondegenerate at
   multiplicity 0 (in 2D and 3D, with a content when a coefficient is
   given; the quadrature route on x^4 + y^4 + z^4 + 1 fits better without
@@ -47,6 +53,7 @@ from oscfract.predict import (
     CausticType,
     caustic_prediction,
     content_from_coefficient,
+    diagonal_coefficient,
     greenblatt_closed_form,
     greenblatt_coefficient,
     predict_1d,
@@ -85,19 +92,19 @@ def test_caustic_matches_1d_fold_hierarchy():
 
 
 def test_explicit_order_two_coefficient():
-    pred = predict_1d(2, 1.0, phi0=1.0, f_second=2.0)
+    pred = predict_1d(2, 1.0, diagonal_coefficient({(2,): 1.0}, 1.0))
     assert pred.leading_coeff is not None
     assert abs(pred.leading_coeff) == pytest.approx(math.sqrt(math.pi), rel=1e-12)
     assert cmath.phase(pred.leading_coeff) == pytest.approx(math.pi / 4, abs=1e-12)
     assert pred.content == pytest.approx(CONTENT_X2, rel=1e-12)
-    neg = predict_1d(2, 1.0, f_second=-2.0)
+    neg = predict_1d(2, 1.0, diagonal_coefficient({(2,): -1.0}))
     assert cmath.phase(neg.leading_coeff) == pytest.approx(-math.pi / 4, abs=1e-12)
     with pytest.raises(ValueError):
-        predict_1d(2, 1.0, f_second=0.0)
+        diagonal_coefficient({(2,): 0.0})
 
 
 def test_higher_order_leaves_coefficient_open():
-    pred = predict_1d(3, 1.0, f_second=2.0)  # f'' irrelevant for s = 3
+    pred = predict_1d(3, 1.0)  # no leading coefficient given: no content
     assert pred.leading_coeff is None
     assert pred.content is None
 
@@ -172,6 +179,85 @@ def test_quadrature_finds_no_log_factor_on_the_3d_quartic():
     flat = leading_term_fit(samples, 1.0, -0.75, k=0)
     logged = leading_term_fit(samples, 1.0, -0.75, k=1)
     assert flat.residual < logged.residual
+
+
+def _principal_part(terms):
+    """(diagram, terms on the face the bisector meets) of sum_k c_k x^k."""
+    diagram = _diagram(terms)
+    return diagram, {k: terms[k] for k in diagram.center_points}
+
+
+@pytest.mark.parametrize("c", [1.0, -2.0])
+@pytest.mark.parametrize("s", range(2, 7))
+def test_diagonal_coefficient_matches_the_quadrature_route_1d(s, c):
+    # one-term fit over the top decade of tau 200..4000; s = 6 reads 3%
+    phase = PolynomialPhase(1, {(s,): c, (0,): 1.0})
+    samples = sample_integral(phase, AmplitudeSpec(1), 200.0, 4000.0, 24)
+    fit = leading_term_fit(samples, 1.0, -1.0 / s)
+    a = diagonal_coefficient({(s,): c})
+    assert abs(fit.value - a) <= 0.05 * abs(a)
+
+
+@pytest.mark.parametrize(
+    "terms, radius, window, cfg",
+    [
+        ({(2, 0): 2.0, (0, 4): 1.0, (0, 0): 1.0}, 0.6, (60.0, 600.0), QuadratureConfig()),
+        ({(2, 0): 1.0, (0, 4): -1.0, (0, 0): 1.0}, 0.6, (60.0, 600.0), QuadratureConfig()),
+        (
+            {(2, 0): 1.0, (0, 4): 1.0, (2, 2): 1.0, (0, 0): 1.0},
+            0.6,
+            (60.0, 600.0),
+            QuadratureConfig(),
+        ),
+        ({(2, 0): 1.0, (0, 3): 1.0, (0, 0): 1.0}, 0.6, (60.0, 600.0), QuadratureConfig()),
+        (QUARTIC_3D, 1.0, (15.0, 150.0), QuadratureConfig(panel_order=2)),
+    ],
+    ids=["2x^2+y^4+1", "x^2-y^4+1", "x^2+y^4+x^2y^2+1", "x^2+y^3+1", "x^4+y^4+z^4+1"],
+)
+def test_diagonal_coefficient_matches_the_quadrature_route_nd(terms, radius, window, cfg):
+    # the first amplitude correction tau^(-1/2) is fitted alongside a tau^beta:
+    # one-term fits read 7-17% off on these windows, two-term fits 0.3-3%
+    diagram, part = _principal_part(terms)
+    n = diagram.dimension
+    samples = sample_integral(PolynomialPhase(n, terms), AmplitudeSpec(n, radius), *window, 16, cfg)
+    fit = leading_term_fit(samples, 1.0, diagram.remoteness, correction_exponent=-0.5)
+    a = diagonal_coefficient(part)
+    assert abs(fit.value - a) <= 0.05 * abs(a)
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {(2, 0): 1.0, (1, 2): 1.0, (0, 4): 1.0},
+        {(2, 0, 0): 1.0, (0, 6, 0): 1.0, (0, 0, 6): 1.0, (0, 3, 3): 1.0},
+    ],
+    ids=["x^2+xy^2+y^4", "x^2+y^6+z^6+y^3z^3"],
+)
+def test_no_diagonal_coefficient_on_a_face_with_a_mixed_term(terms):
+    diagram, part = _principal_part(terms)
+    assert len(part) == diagram.dimension + 1  # the mixed term lies on the face
+    assert diagonal_coefficient(part) is None
+    # a linear term, or a variable without its own power, is no principal part either
+    assert diagonal_coefficient({(1, 0): 1.0, (0, 2): 1.0}) is None
+    assert diagonal_coefficient({(2, 0, 0): 1.0, (0, 4, 0): 1.0}) is None
+
+
+def test_diagonal_coefficient_is_the_same_under_a_permutation_of_the_axes():
+    # the pairwise Beta-function form read x^3 + y^4 and x^4 + y^3 1 ulp apart
+    assert diagonal_coefficient({(3, 0): 1.0, (0, 4): 1.0}) == diagonal_coefficient(
+        {(4, 0): 1.0, (0, 3): 1.0}
+    )
+    powers = [(4, -2.0), (3, 1.0), (6, 0.5)]
+    values = set()
+    for order in ((0, 1, 2), (2, 0, 1), (1, 2, 0), (2, 1, 0)):
+        part = {}
+        for axis, (e, c) in zip(order, powers):
+            k = [0, 0, 0]
+            k[axis] = e
+            part[tuple(k)] = c
+        for items in (sorted(part.items()), sorted(part.items(), reverse=True)):
+            values.add(diagonal_coefficient(dict(items), 1.5))
+    assert len(values) == 1
 
 
 @pytest.mark.parametrize(
@@ -432,7 +518,7 @@ def test_serialization():
     nocrit = predict_no_critical_point(1.0).to_dict()
     assert nocrit["beta"] is None
     assert nocrit["rectifiable"] is True
-    explicit = predict_1d(2, 1.0, f_second=2.0).to_dict()
+    explicit = predict_1d(2, 1.0, diagonal_coefficient({(2,): 1.0})).to_dict()
     assert explicit["leading_coeff"] == pytest.approx(
         [math.sqrt(math.pi / 2), math.sqrt(math.pi / 2)]
     )
