@@ -293,9 +293,9 @@ def _diagram(phase: PolynomialPhase) -> Optional[DiagramInfo]:
     """Newton diagram a prediction needs: none for n = 1 or without a critical point.
 
     beta is read off the principal face, the compact face the bisector meets,
-    so that face must be R-nondegenerate; a degenerate one is refused.  Only
-    n = 2 and 3 list faces; with no face matching the bisector's support
-    points there is nothing to check.
+    so that face must be R-nondegenerate; a degenerate one is refused, for
+    every n.  With no compact face matching the bisector's support points
+    there is nothing to check.
     """
     if phase.dimension < 2 or _has_linear_term(phase):
         return None
@@ -401,12 +401,11 @@ def cmd_newton(cfg: dict, args: argparse.Namespace) -> int:
     with _stage("newton"):
         info = newton_diagram(phase)
         out = {"phase": str(phase), "newton": info.to_dict()}
-        if phase.dimension <= 3:
-            nd = r_nondegeneracy_check(phase, info.faces)
-            out["r_nondegenerate"] = {
-                "passed": nd.passed,
-                "min_residuals": [c.min_residual for c in nd.checks],
-            }
+        nd = r_nondegeneracy_check(phase, info.faces)
+        out["r_nondegenerate"] = {
+            "passed": nd.passed,
+            "min_residuals": [c.min_residual for c in nd.checks],
+        }
     _emit(args, "newton.json", _json_text(out))
     return 0
 

@@ -7,9 +7,8 @@ Fractions; floating point appears only in the nondegeneracy sampler.
 
 One route serves every n: the polyhedron is described by the candidate
 supporting hyperplanes spanned by support points and coordinate directions,
-and c, beta, the multiplicity and the support points on the bisector face
-are read off those inequalities.  Only the enumeration of compact faces is
-limited to n <= 3; for n > 3 the face list is empty.
+and c, beta, the multiplicity, the support points on the bisector face and
+the compact faces are read off those inequalities.
 
 Remoteness here is that of the supplied coordinates.  The coordinate-free
 quantity is a supremum over coordinate systems with no known algorithm; the
@@ -209,64 +208,41 @@ def _points_on(poly: NewtonPolyhedron, tight: list[Inequality]) -> list[MultiInd
     ]
 
 
-def _vertices(poly: NewtonPolyhedron) -> list[MultiIndex]:
-    out = []
-    for p in poly.minimal_points:
-        tight = _tight_at(poly, p)
-        if _rank([w for w, _ in tight]) == poly.dimension:
-            out.append(p)
-    return out
-
-
 def _face_from_tight_set(
-    poly: NewtonPolyhedron, tight: list[Inequality]
+    poly: NewtonPolyhedron, points: frozenset[MultiIndex], tight: list[Inequality]
 ) -> Optional[CompactFace]:
-    """Build the compact face cut out by a set of tight inequalities, if compact."""
-    n = poly.dimension
+    """The face on `points`, cut out by the inequalities tight on all of them, if compact."""
     wsum = [sum(col) for col in zip(*(w for w, _ in tight))]
     if any(x == 0 for x in wsum):
         return None  # no strictly positive supporting functional: unbounded face
     codim = _rank([w for w, _ in tight])
-    pts = _points_on(poly, tight)
-    if not pts:
-        return None
+    pts = tuple(sorted(points))
     level = sum(wi * pi for wi, pi in zip(wsum, pts[0]))
     weights = tuple(Fraction(w, level) for w in wsum)
-    return CompactFace(n - codim, tuple(sorted(pts)), weights, Fraction(1))
+    return CompactFace(poly.dimension - codim, pts, weights, Fraction(1))
 
 
 def compact_faces(poly: NewtonPolyhedron) -> tuple[CompactFace, ...]:
     """All faces with a strictly positive supporting functional, vertices included.
 
-    Vertices, edges and (in 3D) facets make up every face for n <= 3; higher
-    dimensions would need the faces of dimension 2 to n - 2 as well.
+    The inequalities include every facet, and each face is the intersection
+    of the facets through it, so the minimal points on the faces are the
+    sets tight on one inequality, closed under pairwise intersection.  Each
+    set is cut out by every inequality tight on all of it; the faces whose
+    tight inequalities sum to a strictly positive functional are compact.
+    The same closure serves every n.
     """
-    n = poly.dimension
-    if n > 3:
-        raise ValueError("compact face enumeration supports n <= 3")
-    verts = _vertices(poly)
-    faces: dict[tuple, CompactFace] = {}
-
-    def record(face: Optional[CompactFace]) -> None:
-        if face is not None:
-            faces.setdefault((face.dim, face.points), face)
-
-    for v in verts:
-        record(_face_from_tight_set(poly, _tight_at(poly, v)))
-    for a, b in itertools.combinations(verts, 2):
-        ta = _tight_at(poly, a)
-        tb = set(_tight_at(poly, b))
-        common = [iq for iq in ta if iq in tb]
-        if common and _rank([w for w, _ in common]) == n - 1:
-            record(_face_from_tight_set(poly, common))
-    if n == 3:
-        for w, ell in poly.inequalities:
-            if all(x > 0 for x in w):
-                # a facet holds at least 3 points; fewer is a vertex or edge
-                face = _face_from_tight_set(poly, [(w, ell)])
-                if face is not None and len(face.points) >= 3:
-                    record(face)
-    return tuple(sorted(faces.values(), key=lambda f: (f.dim, f.points)))
+    on = {iq: frozenset(_points_on(poly, [iq])) for iq in poly.inequalities}
+    sets = set(on.values())
+    new = sets
+    while new:
+        new = {a & b for a in new for b in sets} - sets - {frozenset()}
+        sets |= new
+    faces = [
+        _face_from_tight_set(poly, s, [iq for iq, pts in on.items() if s <= pts])
+        for s in sets
+    ]
+    return tuple(sorted((f for f in faces if f is not None), key=lambda f: (f.dim, f.points)))
 
 
 # grid points per free coordinate of each chart of the nondegeneracy scan
@@ -333,8 +309,6 @@ def r_nondegeneracy_check(
     The domain is built only when some face needs the scan.
     """
     n = phase.dimension
-    if n > 3:
-        raise ValueError("nondegeneracy sampling supports n <= 3")
     if faces is None:
         faces = compact_faces(newton_polyhedron(reduced_support(phase)))
     domain = None
@@ -371,8 +345,8 @@ def newton_diagram(phase: PolynomialPhase) -> DiagramInfo:
     """Full diagram data for a phase: faces, c, beta, multiplicity, bisector face.
 
     c, beta, the multiplicity and the bisector face's support points are
-    exact for every n; the predictions read beta and the multiplicity.  For
-    n > 3 the face list is empty.
+    exact for every n, and so is the list of compact faces; the predictions
+    read beta and the multiplicity.
     """
     n = phase.dimension
     poly = newton_polyhedron(reduced_support(phase))
@@ -381,5 +355,4 @@ def newton_diagram(phase: PolynomialPhase) -> DiagramInfo:
     tight = _tight_at(poly, center)
     codim = _rank([w for w, _ in tight])
     center_pts = tuple(_points_on(poly, tight))
-    faces = compact_faces(poly) if n <= 3 else ()
-    return DiagramInfo(n, faces, c, beta, codim - 1, center_pts)
+    return DiagramInfo(n, compact_faces(poly), c, beta, codim - 1, center_pts)

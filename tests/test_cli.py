@@ -12,6 +12,10 @@ Verified here:
 
 * newton: JSON report with exact rational distance/remoteness strings and
   the nondegeneracy block, byte-identical across runs;
+* the principal-face guard for n = 4: predict on (x - y)^2 + (z - w)^2 + 1
+  exits 2 at [newton] naming the facet, and newton on x^4 + y^4 + z^4 +
+  w^8 + 1 lists 15 faces, each passed with a residual of exactly 1.0, and
+  builds no scan domain;
 * predict: 1D report on stdout, 2D report with the closed-form coefficient,
   also on x^p + y^2 for p = 29..35, where the reference quadrature fails,
   x^2 + y^2 + 1 (beta = -1) with exit 0 and no coefficient, the 3D
@@ -69,7 +73,7 @@ import numpy as np
 import pytest
 
 import oscfract.cli as cli
-from oscfract import integrals
+from oscfract import integrals, newton
 from oscfract.cli import main
 from oscfract.integrals import _octave_refs
 from oscfract.newton import newton_diagram
@@ -278,6 +282,52 @@ def test_predict_takes_a_scanned_nondegenerate_principal_face(tmp_path, capsys):
     assert main(["predict", "--config", _cfg(tmp_path, cfg)]) == 0
     pred = json.loads(capsys.readouterr().out)["prediction"]
     assert pred["beta"] == "-3/4" and pred["curve_dim"] == "8/7"
+
+
+def _counted_domains(monkeypatch) -> list:
+    """Record the dimension of every nondegeneracy scan domain built."""
+    built, real = [], newton._fundamental_domain
+
+    def counted(n):
+        built.append(n)
+        return real(n)
+
+    monkeypatch.setattr(newton, "_fundamental_domain", counted)
+    return built
+
+
+def test_four_dimensional_principal_face_is_checked(tmp_path, capsys, monkeypatch):
+    # (x - y)^2 + (z - w)^2 + 1: the principal facet's gradient vanishes on
+    # the plane x = y, z = w, so predict refuses it as it does for n <= 3
+    pairs = [
+        ((2, 0, 0, 0), 1.0),
+        ((1, 1, 0, 0), -2.0),
+        ((0, 2, 0, 0), 1.0),
+        ((0, 0, 2, 0), 1.0),
+        ((0, 0, 1, 1), -2.0),
+        ((0, 0, 0, 2), 1.0),
+    ]
+    built = _counted_domains(monkeypatch)
+    assert main(["predict", "--config", _cfg(tmp_path, _phase_cfg(pairs))]) == 2
+    err = capsys.readouterr().err
+    facet = [list(k) for k, _ in sorted(pairs)]
+    assert err.startswith(f"error [newton] principal face {facet} is R-degenerate")
+    assert built == [4]
+
+
+def test_newton_decides_a_four_dimensional_power_sum_without_a_scan(
+    tmp_path, capsys, monkeypatch
+):
+    # x^4 + y^4 + z^4 + w^8 + 1: 4 vertices, 6 edges, 4 triangles and the
+    # facet, each with single-monomial partials, so no scan domain is built
+    axes = [tuple(a if j == i else 0 for j in range(4)) for i, a in enumerate((4, 4, 4, 8))]
+    built = _counted_domains(monkeypatch)
+    cfg = _cfg(tmp_path, _phase_cfg([(k, 1.0) for k in axes]))
+    assert main(["newton", "--config", cfg]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert [sum(f["dim"] == d for f in out["newton"]["faces"]) for d in range(4)] == [4, 6, 4, 1]
+    assert out["r_nondegenerate"] == {"passed": True, "min_residuals": [1.0] * 15}
+    assert built == []
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,13 @@ Verified here:
 * multiplicity 1 cases where the bisector meets a vertex or an edge
   (x^2 y^2 in 2D, x^2 y^2 + z^2 in 3D) and the boundary case x^2 + y^2;
 * 3D sphere phase has beta = -3/2 (not remote) and a triangle facet;
-* n = 4 takes the same inequality route as n <= 3, with an empty face list;
+* n = 4 takes the same inequality route and the same face enumeration as
+  n <= 3: x^2 + y^2 + z^2 + w^2 has 4 vertices, 6 edges, 4 triangles and 1
+  facet;
+* every listed face is cut out by its weights (level 1 on its points, above
+  1 on every other minimal point), its dim is the affine rank of its
+  points, and every vertex and every inequality with strictly positive w
+  cuts out a listed face (property over random supports with n = 2..4);
 * c and the multiplicity equal those of the min-max program
   max_{w >= 0, sum w = 1} min_k <w, k>, kept here as an independent
   reference, exactly, over random supports with n = 2..5;
@@ -17,7 +23,7 @@ Verified here:
   and (x - a y^2)^2 + y^6 for a = 10 and 1/10, whose zero orbits miss the
   box |x|, |y| in [1/2, 2];
 * on faces whose partials are single monomials (every vertex, and every face
-  of a signed sum_i c_i x_i^a_i, a property over n = 2, 3) the full scan
+  of a signed sum_i c_i x_i^a_i, a property over n = 2..4) the full scan
   reads 1 to within 4e-16, and the sampler, which skips that scan, reports
   exactly 1.0 and a pass; a face with a two-term partial is still scanned.
 """
@@ -227,13 +233,14 @@ def test_four_dimensional_minmax_route():
     assert info.distance == Fraction(1, 2)
     assert info.remoteness == -2
     assert info.multiplicity == 0
-    assert info.faces == ()
+    # the simplex: 4 vertices, 6 edges, 4 triangles and the facet itself
+    assert [sum(f.dim == d for f in info.faces) for d in range(4)] == [4, 6, 4, 1]
+    assert info.faces[-1].points == info.center_points
     assert info.center_points == tuple(sorted(phase.terms))
     assert (info.distance, info.multiplicity) == _reference_game_distance(
         sorted(phase.terms), 4
     )
-    with pytest.raises(ValueError):
-        compact_faces(newton_polyhedron(phase.terms))
+    assert compact_faces(newton_polyhedron(phase.terms)) == info.faces
 
 
 def test_to_dict_serialization():
@@ -258,6 +265,34 @@ def test_inequalities_valid_on_support_and_bisector(support):
             assert sum(wi * ki for wi, ki in zip(w, k)) >= ell
         # the bisector point t(1,1) first enters the polyhedron at t = c
         assert sum(w) * c >= ell
+
+
+@settings(max_examples=60, deadline=None)
+@given(_supports((2, 4), 6, 6))
+def test_faces_are_cut_out_by_their_weights(support):
+    poly = newton_polyhedron(support)
+    faces = compact_faces(poly)
+    listed = {f.points for f in faces}
+    assert len(listed) == len(faces)
+
+    def on(w, ell):
+        return tuple(k for k in poly.minimal_points if sum(a * b for a, b in zip(w, k)) == ell)
+
+    for f in faces:
+        assert f.level == 1 and all(w > 0 for w in f.weights)
+        assert on(f.weights, 1) == f.points
+        others = set(poly.minimal_points) - set(f.points)
+        assert all(sum(w * e for w, e in zip(f.weights, k)) > 1 for k in others)
+        base = f.points[0]
+        assert f.dim == _rank([[Fraction(a - b) for a, b in zip(k, base)] for k in f.points[1:]])
+    for w, ell in poly.inequalities:
+        if all(x > 0 for x in w):
+            assert on(w, ell) in listed
+    for k in poly.minimal_points:
+        # a vertex: the normals of the inequalities tight at k span R^n
+        normals = [[Fraction(x) for x in w] for w, ell in poly.inequalities if k in on(w, ell)]
+        if _rank(normals) == poly.dimension:
+            assert (k,) in listed
 
 
 @settings(max_examples=120, deadline=None)
@@ -363,7 +398,7 @@ def test_vertex_faces_read_one_without_a_scan(n, terms):
 
 @settings(max_examples=20, deadline=None)
 @given(
-    st.integers(2, 3).flatmap(
+    st.integers(2, 4).flatmap(
         lambda n: st.tuples(
             st.just(n),
             st.lists(st.integers(2, 8), min_size=n, max_size=n),
