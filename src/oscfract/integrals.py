@@ -67,15 +67,12 @@ import numpy as np
 from oscfract.phases import (
     AmplitudeSpec,
     MultiIndex,
+    NumericBudgetError,
     PolynomialPhase,
     bump_profile,
     eval_phase_array,
     gradient_norm,
 )
-
-
-class NumericBudgetError(RuntimeError):
-    """A panel, node, or memory budget was exceeded; raise, never silently degrade."""
 
 
 @dataclass(frozen=True)

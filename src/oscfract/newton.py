@@ -27,6 +27,7 @@ import numpy as np
 
 from oscfract.phases import (
     MultiIndex,
+    NumericBudgetError,
     PolynomialPhase,
     eval_phase_array,
     partial_derivative,
@@ -208,20 +209,6 @@ def _points_on(poly: NewtonPolyhedron, tight: list[Inequality]) -> list[MultiInd
     ]
 
 
-def _face_from_tight_set(
-    poly: NewtonPolyhedron, points: frozenset[MultiIndex], tight: list[Inequality]
-) -> Optional[CompactFace]:
-    """The face on `points`, cut out by the inequalities tight on all of them, if compact."""
-    wsum = [sum(col) for col in zip(*(w for w, _ in tight))]
-    if any(x == 0 for x in wsum):
-        return None  # no strictly positive supporting functional: unbounded face
-    codim = _rank([w for w, _ in tight])
-    pts = tuple(sorted(points))
-    level = sum(wi * pi for wi, pi in zip(wsum, pts[0]))
-    weights = tuple(Fraction(w, level) for w in wsum)
-    return CompactFace(poly.dimension - codim, pts, weights, Fraction(1))
-
-
 def compact_faces(poly: NewtonPolyhedron) -> tuple[CompactFace, ...]:
     """All faces with a strictly positive supporting functional, vertices included.
 
@@ -238,11 +225,17 @@ def compact_faces(poly: NewtonPolyhedron) -> tuple[CompactFace, ...]:
     while new:
         new = {a & b for a in new for b in sets} - sets - {frozenset()}
         sets |= new
-    faces = [
-        _face_from_tight_set(poly, s, [iq for iq, pts in on.items() if s <= pts])
-        for s in sets
-    ]
-    return tuple(sorted((f for f in faces if f is not None), key=lambda f: (f.dim, f.points)))
+    faces = []
+    for s in sets:
+        normals = [w for (w, _), pts in on.items() if s <= pts]
+        wsum = [sum(col) for col in zip(*normals)]
+        if any(x == 0 for x in wsum):
+            continue  # no strictly positive supporting functional: unbounded face
+        pts = tuple(sorted(s))
+        level = sum(wi * pi for wi, pi in zip(wsum, pts[0]))
+        weights = tuple(Fraction(w, level) for w in wsum)
+        faces.append(CompactFace(poly.dimension - _rank(normals), pts, weights, Fraction(1)))
+    return tuple(sorted(faces, key=lambda f: (f.dim, f.points)))
 
 
 # grid points per free coordinate of each chart of the nondegeneracy scan
@@ -306,7 +299,9 @@ def r_nondegeneracy_check(
     triangle-inequality envelope in modulus, so the residual is 1 everywhere
     (a scan reads it to within an ulp).  It is recorded as exactly 1.0,
     passed, with the witness (-1, ..., -1), the first point of the domain.
-    The domain is built only when some face needs the scan.
+    The domain is built only when some face needs the scan; for n > 4 it
+    would hold 2n 48^(n-1) points (53 million at n = 5), so such a face
+    raises NumericBudgetError instead, before anything is built.
     """
     n = phase.dimension
     if faces is None:
@@ -319,6 +314,12 @@ def r_nondegeneracy_check(
             reports.append(FaceCheck(face, True, 1.0, (-1.0,) * n))
             continue
         if domain is None:
+            size = 2 * n * _CHART_SAMPLES ** (n - 1)
+            if size > 8 * _CHART_SAMPLES**3:  # above the n = 4 domain, 884,736 points
+                raise NumericBudgetError(
+                    f"face {[list(k) for k in face.points]} needs a nondegeneracy scan"
+                    f" of {size:,} points; scans are limited to n <= 4"
+                )
             domain, spacing = _fundamental_domain(n)
         res, witness = _min_residual(parts, domain, spacing)
         reports.append(

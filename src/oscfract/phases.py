@@ -21,6 +21,10 @@ import numpy as np
 MultiIndex = tuple[int, ...]
 
 
+class NumericBudgetError(RuntimeError):
+    """A panel, node, memory or scan budget was exceeded; raise, never silently degrade."""
+
+
 def _typed(v, kind: type, name: str):
     """v itself if it is a kind (Integral or Real) and not a bool; never coerced."""
     if isinstance(v, bool) or not isinstance(v, kind):

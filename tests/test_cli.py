@@ -16,6 +16,9 @@ Verified here:
   exits 2 at [newton] naming the facet, and newton on x^4 + y^4 + z^4 +
   w^8 + 1 lists 15 faces, each passed with a residual of exactly 1.0, and
   builds no scan domain;
+* n = 5: newton and predict on (x - y)^2 + z^2 + w^2 + v^2 + 1 exit 3 at
+  [newton] before the 53-million-point scan domain is built, and newton on
+  a 5D power sum decides its 31 faces without one;
 * predict: 1D report on stdout, 2D report with the closed-form coefficient,
   also on x^p + y^2 for p = 29..35, where the reference quadrature fails,
   x^2 + y^2 + 1 (beta = -1) with exit 0 and no coefficient, the 3D
@@ -327,6 +330,35 @@ def test_newton_decides_a_four_dimensional_power_sum_without_a_scan(
     out = json.loads(capsys.readouterr().out)
     assert [sum(f["dim"] == d for f in out["newton"]["faces"]) for d in range(4)] == [4, 6, 4, 1]
     assert out["r_nondegenerate"] == {"passed": True, "min_residuals": [1.0] * 15}
+    assert built == []
+
+
+@pytest.mark.parametrize("command", ["newton", "predict"])
+def test_five_dimensional_scan_is_refused_before_its_domain_is_built(
+    tmp_path, capsys, monkeypatch, command
+):
+    # (x - y)^2 + z^2 + w^2 + v^2 + 1: the principal facet has a two-term
+    # partial, and its 5D scan domain would hold 53 million points
+    pairs = [((2, 0, 0, 0, 0), 1.0), ((1, 1, 0, 0, 0), -2.0), ((0, 2, 0, 0, 0), 1.0)]
+    pairs += [(tuple(2 * (j == i) for j in range(5)), 1.0) for i in (2, 3, 4)]
+    built = _counted_domains(monkeypatch)
+    assert main([command, "--config", _cfg(tmp_path, _phase_cfg(pairs))]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error [newton] face ")
+    assert "needs a nondegeneracy scan of 53,084,160 points" in err
+    assert built == []
+
+
+def test_newton_decides_a_five_dimensional_power_sum_without_a_scan(
+    tmp_path, capsys, monkeypatch
+):
+    # a face with single-monomial partials is decided exactly at any n
+    axes = [tuple(a if j == i else 0 for j in range(5)) for i, a in enumerate((2, 2, 4, 4, 6))]
+    built = _counted_domains(monkeypatch)
+    assert main(["newton", "--config", _cfg(tmp_path, _phase_cfg([(k, 1.0) for k in axes]))]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert len(out["newton"]["faces"]) == 2**5 - 1
+    assert out["r_nondegenerate"] == {"passed": True, "min_residuals": [1.0] * 31}
     assert built == []
 
 

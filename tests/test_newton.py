@@ -12,7 +12,9 @@ Verified here:
 * every listed face is cut out by its weights (level 1 on its points, above
   1 on every other minimal point), its dim is the affine rank of its
   points, and every vertex and every inequality with strictly positive w
-  cuts out a listed face (property over random supports with n = 2..4);
+  cuts out a listed face, and the faces' Euler characteristic is 1, that of
+  the contractible complex of bounded faces (property over random supports
+  with n = 2..4);
 * c and the multiplicity equal those of the min-max program
   max_{w >= 0, sum w = 1} min_k <w, k>, kept here as an independent
   reference, exactly, over random supports with n = 2..5;
@@ -274,6 +276,9 @@ def test_faces_are_cut_out_by_their_weights(support):
     faces = compact_faces(poly)
     listed = {f.points for f in faces}
     assert len(listed) == len(faces)
+    # the bounded faces form a contractible complex: a face of any dimension
+    # missing from the list would change its Euler characteristic
+    assert sum((-1) ** f.dim for f in faces) == 1
 
     def on(w, ell):
         return tuple(k for k in poly.minimal_points if sum(a * b for a, b in zip(w, k)) == ell)
