@@ -14,7 +14,6 @@ from math import gamma
 from oscfract.phases import (
     AmplitudeSpec,
     PolynomialPhase,
-    critical_order_1d,
     partial_derivative,
     verify_isolated_critical_point,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "box_count",
     "caustic_prediction",
     "content_from_coefficient",
-    "critical_order_1d",
     "curve_from_samples",
     "diagonal_coefficient",
     "estimate_content",

@@ -53,13 +53,11 @@ from oscfract.newton import DiagramInfo, newton_diagram, r_nondegeneracy_check
 from oscfract.phases import (
     AmplitudeSpec,
     PolynomialPhase,
-    critical_order_1d,
     verify_isolated_critical_point,
 )
 from oscfract.predict import (
     content_from_coefficient,
     diagonal_coefficient,
-    predict_1d,
     predict_nd,
     predict_no_critical_point,
 )
@@ -290,14 +288,15 @@ def _inputs(cfg: dict) -> tuple[PolynomialPhase, AmplitudeSpec]:
 
 
 def _diagram(phase: PolynomialPhase) -> Optional[DiagramInfo]:
-    """Newton diagram a prediction needs: none for n = 1 or without a critical point.
+    """Newton diagram a prediction needs, for every n: none without a critical point.
 
     beta is read off the principal face, the compact face the bisector meets,
-    so that face must be R-nondegenerate; a degenerate one is refused, for
-    every n.  With no compact face matching the bisector's support points
-    there is nothing to check.
+    so that face must be R-nondegenerate; a degenerate one is refused.  In 1D
+    that face is the vertex (s,) of the critical order s, decided exactly.
+    With no compact face matching the bisector's support points there is
+    nothing to check.
     """
-    if phase.dimension < 2 or _has_linear_term(phase):
+    if _has_linear_term(phase):
         return None
     diagram = newton_diagram(phase)
     principal = [f for f in diagram.faces if f.points == diagram.center_points]
@@ -363,13 +362,9 @@ def _content(pts: np.ndarray, d: float, opts: tuple[dict, int]) -> ContentEstima
 
 
 def _predict(phase: PolynomialPhase, amp: AmplitudeSpec, diagram):
-    n = phase.dimension
     f0 = phase.value_at_origin
     if _has_linear_term(phase):
         return predict_no_critical_point(f0)
-    if n == 1:
-        s = critical_order_1d(phase)
-        return predict_1d(s, f0, diagonal_coefficient({(s,): phase.terms[(s,)]}, amp.phi0))
     # the coefficient enters only the content, which exists for beta > -1; it
     # is read off the principal part, the terms on the face the bisector meets
     leading = None

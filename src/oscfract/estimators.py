@@ -40,7 +40,7 @@ from typing import Optional
 
 import numpy as np
 
-from oscfract.integrals import NumericBudgetError
+from oscfract.phases import NumericBudgetError
 
 
 @dataclass(frozen=True)

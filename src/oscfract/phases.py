@@ -170,18 +170,6 @@ def gradient_norm(phase: PolynomialPhase, points: np.ndarray) -> np.ndarray:
     return np.sqrt(g2)
 
 
-def critical_order_1d(phase: PolynomialPhase) -> int:
-    """Smallest s >= 2 with f^(s)(0) != 0, read off the monomial exponents."""
-    if phase.dimension != 1:
-        raise ValueError("critical_order_1d requires a one-dimensional phase")
-    exps = sorted(k[0] for k in phase.terms if k[0] > 0)
-    if not exps:
-        raise ValueError("phase is constant; no critical order")
-    if exps[0] == 1:
-        raise ValueError("linear term present; origin is not a critical point")
-    return exps[0]
-
-
 def bump_profile(u) -> np.ndarray:
     """Radial profile exp(1 - 1/(1 - u)) for u = |x/R|^2 < 1, zero for u >= 1."""
     u = np.asarray(u, dtype=float)

@@ -12,10 +12,12 @@ log tau (a hyperbolic spiral).
 The leading coefficient a of I(tau) e^{-i tau f0} ~ a tau^beta has one
 closed form, diagonal_coefficient, for a principal part sum_i c_i x_i^{a_i}:
 every 1-d critical order and every diagonal face for n >= 2.  Other faces
-leave a, and so the content, unknown.  For n >= 2 the diagram gives beta
-and the log power of the leading term.  greenblatt_coefficient, the
-x^p + y^q coefficient by quadrature, is a reference and the only code here
-that needs scipy, which it imports when called.
+leave a, and so the content, unknown.  For every n the diagram gives beta
+and the log power of the leading term; in 1D it is the vertex s of the
+critical order, and predict_1d(s) is the closed-form reference.
+greenblatt_coefficient, the x^p + y^q coefficient by quadrature, is a
+reference and the only code here that needs scipy, which it imports when
+called.
 """
 
 from __future__ import annotations
@@ -241,7 +243,7 @@ def predict_1d(s: int, f0: float, leading: Optional[complex] = None) -> Asymptot
 def predict_nd(
     diagram: DiagramInfo, f0: float, leading: Optional[complex] = None
 ) -> AsymptoticPrediction:
-    """Prediction for n >= 2 from the Newton diagram (adapted coordinates assumed).
+    """Prediction for n >= 1 from the Newton diagram (adapted coordinates assumed).
 
     For an R-nondegenerate phase whose polyhedron is remote (beta > -1),
     the oscillation index is beta = -1/c and the leading term carries
@@ -250,11 +252,11 @@ def predict_nd(
     when the leading coefficient is given; m >= 1 makes the content
     infinite.  beta <= -1 ignores the multiplicity (the saddle xy + 1 has
     m = 1 in these coordinates).  A support without linear terms has
-    c >= 2/n, so beta < -n/2 means the origin is not a critical point.
+    c >= 2/n, so beta < -n/2 means the origin is not a critical point.  In
+    1D the diagram is the vertex s, so c = s and beta = -1/s with
+    multiplicity 0: the prediction of predict_1d(s).
     """
     n, beta = diagram.dimension, diagram.remoteness
-    if n < 2:
-        raise ValueError("predict_nd is for n >= 2; use predict_1d")
     if beta < Fraction(-n, 2):
         raise ValueError(
             f"beta = {beta} < -n/2 implies a linear term: origin is not a critical point"

@@ -19,14 +19,16 @@ Verified here:
 * n = 5: newton and predict on (x - y)^2 + z^2 + w^2 + v^2 + 1 exit 3 at
   [newton] before the 53-million-point scan domain is built, and newton on
   a 5D power sum decides its 31 faces without one;
-* predict: 1D report on stdout, 2D report with the closed-form coefficient,
+* predict: 1D report on stdout, with the Newton block of the vertex (2)
+  that verify reports too, 2D report with the closed-form coefficient,
   also on x^p + y^2 for p = 29..35, where the reference quadrature fails,
   x^2 + y^2 + 1 (beta = -1) with exit 0 and no coefficient, the 3D
   multiplicity read off the diagram (x^4 + y^4 + z^4 + 1 nondegenerate,
   x^2 y^2 + x^6 + y^6 + z^4 + 1 degenerate with an infinite content), the
   content of diagonal_coefficient on x^3 + 1, -2x^5 + 1, 2x^2 + y^4 + 1 and
   x^4 + y^4 + z^4 + 1, none on x^2 + xy^2 + y^4 + 1, and a fresh
-  interpreter that runs it never loads scipy;
+  interpreter that runs it never loads scipy; a constant phase exits 2 at
+  [newton] in 1D and 2D alike;
 * integrate / curve: CSV header and row count, SVG path structure;
 * curve and verify sample a 1D phase with f(0) = 0 on the same default tau
   window, so they write the same curve.csv;
@@ -91,6 +93,17 @@ from oscfract.predict import (
 # no critical point in the support: the rectifiable pipeline is fast
 X_PLUS_2 = {"phase": {"n": 1, "terms": [{"k": [1], "c": 1.0}, {"k": [0], "c": 2.0}]}}
 X2_PLUS_1 = {"phase": {"n": 1, "terms": [{"k": [2], "c": 1.0}, {"k": [0], "c": 1.0}]}}
+# the fold fixture of the benchmark's fold-verify workload
+FOLD_VERIFY = {
+    "phase": X2_PLUS_1["phase"],
+    "tau": {"min": 20.0, "max": 400.0, "count": 50},
+    "eps": {
+        "curve": {"max": 8e-3, "min": 8e-4, "count": 8},
+        "reflected_re": {"max": 2e-2, "min": 2e-3, "count": 8},
+        "reflected_im": {"max": 2e-2, "min": 2e-3, "count": 8},
+    },
+}
+
 X2_Y4_1 = {
     "phase": {
         "n": 2,
@@ -170,6 +183,13 @@ def test_predict_1d_report(tmp_path, capsys):
     assert pred["osc_dim"] == "5/4"
     assert pred["content"] == pytest.approx(3.0 * 2.0 ** (2.0 / 3.0) * np.pi)
     assert pred["rectifiable"] is False
+    # the 1D diagram is the vertex (2): c = 2, beta = -1/2, and verify
+    # reports the same block
+    block = out["newton"]
+    assert (block["c"], block["beta"], block["multiplicity"]) == ("2", "-1/2", 0)
+    assert block["faces"] == [{"dim": 0, "points": [[2]], "weights": ["1/2"], "level": "1"}]
+    report, _ = cli.verify(FOLD_VERIFY)
+    assert report["newton"] == block
 
 
 def test_predict_x2_y4_includes_coefficient_and_diagram(tmp_path, capsys):
@@ -240,6 +260,15 @@ def test_predict_rectifiable_for_linear_phase(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["prediction"]["rectifiable"] is True
     assert out["prediction"]["curve_dim"] == "1"
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_predict_refuses_a_constant_phase_at_newton(tmp_path, capsys, n):
+    cfg = {"phase": {"n": n, "terms": [{"k": [0] * n, "c": 3.0}]}}
+    assert main(["predict", "--config", _cfg(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [newton] ")
+    assert "reduced support is empty" in err
 
 
 # (x - y^2)^2 + y^6 + 1 and (x - y)^2 + y^4 + 1: the principal face's
@@ -924,18 +953,6 @@ def test_budget_exhaustion_maps_to_exit_3(tmp_path, capsys):
 
 
 # --- front end: one parser, one config read, verify as a function ---
-
-# the fold fixture of the benchmark's fold-verify workload
-FOLD_VERIFY = {
-    "phase": X2_PLUS_1["phase"],
-    "tau": {"min": 20.0, "max": 400.0, "count": 50},
-    "eps": {
-        "curve": {"max": 8e-3, "min": 8e-4, "count": 8},
-        "reflected_re": {"max": 2e-2, "min": 2e-3, "count": 8},
-        "reflected_im": {"max": 2e-2, "min": 2e-3, "count": 8},
-    },
-}
-
 
 def test_verify_function_returns_the_cli_report(tmp_path, capsys):
     # a sweep is a loop over configs

@@ -9,7 +9,7 @@ Verified here:
   kept in this file, within 1e-13 of sum |c_k x^k| (property over random
   polynomials);
 * partial_derivative is exact on monomials and validates the axis;
-* critical_order_1d reads the order off the support and rejects linear terms;
+* the 1D critical order is the distance of the Newton diagram, its vertex;
 * bump profile support, the weighted profile phi0 * bump(|x/R|^2) against
   its closed form, and amplitude validation;
 * the critical-point scan passes phases with an isolated critical point at
@@ -28,11 +28,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oscfract.newton import newton_diagram
 from oscfract.phases import (
     AmplitudeSpec,
     PolynomialPhase,
     bump_profile,
-    critical_order_1d,
     eval_phase_array,
     partial_derivative,
     verify_isolated_critical_point,
@@ -154,15 +154,10 @@ def test_partial_derivative_exact():
 
 
 def test_critical_order():
-    assert critical_order_1d(PolynomialPhase(1, {(2,): 1.0, (0,): 1.0})) == 2
-    assert critical_order_1d(PolynomialPhase(1, {(3,): -4.0})) == 3
-    assert critical_order_1d(PolynomialPhase(1, {(5,): 1.0, (7,): 2.0})) == 5
-    with pytest.raises(ValueError):
-        critical_order_1d(PolynomialPhase(1, {(1,): 1.0, (2,): 1.0}))
-    with pytest.raises(ValueError):
-        critical_order_1d(PolynomialPhase(1, {(0,): 3.0}))
-    with pytest.raises(ValueError):
-        critical_order_1d(PolynomialPhase(2, {(2, 0): 1.0}))
+    # the 1D Newton diagram is the vertex s, so its distance is the order
+    assert newton_diagram(PolynomialPhase(1, {(2,): 1.0, (0,): 1.0})).distance == 2
+    assert newton_diagram(PolynomialPhase(1, {(3,): -4.0})).distance == 3
+    assert newton_diagram(PolynomialPhase(1, {(5,): 1.0, (7,): 2.0})).distance == 5
 
 
 def test_bump_profile_support():

@@ -12,14 +12,19 @@ Verified here:
   x^4 + y^4 + z^4 + 1; no coefficient on a principal face that is not
   sum_i c_i x_i^{a_i} (x^2 + xy^2 + y^4, x^2 + y^6 + z^6 + y^3 z^3), and the
   same bits under a permutation of the axes;
-* one prediction for every n >= 2 from the diagram: nondegenerate at
+* one prediction for every n from the diagram: nondegenerate at
   multiplicity 0 (in 2D and 3D, with a content when a coefficient is
   given; the quadrature route on x^4 + y^4 + z^4 + 1 fits better without
   log tau than with it), log-degenerate at multiplicity 1 and 2 with an
   infinite content and no coefficient, d = d' = 1 and not rectifiable at
   beta = -1 (x^2 + y^2 + 1, x^2 + y^4 + z^4 + 1 and the A_1 caustic in
-  n = 2), the multiplicity ignored at beta <= -1, rejection of beta < -n/2
-  (a linear term) and of n = 1;
+  n = 2), the multiplicity ignored at beta <= -1, and rejection of
+  beta < -n/2 (a linear term);
+* the same prediction in 1D: on random c x^s + higher terms + f0
+  (s = 2..11, signed coefficients, f0 in {0, 1, -3, 0.7}, phi(0) in
+  {1, 0.5}) predict_nd on the diagram and the CLI route both equal the
+  closed form predict_1d(s) bit for bit, and the CLI decides the principal
+  vertex without building a scan domain;
 * branch order: f(0) = 0 is rectifiable before the multiplicity is read;
 * caustic family validation and the k -> infinity limit dimension;
 * the caustic table against the Newton route: the normal forms
@@ -46,6 +51,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 
+import oscfract.cli as cli
+from oscfract import newton
 from oscfract.integrals import QuadratureConfig, leading_term_fit, sample_integral
 from oscfract.newton import newton_diagram, r_nondegeneracy_check
 from oscfract.phases import AmplitudeSpec, PolynomialPhase
@@ -367,10 +374,40 @@ def test_predict_nd_zero_critical_value_before_hypothesis():
         assert pred.f0 == 0.0
 
 
-def test_predict_nd_rejects_low_dimension():
-    diag = newton_diagram(PolynomialPhase(1, {(2,): 1.0, (0,): 1.0}))
-    with pytest.raises(ValueError, match="predict_1d"):
-        predict_nd(diag, 1.0)
+_COEFFS = st.floats(0.1, 10.0).flatmap(lambda c: st.sampled_from([c, -c]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 11),
+    _COEFFS,
+    st.dictionaries(st.integers(1, 6), _COEFFS, max_size=3),
+    st.sampled_from([0.0, 1.0, -3.0, 0.7]),
+    st.sampled_from([1.0, 0.5]),
+)
+def test_predict_nd_in_1d_is_predict_1d(s, c, higher, f0, phi0):
+    # the 1D diagram is the vertex (s,), so c = s, beta = -1/s, multiplicity
+    # 0, and its principal part is c x^s: the closed form, bit for bit
+    terms = {(s,): c, (0,): f0, **{(s + j,): cj for j, cj in higher.items()}}
+    phase = PolynomialPhase(1, terms)
+    ref = predict_1d(s, f0, diagonal_coefficient({(s,): c}, phi0))
+    diagram = newton_diagram(phase)
+    assert diagram.center_points == ((s,),)
+    part = {k: phase.terms[k] for k in diagram.center_points}
+    assert repr(predict_nd(diagram, f0, diagonal_coefficient(part, phi0))) == repr(ref)
+    # the CLI route decides the principal vertex exactly, with no scan domain
+    built, real = [], newton._fundamental_domain
+
+    def counted(n):
+        built.append(n)
+        return real(n)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(newton, "_fundamental_domain", counted)
+        routed = cli._diagram(phase)
+    assert built == []
+    assert routed == diagram
+    assert repr(cli._predict(phase, AmplitudeSpec(1, phi0=phi0), routed)) == repr(ref)
 
 
 def test_caustic_families():

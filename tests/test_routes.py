@@ -6,6 +6,8 @@ Verified here:
   measurement route imports one of the prediction route; imports inside
   functions count too.  Both routes may import phases, which holds the
   phase and amplitude they start from;
+* estimators imports nothing of the package but phases, so the geometry
+  measurement loads nothing of the integrals layer;
 * the import scan reads absolute, relative and function-level imports.
 """
 
@@ -55,4 +57,10 @@ def test_import_scan_reads_every_form():
         "    from . import estimators\n"
     )
     assert _imported(source) == {"newton", "phases", "predict", "integrals", "estimators"}
-    assert "integrals" in _imported((PACKAGE / "estimators.py").read_text(encoding="utf-8"))
+    assert "phases" in _imported((PACKAGE / "newton.py").read_text(encoding="utf-8"))
+
+
+def test_estimators_import_only_phases():
+    # the box counts and sausage areas need no quadrature: plain polylines in
+    source = (PACKAGE / "estimators.py").read_text(encoding="utf-8")
+    assert _imported(source) == {"phases"}
