@@ -9,8 +9,6 @@ estimates the same quantities from geometry alone.  Agreement of the two
 routes is the verification criterion exposed by the CLI.
 """
 
-from math import gamma
-
 from oscfract.phases import (
     AmplitudeSpec,
     PolynomialPhase,
@@ -80,7 +78,6 @@ __all__ = [
     "estimate_content",
     "estimate_dimension",
     "eval_integral",
-    "gamma",
     "gen_astring",
     "gen_chirp",
     "gen_spiral",

@@ -11,8 +11,8 @@ a sweep is a loop over configs.  All JSON output is deterministic: sorted
 keys, no timestamps, fixed seeds, so identical inputs produce byte-identical
 reports.
 
-Exit codes: 0 success/pass, 1 verification failure, 2 input error, 3 numeric
-budget exceeded.
+Exit codes: 0 success/pass, 1 verification failure, 2 input or output error,
+3 numeric budget exceeded.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ from oscfract.newton import DiagramInfo, newton_diagram, r_nondegeneracy_check
 from oscfract.phases import (
     AmplitudeSpec,
     PolynomialPhase,
+    checked,
     verify_isolated_critical_point,
 )
 from oscfract.predict import (
@@ -88,19 +89,20 @@ def _stage(name: str):
 # config plumbing
 
 
-def _finite(text: str) -> float:
-    """A JSON number as a float; NaN, Infinity and overflowing literals are refused."""
-    v = float(text)
-    if not math.isfinite(v):
+def _finite(text: str, kind: type = float):
+    """A JSON number as kind (float or int); NaN, Infinity and overflowing literals are refused."""
+    if not math.isfinite(float(text)):
         raise ValueError(f"config numbers must be finite, got {text}")
-    return v
+    return kind(text)
 
 
 def _load_config(path: Optional[str]) -> dict:
     if not path:
         raise ValueError("this command requires --config FILE")
     with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh, parse_float=_finite, parse_constant=_finite)
+        # an integer literal past a double's range overflows as 1e999 does
+        as_int = functools.partial(_finite, kind=int)
+        cfg = json.load(fh, parse_float=_finite, parse_int=as_int, parse_constant=_finite)
     if not isinstance(cfg, dict):
         raise ValueError("config root must be a JSON object")
     return cfg
@@ -133,32 +135,9 @@ def _quad_from(cfg: dict, n: int) -> QuadratureConfig:
         raise ValueError(f"malformed quadrature config: {exc}") from exc
 
 
-def _count(spec: dict, key: str, default: int) -> int:
-    """spec[key] (default when absent) as an integer >= 1.
-
-    Floats and bools are refused rather than truncated, as QuadratureConfig
-    does for its counts.
-    """
-    v = spec.get(key, default)
-    if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-        raise ValueError(f'"{key}" must be an integer >= 1, got {json.dumps(v)}')
-    return v
-
-
-def _real(spec: dict, key: str, default: Optional[float]) -> float:
-    """spec[key] (default when absent) as a float; strings and bools are refused."""
-    v = spec.get(key, default)
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValueError(f'"{key}" must be a number, got {json.dumps(v)}')
-    return float(v)
-
-
-def _flag(spec: dict, key: str, default: bool) -> bool:
-    """spec[key] (default when absent) as a JSON boolean; strings and numbers are refused."""
-    v = spec.get(key, default)
-    if not isinstance(v, bool):
-        raise ValueError(f'"{key}" must be true or false, got {json.dumps(v)}')
-    return v
+def _read(spec: dict, key: str, kind: str, default=None):
+    """spec[key], default when absent, checked as a config value of the kind."""
+    return checked(spec.get(key, default), kind, key)
 
 
 # default eps windows as (diam / max, diam / min, count)
@@ -173,9 +152,9 @@ def _eps_keys(spec: dict) -> dict:
     The defaults need the polyline's diameter and are filled in by
     _eps_window, so verify can refuse a bad key before it integrates.
     """
-    keys = {key: _real(spec, key, None) for key in ("max", "min") if key in spec}
+    keys = {key: _read(spec, key, "number") for key in ("max", "min") if key in spec}
     if "count" in spec:
-        keys["count"] = _count(spec, "count", 1)
+        keys["count"] = _read(spec, "count", "count")
     return keys
 
 
@@ -235,14 +214,15 @@ def _svg_text(points: np.ndarray) -> str:
 
 
 def _emit(args: argparse.Namespace, name: str, text: str) -> None:
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, name)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(path)
-    else:
-        sys.stdout.write(text)
+    with _stage("output"):
+        if args.out:
+            os.makedirs(args.out, exist_ok=True)
+            path = os.path.join(args.out, name)
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            print(path)
+        else:
+            sys.stdout.write(text)
 
 
 def _emit_curve(args: argparse.Namespace, curve: CurvePolyline) -> None:
@@ -329,14 +309,15 @@ def _sampled(
     else:
         lo, hi, count = 8.0, 150.0, 30
     t = _section(cfg, "tau")
-    window = (_real(t, "min", lo), _real(t, "max", hi), _count(t, "count", count))
-    return sample_integral(phase, amp, *window, _quad_from(cfg, n), refine=refine)
+    lo, hi = _read(t, "min", "number", lo), _read(t, "max", "number", hi)
+    count = _read(t, "count", "count", count)
+    return sample_integral(phase, amp, lo, hi, count, _quad_from(cfg, n), refine=refine)
 
 
 def _curve_step(cfg: dict, phase: PolynomialPhase) -> float:
     """The curve's max phase step: configured, else pi/16 in 1D and pi/8 above."""
     default_step = math.pi / 16 if phase.dimension == 1 else math.pi / 8
-    return _real(_section(cfg, "curve"), "max_step", default_step)
+    return _read(_section(cfg, "curve"), "max_step", "number", default_step)
 
 
 def _dimension(pts: np.ndarray, eps: np.ndarray, seed: int, **box_opts):
@@ -347,7 +328,7 @@ def _dimension(pts: np.ndarray, eps: np.ndarray, seed: int, **box_opts):
 
 def _content_opts(spec: dict) -> tuple[dict, int]:
     """(eps keys, cell cap) of a content spec, which may hold "eps" and "cell_cap"."""
-    return _eps_keys(_section(spec, "eps")), _count(spec, "cell_cap", 120_000_000)
+    return _eps_keys(_section(spec, "eps")), _read(spec, "cell_cap", "count", 120_000_000)
 
 
 def _content(pts: np.ndarray, d: float, opts: tuple[dict, int]) -> ContentEstimate:
@@ -363,7 +344,7 @@ def _content(pts: np.ndarray, d: float, opts: tuple[dict, int]) -> ContentEstima
 
 def _predict(phase: PolynomialPhase, amp: AmplitudeSpec, diagram):
     f0 = phase.value_at_origin
-    if _has_linear_term(phase):
+    if diagram is None:
         return predict_no_critical_point(f0)
     # the coefficient enters only the content, which exists for beta > -1; it
     # is read off the principal part, the terms on the face the bisector meets
@@ -453,7 +434,8 @@ def cmd_dim(cfg: dict, args: argparse.Namespace) -> int:
         pts = _polyline(cfg)
     with _stage("estimate"):
         eps = _eps_window(pts, _eps_keys(_section(cfg, "eps")), _DIM_WINDOW)
-        offsets, connect = _count(cfg, "offsets", 4), _flag(cfg, "connect", True)
+        offsets = _read(cfg, "offsets", "count", 4)
+        connect = _read(cfg, "connect", "switch", True)
         counts, est = _dimension(pts, eps, args.seed, offsets=offsets, connect=connect)
         out = {
             "polyline_csv": cfg["polyline_csv"],
@@ -470,7 +452,7 @@ def cmd_content(cfg: dict, args: argparse.Namespace) -> int:
         pts = _polyline(cfg)
         if "d" not in cfg:
             raise ValueError('config needs "d"')
-        d = _real(cfg, "d", None)
+        d = _read(cfg, "d", "number")
         opts = _content_opts(cfg)
     with _stage("estimate"):
         est = _content(pts, d, opts)
@@ -623,9 +605,9 @@ def verify(cfg: dict, seed: int = 0, tolerance: str = "desk") -> tuple[dict, Cur
         eps_cfg = _section(cfg, "eps")
         eps_keys = {key: _eps_keys(_section(eps_cfg, key)) for key in _MEASURED}
         ccfg = _section(cfg, "content")
-        content_on = _flag(ccfg, "enabled", False)
+        content_on = _read(ccfg, "enabled", "switch", False)
         if content_on:
-            content_d = _real(ccfg, "d", None) if "d" in ccfg else None
+            content_d = _read(ccfg, "d", "number") if "d" in ccfg else None
             content_opts = _content_opts(ccfg)
         _validate_phase(phase, amp)
     with _stage("newton"):

@@ -92,11 +92,13 @@ def geometric_epsilons(eps_max: float, eps_min: float, count: int) -> np.ndarray
 
 
 def _finite_rows(polyline: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(points, segment index pairs); NaN rows split subpaths."""
+    """(points, segment index pairs); NaN rows split subpaths, and some row must be finite."""
     pts = np.asarray(polyline, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"polyline must be (N, 2), got {pts.shape}")
     ok = np.isfinite(pts).all(axis=1)
+    if not ok.any():
+        raise ValueError("polyline has no finite points")
     idx = np.nonzero(ok[:-1] & ok[1:])[0]
     # segment endpoints must be renumbered into the compacted point array
     new_idx = np.cumsum(ok) - 1
@@ -235,8 +237,6 @@ def box_count(
     if offsets < 1:
         raise ValueError(f"offsets must be >= 1, got {offsets}")
     pts, seg = _finite_rows(polyline)
-    if len(pts) < 1:
-        raise ValueError("polyline has no finite points")
     lo = pts.min(axis=0)
     diam = float(np.hypot(*(pts.max(axis=0) - lo)))
     # a single point (diam 0) occupies one cell at every scale; otherwise
@@ -408,8 +408,6 @@ def sausage_area(polyline: np.ndarray, eps: float, cell_cap: int = 120_000_000) 
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and positive, got {eps}")
     pts, seg = _finite_rows(polyline)
-    if len(pts) == 0:
-        raise ValueError("polyline has no finite points")
     lone = np.ones(len(pts), dtype=bool)
     lone[seg.ravel()] = False
     A = np.concatenate([pts[seg[:, 0]], pts[lone]])

@@ -45,7 +45,8 @@ axis in 1D) is built _DOT_TERMS nodes at a time, in C order, and each block
 takes one dot per tau, so a pass holds one block and one batch of phase
 rows whatever the node count.  Tables are float64 throughout;
 a grid over its budget (max_nodes for the tensor, memory_budget_mb for the
-separable tables) raises NumericBudgetError rather than losing precision.
+separable tables and 3D node pairs) raises NumericBudgetError rather than
+losing precision.
 
 Everything here is pure: grids are built inside one call (sample_integral,
 or a refinement of a step it did not plan) and never cached across calls,
@@ -57,9 +58,8 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -70,6 +70,7 @@ from oscfract.phases import (
     NumericBudgetError,
     PolynomialPhase,
     bump_profile,
+    checked,
     eval_phase_array,
     gradient_norm,
 )
@@ -83,20 +84,19 @@ class QuadratureConfig:
     max_panels: int = 400_000  # per-axis cap
     # budgets raise NumericBudgetError; no path falls back to lower precision
     max_nodes: int = 200_000_000  # node cap of the streamed tensor, 1D included
-    memory_budget_mb: int = 1400  # float64 amplitude tables of the separable paths
+    # what a separable grid keeps: its float64 amplitude tables and, in 3D,
+    # the node pairs binned by radius, checked before they are built
+    memory_budget_mb: int = 1400
     # r^2 bins of width R^2/radial_bins for the 3D separable path, each
     # corrected to second order within the bin; its tables hold only the
     # bins a node pair falls in
     radial_bins: int = 2048
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            checked(getattr(self, f.name), "count", f.name)
         if self.points_per_wavelength < 8:
             raise ValueError("points_per_wavelength must be >= 8")
-        budgets = ("max_panels", "max_nodes", "memory_budget_mb")
-        for name in ("panel_order", "min_panels", "radial_bins", *budgets):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -287,8 +287,6 @@ class _QuadGrid:
         n = phase.dimension
         if n != amp.dimension:
             raise ValueError("phase and amplitude dimensions differ")
-        if n > 3:
-            raise ValueError("quadrature supports n <= 3")
         self.phase, self.amp, self.cfg = phase, amp, cfg
         self.tau_ref = float(tau_ref)
         self._batch: dict[float, complex] = {}
@@ -346,6 +344,17 @@ class _QuadGrid:
             self._table = amp.phi0 * bump_profile(u2)
             return
         self.mode = "sep3d"
+        # the grid keeps 24 bytes per node pair in the disc (_ii, _jj, _s_off)
+        # and three radial tables of one column per occupied bin; the pairs
+        # are counted off the sorted squares, before any m x m array exists
+        sq = np.sort(x**2)
+        pairs = int(np.searchsorted(sq, R * R - sq, side="right").sum())
+        bins = min(cfg.radial_bins, pairs)
+        if 24 * pairs + 3 * m * bins * 8 > budget:
+            raise NumericBudgetError(
+                f"{pairs} node pairs and radial tables 3 x ({m}, {bins}) exceed "
+                f"memory_budget_mb ({cfg.memory_budget_mb} MB); reduce tau or panel_order"
+            )
         s = x[:, None] ** 2 + x[None, :] ** 2
         keep = s <= R * R
         ii, jj = np.nonzero(keep)
@@ -360,11 +369,6 @@ class _QuadGrid:
         self._s_off = s_flat[order] - (idx + 0.5) * width
         self._bin_starts = np.flatnonzero(np.diff(idx, prepend=-1))
         del s, keep, ii, jj, s_flat, order
-        if 3 * m * self._bin_starts.size * 8 > budget:
-            raise NumericBudgetError(
-                f"radial tables 3 x ({m}, {self._bin_starts.size}) exceed memory budget "
-                f"({cfg.memory_budget_mb} MB); reduce tau or radial_bins"
-            )
         centers = (idx[self._bin_starts] + 0.5) * width  # occupied bins only
         r2 = (x[:, None] ** 2 + centers[None, :]) / R**2  # (nodes_z, bins)
         # at a pair radius s the amplitude is G(s) = phi0 exp(1 - q) with
@@ -480,10 +484,12 @@ def _eval_many(
 
     Each octave grid is built once and takes each set's taus on it as one
     batched pass, set after set; it is freed before the next one is built.
+    The largest grid comes first, so one over a budget raises before any
+    work is done.
     """
     refs = [_octave_refs(taus, top) for taus in tau_sets]
     out = [np.empty(taus.shape, dtype=complex) for taus in tau_sets]
-    for ref in np.unique(np.concatenate(refs)):
+    for ref in np.unique(np.concatenate(refs))[::-1]:
         grid = _QuadGrid(phase, amp, cfg, float(ref), grad_bound)
         for taus, set_refs, values in zip(tau_sets, refs, out):
             sel = set_refs == ref

@@ -11,6 +11,7 @@ reproducible.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass, field
 from numbers import Integral, Real
@@ -25,12 +26,23 @@ class NumericBudgetError(RuntimeError):
     """A panel, node, memory or scan budget was exceeded; raise, never silently degrade."""
 
 
-def _typed(v, kind: type, name: str):
-    """v itself if it is a kind (Integral or Real) and not a bool; never coerced."""
-    if isinstance(v, bool) or not isinstance(v, kind):
-        what = "an integer" if kind is Integral else "a number"
-        raise TypeError(f"{name} must be {what}, got {v!r}")
-    return v
+def checked(value, kind: str, name: str):
+    """A config value of the given kind, a number as a float; nothing is coerced.
+
+    The kinds are number (an int or float), integer, count (an integer >= 1)
+    and switch (a bool); a bool is never a number.  Any other value raises
+    ValueError naming the key and quoting the value as JSON.
+    """
+    cls, what = {
+        "number": (Real, "a number"),
+        "integer": (Integral, "an integer"),
+        "count": (Integral, "an integer >= 1"),
+        "switch": (bool, "true or false"),
+    }[kind]
+    ok = isinstance(value, cls) and (kind == "switch") == isinstance(value, bool)
+    if not ok or (kind == "count" and value < 1):
+        raise ValueError(f'"{name}" must be {what}, got {json.dumps(value, default=repr)}')
+    return float(value) if kind == "number" else value
 
 
 @dataclass(frozen=True)
@@ -64,12 +76,13 @@ class PolynomialPhase:
         n and every exponent must be integers and c a number.
         """
         try:
-            n = _typed(data["n"], Integral, "n")
+            n = checked(data["n"], "integer", "n")
             terms = {
-                tuple(_typed(e, Integral, "exponent") for e in t["k"]): _typed(t["c"], Real, "c")
+                tuple(checked(e, "integer", "exponent") for e in t["k"]):
+                    checked(t["c"], "number", "c")
                 for t in data["terms"]
             }
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed phase spec: {exc}") from exc
         return cls(n, terms)
 
@@ -124,7 +137,7 @@ class AmplitudeSpec:
     def from_dict(cls, data: Mapping, dimension: int) -> "AmplitudeSpec":
         """Parse {"radius": 1.0, "phi0": 1.0}; each must be a number and defaults to 1."""
         try:
-            radius, phi0 = (float(_typed(data.get(k, 1.0), Real, k)) for k in ("radius", "phi0"))
+            radius, phi0 = (checked(data.get(k, 1.0), "number", k) for k in ("radius", "phi0"))
             return cls(dimension, radius, phi0)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"malformed amplitude spec: {exc}") from exc

@@ -31,7 +31,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oscfract import gamma
 from oscfract.cli import _ZOO_CONTENT, _ZOO_DIMS, _ZOO_VERDICTS
 from oscfract.estimators import (
     box_count,
@@ -119,7 +118,7 @@ def test_criterion_3_coefficient_cross_check():
         numeric = greenblatt_coefficient(p, q, 1.0)
         closed = greenblatt_closed_form(p, q, 1.0)
         worst = max(worst, abs(numeric - closed) / abs(closed))
-    gamma_err = abs(gamma(0.5) - math.sqrt(math.pi)) / math.sqrt(math.pi)
+    gamma_err = abs(math.gamma(0.5) - math.sqrt(math.pi)) / math.sqrt(math.pi)
     ok = worst <= 1e-6 and gamma_err <= 1e-12
     _report(3, ok, f"coefficient rel err {worst:.2e}, Gamma(1/2) rel err {gamma_err:.2e}")
 

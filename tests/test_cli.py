@@ -58,10 +58,16 @@ Verified here:
   cell cap or grid-offset count, a string,
   bool or null where a float key (tau min/max, max_step, eps max/min, d,
   content.d, amplitude radius/phi0) expects a number, a bool n or a float
-  exponent in the phase, a NaN, Infinity or overflowing config number, a
+  exponent in the phase, a NaN, Infinity or overflowing config number (an
+  integer literal past a double's range included), a
   `connect` or `content.enabled` switch that is not a JSON boolean, and
   quadrature on an n = 4 phase, exit 2 with a message that names the
-  problem;
+  problem; every refused value reads `"<key>" must be ..., got <JSON>`,
+  and a quadrature `points_per_wavelength` of 8.5 or "8" is refused too;
+* integrate on the sphere at tau 2000 exits 3 at [integrate], naming
+  memory_budget_mb, before any array of its 89.9 million node pairs exists;
+* a result that cannot be written (--out names an existing file) exits 2
+  at [output], for predict and verify;
 * the module entry point through a real subprocess.
 """
 
@@ -70,6 +76,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -484,7 +491,8 @@ def test_non_object_config_section_is_an_input_error(tmp_path, capsys, command, 
     [("radial_bins", 0), ("radial_bins", -3), ("panel_order", 2.5), ("panel_order", True),
      ("min_panels", 0), ("max_panels", "400000"), ("max_panels", True),
      ("max_nodes", "200000000"), ("max_nodes", True), ("memory_budget_mb", "1400"),
-     ("memory_budget_mb", True)],
+     ("memory_budget_mb", True), ("points_per_wavelength", 8.5),
+     ("points_per_wavelength", "8")],
 )
 def test_bad_quadrature_count_is_an_input_error(tmp_path, capsys, key, value):
     sphere = [{"k": [2 if j == i else 0 for j in range(3)], "c": 1.0} for i in range(3)]
@@ -498,7 +506,7 @@ def test_bad_quadrature_count_is_an_input_error(tmp_path, capsys, key, value):
     )
     assert main(["integrate", "--config", cfg]) == 2
     err = capsys.readouterr().err
-    assert f"{key} must be an integer >= 1" in err
+    assert f'"{key}" must be an integer >= 1, got {json.dumps(value)}' in err
     assert "Traceback" not in err
 
 
@@ -551,10 +559,14 @@ def test_non_finite_config_number_is_an_input_error(tmp_path, capsys, command, e
 
 
 def test_overflowing_config_number_is_an_input_error(tmp_path, capsys):
+    # an integer literal past a double's range too: read as a float it would
+    # raise OverflowError, not exit 2
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps(X_PLUS_2)[:-1] + ', "tau": {"max": 1e999}}', encoding="utf-8")
-    assert main(["integrate", "--config", str(cfg)]) == 2
-    assert "config numbers must be finite, got 1e999" in capsys.readouterr().err
+    for literal in ("1e999", "1" * 400):
+        cfg.write_text(json.dumps(X_PLUS_2)[:-1] + f', "tau": {{"max": {literal}}}}}', encoding="utf-8")
+        assert main(["integrate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [input] config numbers must be finite, got {literal}")
 
 
 @pytest.mark.parametrize(
@@ -602,8 +614,8 @@ def test_verify_checks_estimator_keys_before_integrating(tmp_path, capsys, monke
 
 @pytest.mark.parametrize(
     "amplitude, text",
-    [({"radius": True}, "radius must be a number, got True"),
-     ({"phi0": "1"}, "phi0 must be a number, got '1'")],
+    [({"radius": True}, '"radius" must be a number, got true'),
+     ({"phi0": "1"}, '"phi0" must be a number, got "1"')],
     ids=["radius-bool", "phi0-string"],
 )
 def test_non_numeric_amplitude_is_an_input_error(tmp_path, capsys, amplitude, text):
@@ -616,7 +628,7 @@ def test_truncated_exponent_is_an_input_error(tmp_path, capsys):
     # read with int() this phase was x^2: beta -1/2 and exit 0
     cfg = _cfg(tmp_path, {"phase": {"n": True, "terms": [{"k": [2.7], "c": 1}]}})
     assert main(["newton", "--config", cfg]) == 2
-    assert "malformed phase spec: n must be an integer, got True" in capsys.readouterr().err
+    assert 'malformed phase spec: "n" must be an integer, got true' in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -950,6 +962,33 @@ def test_budget_exhaustion_maps_to_exit_3(tmp_path, capsys):
     assert main(["verify", "--config", cfg]) == 3
     assert main(["integrate", "--config", cfg]) == 3
     capsys.readouterr()
+
+
+def test_sep3d_pairs_are_budgeted_before_they_are_built(tmp_path, capsys):
+    # at tau 2000 the sphere's top grid has 10,696 nodes per axis and 89.9
+    # million node pairs, about 8 GB to build; the budget counts them first
+    cfg = _cfg(tmp_path, dict(SPHERE, tau={"max": 2000.0}))
+    tracemalloc.start()
+    try:
+        rc = main(["integrate", "--config", cfg])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error [integrate] ") and "memory_budget_mb" in err
+    assert peak < 50 * 2**20
+
+
+@pytest.mark.parametrize(
+    "command, cfg", [("predict", X2_PLUS_1), ("verify", X_PLUS_2_VERIFY)], ids=["predict", "verify"]
+)
+def test_write_failure_is_an_output_error(tmp_path, capsys, command, cfg):
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    assert main([command, "--config", _cfg(tmp_path, cfg), "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [output] ") and "File exists" in err
 
 
 # --- front end: one parser, one config read, verify as a function ---

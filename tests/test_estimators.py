@@ -16,7 +16,8 @@ Verified here:
   cell corner, and on a chirp with four offsets, whole or split into blocks;
 * box_count on a 50-point curve at eps = diam/30000 matches the reference
   with a memory peak under 16 MB, far below its bounding grid's cell count;
-* box_count input validation (eps finite and positive, offsets >= 1);
+* box_count input validation (eps finite and positive, offsets >= 1), and
+  box_count and sausage_area refuse a polyline with no finite point;
 * estimate_dimension on exact power laws (recovered to machine precision),
   plateau selection across a regime crossover, the smallest-eps tiebreak,
   the inconclusive fallback on drifting slopes, and input validation;
@@ -124,8 +125,11 @@ def test_eps_above_diameter_rejected():
 
 
 def test_no_finite_points_rejected():
-    with pytest.raises(ValueError):
-        box_count(np.full((3, 2), np.nan), np.array([0.1]))
+    nan = np.full((3, 2), np.nan)
+    with pytest.raises(ValueError, match="polyline has no finite points"):
+        box_count(nan, np.array([0.1]))
+    with pytest.raises(ValueError, match="polyline has no finite points"):
+        sausage_area(nan, 0.1)
 
 
 def test_offset_averaging_is_seeded():

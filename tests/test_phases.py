@@ -5,6 +5,11 @@ Verified here:
   the dict round trip, including rejection of malformed specs and of spec
   values of the wrong type (a bool or float n or exponent, a string or bool
   coefficient or amplitude number);
+* phases.checked, the one reader of typed config values, accepts a
+  JSON-like value exactly when its kind (number, integer, count, switch)
+  allows it, returns a number as a float and any other kind unchanged, and
+  refuses with a message naming the key and quoting the value as JSON
+  (property over nested JSON-like values);
 * vectorized evaluation matches an exact Fraction evaluation of each point,
   kept in this file, within 1e-13 of sum |c_k x^k| (property over random
   polynomials);
@@ -19,6 +24,7 @@ Verified here:
   smaller than those near the second zero.
 """
 
+import json
 import math
 import re
 from fractions import Fraction
@@ -33,6 +39,7 @@ from oscfract.phases import (
     AmplitudeSpec,
     PolynomialPhase,
     bump_profile,
+    checked,
     eval_phase_array,
     partial_derivative,
     verify_isolated_critical_point,
@@ -78,14 +85,14 @@ def test_from_dict_malformed():
 @pytest.mark.parametrize(
     "n, k, c, text",
     [
-        (True, [2], 1, "n must be an integer, got True"),
-        (1.0, [2], 1, "n must be an integer, got 1.0"),
-        (1, [2.7], 1, "exponent must be an integer, got 2.7"),
-        (1, [2.0], 1, "exponent must be an integer, got 2.0"),
-        (1, [True], 1, "exponent must be an integer, got True"),
-        (1, "2", 1, "exponent must be an integer, got '2'"),
-        (1, [2], "1.0", "c must be a number, got '1.0'"),
-        (1, [2], True, "c must be a number, got True"),
+        (True, [2], 1, '"n" must be an integer, got true'),
+        (1.0, [2], 1, '"n" must be an integer, got 1.0'),
+        (1, [2.7], 1, '"exponent" must be an integer, got 2.7'),
+        (1, [2.0], 1, '"exponent" must be an integer, got 2.0'),
+        (1, [True], 1, '"exponent" must be an integer, got true'),
+        (1, "2", 1, '"exponent" must be an integer, got "2"'),
+        (1, [2], "1.0", '"c" must be a number, got "1.0"'),
+        (1, [2], True, '"c" must be a number, got true'),
     ],
     ids=["n-bool", "n-float", "k-float", "k-float-2", "k-bool", "k-string", "c-string", "c-bool"],
 )
@@ -93,6 +100,36 @@ def test_from_dict_refuses_wrong_types(n, k, c, text):
     # int() and float() would truncate or coerce each of these
     with pytest.raises(ValueError, match=f"malformed phase spec: {re.escape(text)}"):
         PolynomialPhase.from_dict({"n": n, "terms": [{"k": k, "c": c}]})
+
+
+_JSON_LIKE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_JSON_LIKE, st.sampled_from(["number", "integer", "count", "switch"]), st.text(max_size=8))
+def test_checked_accepts_exactly_its_kind(value, kind, name):
+    integer = isinstance(value, int) and not isinstance(value, bool)
+    allowed = {
+        "number": integer or isinstance(value, float),
+        "integer": integer,
+        "count": integer and value >= 1,
+        "switch": isinstance(value, bool),
+    }[kind]
+    if allowed:
+        got = checked(value, kind, name)
+        if kind == "number":
+            assert type(got) is float and got == value
+        else:
+            assert got is value
+    else:
+        with pytest.raises(ValueError) as exc:
+            checked(value, kind, name)
+        text = str(exc.value)
+        assert text.startswith(f'"{name}" must be ') and text.endswith(f", got {json.dumps(value)}")
 
 
 def test_value_at_origin_and_degree():
