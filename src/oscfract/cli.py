@@ -31,7 +31,11 @@ import numpy as np
 
 from oscfract.estimators import (
     ContentEstimate,
+    _finite_rows,
     box_count,
+    check_content_epsilons,
+    check_fit_size,
+    check_grid,
     estimate_content,
     estimate_dimension,
     gen_astring,
@@ -146,24 +150,33 @@ _RECTIFIABLE_WINDOW = (3.0, 2000.0, 12)
 _CONTENT_WINDOW = (150.0, 700.0, 10)
 
 
-def _eps_keys(spec: dict) -> dict:
+def _eps_keys(spec: dict, content: bool = False) -> dict:
     """The eps window keys spec sets (max, min, count), type-checked.
 
     The defaults need the polyline's diameter and are filled in by
-    _eps_window, so verify can refuse a bad key before it integrates.
+    _eps_window, so verify can refuse a bad key before it integrates.  The
+    estimators' rules are applied to the keys that decide them alone: max
+    above min when both are set, a count that a box-count fit (content
+    False) or a content grid (content True) accepts, and, for content, every
+    eps set finite, positive and below 1/e.
     """
     keys = {key: _read(spec, key, "number") for key in ("max", "min") if key in spec}
     if "count" in spec:
         keys["count"] = _read(spec, "count", "count")
+    check_grid(keys.get("max"), keys.get("min"), keys.get("count"))
+    if content:
+        check_content_epsilons(np.array([keys[k] for k in ("max", "min") if k in keys]))
+    elif "count" in keys:
+        check_fit_size(keys["count"])
     return keys
 
 
 def _eps_window(pts: np.ndarray, keys: dict, window: tuple[float, float, int]) -> np.ndarray:
-    """Geometric eps from _eps_keys' max, min and count, defaulting to a window of pts' diameter."""
-    ok = np.isfinite(pts).all(axis=1)
-    if not ok.any():
-        raise ValueError("polyline has no finite points")
-    diam = float((pts[ok].max(axis=0) - pts[ok].min(axis=0)).max())
+    """Geometric eps from _eps_keys' max, min and count, defaulting to a window of pts' diameter.
+
+    The diameter is the largest per-axis extent of pts' finite points.
+    """
+    diam = float(np.ptp(_finite_rows(pts)[0], axis=0).max())
     big, small, count = window
     hi, lo = keys.get("max", diam / big), keys.get("min", diam / small)
     return geometric_epsilons(hi, lo, keys.get("count", count))
@@ -328,7 +341,8 @@ def _dimension(pts: np.ndarray, eps: np.ndarray, seed: int, **box_opts):
 
 def _content_opts(spec: dict) -> tuple[dict, int]:
     """(eps keys, cell cap) of a content spec, which may hold "eps" and "cell_cap"."""
-    return _eps_keys(_section(spec, "eps")), _read(spec, "cell_cap", "count", 120_000_000)
+    eps_keys = _eps_keys(_section(spec, "eps"), content=True)
+    return eps_keys, _read(spec, "cell_cap", "count", 120_000_000)
 
 
 def _content(pts: np.ndarray, d: float, opts: tuple[dict, int]) -> ContentEstimate:
@@ -432,10 +446,11 @@ def _polyline(cfg: dict) -> np.ndarray:
 def cmd_dim(cfg: dict, args: argparse.Namespace) -> int:
     with _stage("input"):
         pts = _polyline(cfg)
-    with _stage("estimate"):
-        eps = _eps_window(pts, _eps_keys(_section(cfg, "eps")), _DIM_WINDOW)
+        eps_keys = _eps_keys(_section(cfg, "eps"))
         offsets = _read(cfg, "offsets", "count", 4)
         connect = _read(cfg, "connect", "switch", True)
+    with _stage("estimate"):
+        eps = _eps_window(pts, eps_keys, _DIM_WINDOW)
         counts, est = _dimension(pts, eps, args.seed, offsets=offsets, connect=connect)
         out = {
             "polyline_csv": cfg["polyline_csv"],

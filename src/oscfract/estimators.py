@@ -84,11 +84,30 @@ class ContentEstimate:
 
 def geometric_epsilons(eps_max: float, eps_min: float, count: int) -> np.ndarray:
     """Decreasing geometric grid of neighborhood radii."""
-    if not 0 < eps_min < eps_max:
-        raise ValueError(f"need 0 < eps_min < eps_max, got [{eps_min}, {eps_max}]")
-    if count < 2:
-        raise ValueError(f"count must be >= 2, got {count}")
+    check_grid(eps_max, eps_min, count)
     return np.geomspace(eps_max, eps_min, count)
+
+
+def check_grid(eps_max: Optional[float], eps_min: Optional[float], count: Optional[int]) -> None:
+    """geometric_epsilons' rules, on the arguments that are given (not None)."""
+    if eps_max is not None and eps_min is not None and not 0 < eps_min < eps_max:
+        raise ValueError(f"need 0 < eps_min < eps_max, got [{eps_min}, {eps_max}]")
+    if count is not None and count < 2:
+        raise ValueError(f"count must be >= 2, got {count}")
+
+
+def check_fit_size(count: int) -> None:
+    """estimate_dimension's rule: its plateau fit takes at least 8 (eps, N) pairs."""
+    if count < 8:
+        raise ValueError(f"need >= 8 (eps, N) pairs, got {count}")
+
+
+def check_content_epsilons(epsilons: np.ndarray) -> None:
+    """estimate_content's rule: every eps finite, positive and below 1/e."""
+    if not np.all(np.isfinite(epsilons) & (epsilons > 0)):
+        raise ValueError(f"every eps must be finite and positive, got {epsilons}")
+    if np.any(epsilons >= 1.0 / math.e):
+        raise ValueError("content grid needs eps < 1/e so log log(1/eps) > 0")
 
 
 def _finite_rows(polyline: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -273,8 +292,7 @@ def estimate_dimension(
     """
     epsilons = np.asarray(epsilons, dtype=float)
     counts = np.asarray(counts, dtype=float)
-    if len(epsilons) < 8:
-        raise ValueError(f"need >= 8 (eps, N) pairs, got {len(epsilons)}")
+    check_fit_size(len(epsilons))
     x = np.log(1.0 / epsilons)
     y = np.log(counts)
     local = np.diff(y) / np.diff(x)
@@ -334,30 +352,37 @@ def _row_length(A, D, eps, lo, span, y, weight, s0, cnt) -> float:
 
     Row k lies y[k] above lo_y and counts weight[k] times; capsule i meets
     rows s0[i] <= k < s0[i] + cnt[i].  Row k's intervals are shifted k span
-    to the right, so one sort orders every row's intervals.
+    to the right, so one sort orders every row's intervals.  The terms that
+    depend only on the capsule are computed once per capsule and gathered
+    for each of its rows.
     """
+    (ax, ay), (dx, dy) = A.T, D.T
+    # over the disks centred at A + s D, the interval's left end
+    # ax + s dx - sqrt(eps^2 - (v - s dy)^2) is convex in s, least at
+    # v - s dy = eps dx sgn(dy) / |D|; clipped to [0, 1], that s stays on
+    # a disk that reaches the row, for every row the capsule meets.  The
+    # right end mirrors it.  A flat capsule (|dy| <= 1e-12 (|dx| + eps),
+    # where 1 / dy could overflow) takes each end from A or A + D, outward
+    flat = np.abs(dy) <= 1e-12 * (np.abs(dx) + eps)
+    inv = 1.0 / np.where(flat, 1.0, dy)
+    u = eps * dx * np.sign(dy) / np.where(flat, 1.0, np.hypot(dx, dy))
+    below = lo[1] - ay
+    # per end, left then right: its side, the -u or +u added to v (v + (-u)
+    # is v - u exactly) and a flat capsule's s
+    ends = ((-1.0, -u, dx < 0), (1.0, u, dx > 0))
     runs = []
     for b0, b1 in _blocks(cnt, _INTERVAL_BLOCK):
         nb = cnt[b0:b1]
         c = np.repeat(np.arange(b0, b1), nb)
         k = np.arange(len(c)) - np.repeat(np.cumsum(nb) - nb - s0[b0:b1], nb)
-        (ax, ay), (dx, dy) = A[c].T, D[c].T
-        v = lo[1] - ay + y[k]  # the row's height above A
-        # over the disks centred at A + s D, the interval's left end
-        # ax + s dx - sqrt(eps^2 - (v - s dy)^2) is convex in s, least at
-        # v - s dy = eps dx sgn(dy) / |D|; clipped to [0, 1], that s stays on
-        # a disk that reaches the row, for every row the capsule meets.  The
-        # right end mirrors it.  A flat capsule (|dy| <= 1e-12 (|dx| + eps),
-        # where 1 / dy could overflow) takes each end from A or A + D, outward
-        flat = np.abs(dy) <= 1e-12 * (np.abs(dx) + eps)
-        inv = 1.0 / np.where(flat, 1.0, dy)
-        u = eps * dx * np.sign(dy) / np.where(flat, 1.0, np.hypot(dx, dy))
+        v = below[c] + y[k]  # the row's height above A
+        fc, ic, axc, dxc, dyc = flat[c], inv[c], ax[c], dx[c], dy[c]
+        shift = k * span - lo[0]
         x = []
-        for side, s in ((-1.0, np.where(flat, dx < 0, (v - u) * inv)),
-                        (1.0, np.where(flat, dx > 0, (v + u) * inv))):
-            s = np.clip(s, 0.0, 1.0)
-            w = np.sqrt(np.maximum(eps * eps - (v - s * dy) ** 2, 0.0))
-            x.append(ax + s * dx + side * w + (k * span - lo[0]))
+        for side, su, sf in ends:
+            s = np.clip(np.where(fc, sf[c], (v + su[c]) * ic), 0.0, 1.0)
+            w = np.sqrt(np.maximum(eps * eps - (v - s * dyc) ** 2, 0.0))
+            x.append(axc + s * dxc + side * w + shift)
         runs.append(_union(*x))
     L, R = _union(*map(np.concatenate, zip(*runs)))
     # row k's runs lie in [k span, (k + 1) span - 2 eps]
@@ -453,10 +478,7 @@ def estimate_content(
     (l <= -0.5, rho falling); anything between is inconclusive.
     """
     epsilons = np.asarray(epsilons, dtype=float)
-    if not np.all(np.isfinite(epsilons) & (epsilons > 0)):
-        raise ValueError(f"every eps must be finite and positive, got {epsilons}")
-    if np.any(epsilons >= 1.0 / math.e):
-        raise ValueError("content grid needs eps < 1/e so log log(1/eps) > 0")
+    check_content_epsilons(epsilons)
     areas = np.array([sausage_area(polyline, e, cell_cap) for e in epsilons])
     rho = areas / epsilons ** (2.0 - d)
     third = max(2, len(epsilons) // 3)

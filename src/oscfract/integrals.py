@@ -45,8 +45,8 @@ axis in 1D) is built _DOT_TERMS nodes at a time, in C order, and each block
 takes one dot per tau, so a pass holds one block and one batch of phase
 rows whatever the node count.  Tables are float64 throughout;
 a grid over its budget (max_nodes for the tensor, memory_budget_mb for the
-separable tables and 3D node pairs) raises NumericBudgetError rather than
-losing precision.
+separable tables and the peak of a 3D grid's build) raises
+NumericBudgetError rather than losing precision.
 
 Everything here is pure: grids are built inside one call (sample_integral,
 or a refinement of a step it did not plan) and never cached across calls,
@@ -84,8 +84,9 @@ class QuadratureConfig:
     max_panels: int = 400_000  # per-axis cap
     # budgets raise NumericBudgetError; no path falls back to lower precision
     max_nodes: int = 200_000_000  # node cap of the streamed tensor, 1D included
-    # what a separable grid keeps: its float64 amplitude tables and, in 3D,
-    # the node pairs binned by radius, checked before they are built
+    # a separable grid's float64 amplitude table in 2D; in 3D the peak of
+    # building its node pairs binned by radius and its radial tables.  Both
+    # are checked before they are built
     memory_budget_mb: int = 1400
     # r^2 bins of width R^2/radial_bins for the 3D separable path, each
     # corrected to second order within the bin; its tables hold only the
@@ -345,31 +346,40 @@ class _QuadGrid:
             return
         self.mode = "sep3d"
         # the grid keeps 24 bytes per node pair in the disc (_ii, _jj, _s_off)
-        # and three radial tables of one column per occupied bin; the pairs
-        # are counted off the sorted squares, before any m x m array exists
+        # and three radial tables of one column per occupied bin.  Its build
+        # peaks at those pairs plus the largest of: the m x m squares and
+        # mask (9 bytes per entry), up to 5 more numbers per pair while the
+        # pairs are sorted by bin, and up to 5 arrays of the tables' shape
+        # while the tables are filled.  The pairs are counted off the sorted
+        # squares, before any m x m array exists
         sq = np.sort(x**2)
         pairs = int(np.searchsorted(sq, R * R - sq, side="right").sum())
         bins = min(cfg.radial_bins, pairs)
-        if 24 * pairs + 3 * m * bins * 8 > budget:
+        peak = 24 * pairs + max(9 * m * m, 40 * pairs, 5 * m * bins * 8)
+        if peak > budget:
             raise NumericBudgetError(
-                f"{pairs} node pairs and radial tables 3 x ({m}, {bins}) exceed "
-                f"memory_budget_mb ({cfg.memory_budget_mb} MB); reduce tau or panel_order"
+                f"{pairs} node pairs and radial tables 3 x ({m}, {bins}) take "
+                f"{peak / 2**20:.0f} MiB to build, which exceeds memory_budget_mb "
+                f"({cfg.memory_budget_mb} MB); reduce tau or panel_order"
             )
         s = x[:, None] ** 2 + x[None, :] ** 2
         keep = s <= R * R
         ii, jj = np.nonzero(keep)
-        s_flat = s[keep]
+        s = s[keep]
+        del keep
         nb = cfg.radial_bins
         width = R * R / nb
-        idx = np.minimum((s_flat / width).astype(np.int64), nb - 1)
+        idx = np.minimum((s / width).astype(np.int64), nb - 1)
         # pairs sorted by bin: each occupied bin's sum is one reduceat segment
         order = np.argsort(idx, kind="stable")
         self._ii, self._jj = ii[order], jj[order]
+        del ii, jj
         idx = idx[order]
-        self._s_off = s_flat[order] - (idx + 0.5) * width
+        self._s_off = s[order] - (idx + 0.5) * width
+        del s, order
         self._bin_starts = np.flatnonzero(np.diff(idx, prepend=-1))
-        del s, keep, ii, jj, s_flat, order
         centers = (idx[self._bin_starts] + 0.5) * width  # occupied bins only
+        del idx
         r2 = (x[:, None] ** 2 + centers[None, :]) / R**2  # (nodes_z, bins)
         # at a pair radius s the amplitude is G(s) = phi0 exp(1 - q) with
         # q = 1/(1 - r2), r2 = (z^2 + s)/R^2, so G' = -G q^2/R^2 and
@@ -378,8 +388,11 @@ class _QuadGrid:
         self._G0 = amp.phi0 * bump_profile(r2)
         with np.errstate(divide="ignore"):
             q = np.where(r2 < 1.0, 1.0 / (1.0 - r2), 0.0)
-        self._G1 = -self._G0 * q**2 / R**2
+        del r2
+        # G2 first, and G1 negating q^2 rather than a copy of G0: the fill
+        # then holds at most two temporaries of the tables' shape at a time
         self._G2 = self._G0 * (q**4 - 2.0 * q**3) / (2.0 * R**4)
+        self._G1 = self._G0 * -(q**2) / R**2
 
     def _iter_blocks(self):
         """Yield (f - f0, w * phi) on C-order runs of at most _DOT_TERMS tensor nodes."""

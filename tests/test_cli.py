@@ -51,7 +51,11 @@ Verified here:
 * verify on x^2+y^4+1 and the sphere builds each octave grid of its tau
   window once, for the samples, the curve and the reflected graphs, with
   at most one grid alive at a time; a bad eps or content key exits 2 in
-  the input stage, before any grid is built;
+  the input stage, before any grid is built, and so does an eps window the
+  estimators would refuse on its keys alone (a box-count count below 8, min
+  above max, a content count below 2, a content max above 1/e); dim and
+  content refuse the same windows at [input], before any estimator runs,
+  and dim on a polyline with no finite point exits 2 at [estimate];
 * config sections (amplitude, quadrature, tau, curve, eps, content) that are
   not JSON objects, quadrature counts and budgets that are not integers
   >= 1 (strings and bools included), a float or bool tau count, eps count,
@@ -600,8 +604,13 @@ def test_non_numeric_float_key_is_an_input_error(tmp_path, capsys, command, extr
         ({"eps": {"reflected_im": {"count": 2.5}}}, '"count" must be an integer >= 1, got 2.5'),
         ({"content": {"enabled": True, "d": True}}, '"d" must be a number, got true'),
         ({"content": {"enabled": True, "eps": {"min": "0"}}}, '"min" must be a number, got "0"'),
+        ({"eps": {"curve": {"count": 5}}}, "need >= 8 (eps, N) pairs, got 5"),
+        ({"eps": {"reflected_re": {"max": 1e-3, "min": 1e-2}}}, "need 0 < eps_min < eps_max"),
+        ({"content": {"enabled": True, "eps": {"count": 1}}}, "count must be >= 2, got 1"),
+        ({"content": {"enabled": True, "eps": {"max": 0.5}}}, "content grid needs eps < 1/e"),
     ],
-    ids=["eps.max", "eps.count", "content.d", "content.eps.min"],
+    ids=["eps.max", "eps.count", "content.d", "content.eps.min", "eps.count-5",
+         "eps.min-above-max", "content.eps.count-1", "content.eps.max-0.5"],
 )
 def test_verify_checks_estimator_keys_before_integrating(tmp_path, capsys, monkeypatch, extra, message):
     builds = []
@@ -610,6 +619,38 @@ def test_verify_checks_estimator_keys_before_integrating(tmp_path, capsys, monke
     err = capsys.readouterr().err
     assert err.startswith("error [input] ") and message in err
     assert builds == []
+
+
+@pytest.mark.parametrize(
+    "command, extra, message",
+    [
+        ("dim", {"eps": {"count": 5}}, "need >= 8 (eps, N) pairs, got 5"),
+        ("dim", {"eps": {"max": 1e-3, "min": 1e-2}}, "need 0 < eps_min < eps_max"),
+        ("content", {"d": 1.0, "eps": {"count": 1}}, "count must be >= 2, got 1"),
+        ("content", {"d": 1.0, "eps": {"max": 0.5}}, "content grid needs eps < 1/e"),
+    ],
+    ids=["dim-count-5", "dim-min-above-max", "content-count-1", "content-max-0.5"],
+)
+def test_dim_and_content_check_eps_keys_before_estimating(
+    tmp_path, capsys, monkeypatch, command, extra, message
+):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("estimator reached")
+
+    monkeypatch.setattr(cli, "box_count", unreachable)
+    monkeypatch.setattr(cli, "estimate_content", unreachable)
+    csv = tmp_path / "seg.csv"
+    csv.write_text("x,y\n0,0\n1,0\n", encoding="utf-8")
+    assert main([command, "--config", _cfg(tmp_path, dict(extra, polyline_csv=str(csv)))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [input] ") and message in err
+
+
+def test_dim_refuses_a_polyline_with_no_finite_point(tmp_path, capsys):
+    csv = tmp_path / "nan.csv"
+    csv.write_text("x,y\nnan,nan\nnan,nan\n", encoding="utf-8")
+    assert main(["dim", "--config", _cfg(tmp_path, {"polyline_csv": str(csv)})]) == 2
+    assert capsys.readouterr().err == "error [estimate] polyline has no finite points\n"
 
 
 @pytest.mark.parametrize(

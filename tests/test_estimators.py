@@ -29,6 +29,11 @@ Verified here:
   swapping the axes, duplicate-geometry idempotence, areas unchanged by
   how capsules fall into blocks, the row-interval cap and eps validation
   (finite and positive, in estimate_content too);
+* sausage_area equal (==) to the area a reference row sum gives, one that
+  computes every capsule term per row interval: on lattice, half-lattice,
+  gridline and generic polylines with NaN splits, lone and repeated
+  points, and a subpath of flat capsules whose rise is 0, 1e-310 or
+  1e-13, at two eps each, with the default interval blocks and blocks of 7;
 * estimate_content on a unit segment: M_hat ~ 2L at the true dimension and
   the forced degenerate verdicts when d is deliberately mis-set;
 * gen_chirp / gen_spiral / gen_astring invariants and budget errors.
@@ -226,6 +231,35 @@ def _reference_box_count(polyline, epsilons, offsets, seed, connect=True):
             total += _reference_supercover(V[seg[:, 0]], V[seg[:, 1]], V, height)
         counts.append(total / offsets)
     return np.array(counts)
+
+
+def _reference_row_length(A, D, eps, lo, span, y, weight, s0, cnt) -> float:
+    """sausage_area's row sum with every capsule term computed per row interval.
+
+    Each interval gathers its capsule's A and D and recomputes flat, 1/dy
+    and u from them.  Kept as the reference that estimators._row_length,
+    which computes those terms once per capsule, must match bit for bit.
+    """
+    runs = []
+    for b0, b1 in estimators._blocks(cnt, estimators._INTERVAL_BLOCK):
+        nb = cnt[b0:b1]
+        c = np.repeat(np.arange(b0, b1), nb)
+        k = np.arange(len(c)) - np.repeat(np.cumsum(nb) - nb - s0[b0:b1], nb)
+        (ax, ay), (dx, dy) = A[c].T, D[c].T
+        v = lo[1] - ay + y[k]
+        flat = np.abs(dy) <= 1e-12 * (np.abs(dx) + eps)
+        inv = 1.0 / np.where(flat, 1.0, dy)
+        u = eps * dx * np.sign(dy) / np.where(flat, 1.0, np.hypot(dx, dy))
+        x = []
+        for side, s in ((-1.0, np.where(flat, dx < 0, (v - u) * inv)),
+                        (1.0, np.where(flat, dx > 0, (v + u) * inv))):
+            s = np.clip(s, 0.0, 1.0)
+            w = np.sqrt(np.maximum(eps * eps - (v - s * dy) ** 2, 0.0))
+            x.append(ax + s * dx + side * w + (k * span - lo[0]))
+        runs.append(estimators._union(*x))
+    L, R = estimators._union(*map(np.concatenate, zip(*runs)))
+    row = np.floor((L + eps) / span).astype(np.int64)
+    return float(np.sum(weight[row] * (R - L)))
 
 
 _LATTICE = st.integers(0, 60).map(float)
@@ -530,6 +564,37 @@ def test_overlapping_flat_segments_match_exact_union(frac):
     exact = (2.0 * eps + delta) + 2.0 * math.pi * eps**2 - lens
     assert sausage_area(pts, eps) == pytest.approx(exact, rel=0.003)
     assert sausage_area(pts[:, ::-1], eps) == pytest.approx(exact, rel=0.003)
+
+
+@st.composite
+def _sausage_polylines(draw):
+    """_polylines, then a NaN split and a subpath of flat capsules at y = 0.
+
+    Each flat capsule rises by 0, a subnormal (dy = 1e-310 included) or
+    1e-13, so it lies within the flat test |dy| <= 1e-12 (|dx| + eps).
+    """
+    pts = draw(_polylines())
+    rises = draw(st.lists(st.sampled_from([0.0, 1e-310, -1e-310, 5e-324, 1e-13]), max_size=4))
+    # x steps on the quarter lattice, short ones often: there the rise decides flatness
+    step = st.one_of(st.sampled_from([0.0, 0.25, -0.25]), _LATTICE.map(lambda v: v / 4.0 - 7.5))
+    steps = draw(st.lists(step, min_size=len(rises), max_size=len(rises)))
+    flat = np.cumsum([[draw(_GENERIC), 0.0]] + [[dx, dy] for dx, dy in zip(steps, rises)], axis=0)
+    return np.vstack([pts, [[math.nan, math.nan]], flat])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _sausage_polylines(),
+    st.lists(st.sampled_from([4.0, 1.0, 0.5, 0.3, 0.25]), min_size=2, max_size=2, unique=True),
+    st.sampled_from([7, estimators._INTERVAL_BLOCK]),
+)
+def test_sausage_area_matches_the_row_length_reference(pts, epsilons, block):
+    # the same intervals, so the same runs and the same sum: equal, not close
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimators, "_INTERVAL_BLOCK", block)
+        areas = [sausage_area(pts, eps) for eps in epsilons]
+        mp.setattr(estimators, "_row_length", _reference_row_length)
+        assert [sausage_area(pts, eps) for eps in epsilons] == areas
 
 
 def test_interval_blocks_do_not_change_area(monkeypatch):

@@ -40,7 +40,9 @@ Verified here:
   the grid points inside the ball;
 * every budget (panels, nodes, memory, refinement points) raises
   NumericBudgetError instead of degrading: separable tables stay float64,
-  and a table that would fit the budget only at float32 raises; a phase
+  and a table that would fit the budget only at float32 raises; the
+  tightest memory budget a sep3d grid passes bounds its build's traced
+  peak, whether the tables' fill, the pairs' sort or a full axis sets it; a phase
   with n > 3 is refused with a ValueError that names the n <= 3 limit, and
   an infinite tau window with a ValueError;
 * leading_term_fit recovers synthetic coefficients, flags a wrong exponent,
@@ -49,6 +51,7 @@ Verified here:
 
 import functools
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -457,6 +460,41 @@ def test_budget_separable_tables_stay_float64(phase, cfg):
     assert nbytes // 2 <= 2**20 < nbytes
     with pytest.raises(NumericBudgetError, match="exceed"):
         _QuadGrid(phase, amp, replace(cfg, memory_budget_mb=1), 1.0)
+
+
+_SPHERE3 = _P(3, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0, (0, 0, 0): 1.0})
+
+
+@pytest.mark.parametrize(
+    "phase, radius, tau, bins",
+    [
+        (_SPHERE3, 1.0, 150.0, 2048),
+        (_SPHERE3, 1.0, 150.0, 64),
+        (_P(3, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 3): 1.0, (0, 0, 2): 1.0, (0, 0, 0): 1.0}),
+         0.6, 150.0, 2048),
+    ],
+    ids=["sphere-tables", "sphere-sort", "odd-z"],
+)
+def test_sep3d_budget_bounds_the_build_peak(phase, radius, tau, bins):
+    # the check names what the build takes, in whole MiB; the tightest budget
+    # it accepts (one MB above that) bounds the peak the build reaches.  The
+    # three grids peak while the tables are filled, while the pairs are
+    # sorted (64 bins), and on a full axis (z^3 is odd, so no mirror fold)
+    amp, cfg = AmplitudeSpec(3, radius), QuadratureConfig(panel_order=2, radial_bins=bins)
+    L = gradient_bound(phase, amp)
+    with pytest.raises(NumericBudgetError) as refused:
+        _QuadGrid(phase, amp, replace(cfg, memory_budget_mb=1), tau, L)
+    budget = int(re.search(r"take (\d+) MiB", str(refused.value)).group(1)) + 1
+    with pytest.raises(NumericBudgetError):
+        _QuadGrid(phase, amp, replace(cfg, memory_budget_mb=budget - 2), tau, L)
+    tracemalloc.start()
+    try:
+        grid = _QuadGrid(phase, amp, replace(cfg, memory_budget_mb=budget), tau, L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.mode == "sep3d" and budget > 20
+    assert peak < budget * 2**20
 
 
 @pytest.mark.parametrize(
