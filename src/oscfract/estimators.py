@@ -11,8 +11,10 @@ Measurement pipeline:
                 over random grid translations to suppress lattice bias; a
                 segment touches the cells of the pieces between its
                 gridline crossings (and, at an exact corner crossing, the
-                corner's cell), found for both axes in one pass without
-                sorting, and deduplicated by one sort of their cell keys;
+                corner's cell): each crossing marks the cell it enters,
+                and only segments with a crossing near a corner or an end
+                sort their crossing parameters; one sort of their cell keys
+                (int32 below 2^31 cells) deduplicates them;
 * estimate_dimension
                 log N vs log(1/eps) slope over an automatically selected
                 plateau (curves built from integrals cross over from a
@@ -102,10 +104,15 @@ def check_fit_size(count: int) -> None:
         raise ValueError(f"need >= 8 (eps, N) pairs, got {count}")
 
 
-def check_content_epsilons(epsilons: np.ndarray) -> None:
-    """estimate_content's rule: every eps finite, positive and below 1/e."""
+def check_positive_epsilons(epsilons: np.ndarray) -> None:
+    """box_count's rule, and estimate_content's first: every eps finite and positive."""
     if not np.all(np.isfinite(epsilons) & (epsilons > 0)):
         raise ValueError(f"every eps must be finite and positive, got {epsilons}")
+
+
+def check_content_epsilons(epsilons: np.ndarray) -> None:
+    """estimate_content's rule: every eps finite, positive and below 1/e."""
+    check_positive_epsilons(epsilons)
     if np.any(epsilons >= 1.0 / math.e):
         raise ValueError("content grid needs eps < 1/e so log log(1/eps) > 0")
 
@@ -129,8 +136,12 @@ def _finite_rows(polyline: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pts[ok], seg
 
 
-# gridline crossings handled per block of segments: bounds the working arrays
+# gridline crossings handled per block of half-segments: bounds the working arrays
 _CROSSING_BLOCK = 1 << 15
+
+# relative margin around segment ends and gridlines, in units of the grid's
+# size (see _supercover_count): 512 times the unit roundoff 2^-53
+_NEAR = 2.0**-44
 
 
 def _blocks(counts: np.ndarray, size: int) -> list[tuple[int, int]]:
@@ -146,90 +157,118 @@ def _blocks(counts: np.ndarray, size: int) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _supercover_count(P: np.ndarray, Q: np.ndarray, pts: np.ndarray, height: int) -> int:
+def _pieces(P: np.ndarray, d: np.ndarray, lo: np.ndarray, cnt: np.ndarray) -> np.ndarray:
+    """Midpoints of the pieces of segments P + t d, t in [0, 1], by the defining rule.
+
+    Arrays are axis first and (2, M): lo is each segment's lowest gridline
+    crossed and cnt the number crossed, per axis.  Each segment's crossing
+    parameters t = (k - P) / d, clipped to [0, 1], are sorted together with
+    0 and 1, and every two neighbours bound one piece; a zero-length piece
+    (a corner crossing, or a crossing at an end) gives the point itself.
+    """
+    m = P.shape[1]
+    sid, ts = [np.arange(m)] * 2, [np.zeros(m), np.ones(m)]
+    for a in range(2):
+        n = cnt[a]
+        s = np.repeat(sid[0], n)
+        k = np.repeat(lo[a] - (np.cumsum(n) - n), n) + np.arange(len(s))
+        ts.append(np.clip((k - P[a, s]) / d[a, s], 0.0, 1.0))
+        sid.append(s)
+    t, s = np.concatenate(ts), np.concatenate(sid)
+    order = np.lexsort((t, s))
+    t, s = t[order], s[order]
+    same = s[:-1] == s[1:]
+    tm, s = (0.5 * (t[:-1] + t[1:]))[same], s[:-1][same]
+    return P[:, s] + tm * d[:, s]
+
+
+def _supercover_count(P: np.ndarray, Q: np.ndarray, pts: np.ndarray, shape: tuple[int, int]) -> int:
     """Number of distinct half-open unit cells touched by segments P->Q plus pts.
 
-    Arrays are axis first: P and Q are (2, M), pts is (2, N).  The gridline
-    crossings at t = (k - P) / (Q - P), clipped to [0, 1], cut each segment
-    into pieces; a piece's cell is the floor of its midpoint, and a
-    zero-length piece (crossings of both axes at one t, or a crossing at
-    t = 1) contributes the floor of P + t (Q - P), so a segment through a
-    cell corner touches the corner's cell too.  The crossings of axis 1 are
-    those of axis 0 on the segment with its coordinates swapped, so both
-    axes run through one pass over the stacked [axis 0 | swapped] segments.
-    No sort per segment: the piece after a crossing ends at the nearer of
-    the next crossing on the same axis (the next one generated) and the
-    next on the other axis, found by comparing the parameters of the two or
-    three gridlines around the crossing point with t.  Comparing parameters
-    rather than reading floor(y) keeps exact corner passes exact when
-    rounding moves the crossing point off the corner.  A marked cell (i, j)
-    becomes the int64 key (i + 2) (height + 4) + (j + 2), a margin of 2
-    either side of the cell indices; the keys are sorted once and the
-    distinct ones counted, so memory grows with the marks, not with the
+    Arrays are axis first: P and Q are (2, M), pts is (2, N) and holds every
+    segment end, and all lie in [0, width) x [0, height) for shape =
+    (width, height).  The cells are those of the defining rule (_pieces):
+    cut each segment at its gridline crossings and floor each piece's
+    midpoint.  Away from corners and ends a piece lies in the cell that the
+    crossing before it enters, so each crossing gives one key: a crossing
+    of axis-a gridline k marks cell k along a (k - 1 when the segment moves
+    backwards) and floor(o_j) along the other axis o, with o_j = o_0 +
+    j d_o / |d_a| advanced from the segment's first crossing by the
+    crossing index j.  A segment's first piece lies in its start vertex's
+    cell, which pts marks.
+
+    A crossing is flagged when it lies within _NEAR size of P or Q, or
+    within _NEAR (size + n) max(1, |d_o / d_a|) of a gridline of o, where
+    size = max(width, height) bounds every coordinate and n > j counts the
+    segment's crossings of that axis.  Elsewhere the pieces on either side
+    are long along both axes next to the rounding of t, o_j and the
+    midpoints, a few ulps of size + j, so both rules give the same cell
+    (P + d, where the defining rule's pieces end, lies within 2^-53 size of
+    Q).  A flagged crossing's key is replaced by one already marked, and its
+    segment takes the defining rule, whose cells include the keys of its
+    other crossings.  The crossings of axis 1 are those of axis 0 on the
+    segment with its coordinates swapped, so both axes run through one pass
+    over the half-segments [axis 0 | swapped].  A marked cell (i, j)
+    becomes the key (i + 2) (height + 4) + (j + 2), int32 when (width + 4)
+    (height + 4) < 2^31 and int64 otherwise; the keys are sorted once and
+    the distinct ones counted, so memory grows with the marks, not with the
     bounding box.
     """
+    width, height = shape
     stride = height + 4
+    dtype = np.int32 if (width + 4) * stride < 2**31 else np.int64
     keys = []
 
     def mark(x: np.ndarray, y: np.ndarray) -> None:
-        keys.append((np.floor(x) * stride + np.floor(y) + (2 * stride + 2)).astype(np.int64))
+        keys.append((np.floor(x) * stride + np.floor(y) + (2 * stride + 2)).astype(dtype))
 
     mark(*pts)
     d = Q - P
     lo = np.ceil(np.minimum(P, Q))
     hi = np.floor(np.maximum(P, Q))
-    cnt = np.where(d != 0, np.maximum(0, hi - lo + 1), 0).astype(np.int64)
-    # first gridline crossed, in the order of t
-    first = np.where(d > 0, lo, hi)
-    for s0, s1 in _blocks(cnt.sum(axis=0), _CROSSING_BLOCK):
-        Pb, db = P[:, s0:s1], d[:, s0:s1]
-        m = s1 - s0
-        # end of the first piece: the first crossing with t > 0, or 1
-        t_first = np.ones(2 * m)
-        n = cnt[:, s0:s1].ravel()  # per segment of [axis 0 | swapped]
-        tot = int(n.sum())
-        if tot:
-            split = int(n[:m].sum())  # crossings of axis 0 come first
-            end = np.cumsum(n)
-            start = end - n
-            Pa, da = np.repeat(Pb.ravel(), n), np.repeat(db.ravel(), n)
-            Po, do = np.repeat(Pb[::-1].ravel(), n), np.repeat(db[::-1].ravel(), n)
-            # gridline k of each crossing: first + step * (its index in the segment)
-            step = np.sign(db.ravel())
-            k = np.repeat(first[:, s0:s1].ravel() - step * start, n) + np.repeat(step, n) * np.arange(tot)
-            t = np.clip((k - Pa) / da, 0.0, 1.0)
-            t_next = np.empty(tot)
-            t_next[:-1] = t[1:]
-            crossed = n > 0
-            t_next[end[crossed] - 1] = 1.0
-            head = start[crossed]
-            t_first[crossed] = np.where(t[head] > 0, t[head], t_next[head])
-            # gridlines of the other axis around the crossing point, in the
-            # order they are crossed; those beyond the segment clip to 0 or
-            # 1 and never end a piece early, and with no motion along the
-            # other axis (d = 0, or so little that the quotient overflows)
-            # the next one divides to +inf and clips to 1
-            back = do < 0
-            so = np.where(back, -1.0, 1.0)
-            j0 = np.floor(Po + t * do) + back
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                t0 = np.clip((j0 - Po) / do, 0.0, 1.0)
-                t1 = np.clip((j0 + so - Po) / do, 0.0, 1.0)
-                late = np.nonzero(t1 <= t)[0]
-                t2 = np.clip((j0[late] + 2.0 * so[late] - Po[late]) / do[late], 0.0, 1.0)
-            t_other = np.where(t0 > t, t0, t1)
-            t_other[late] = t2
-            corner = np.nonzero((t0 == t) | (t1 == t))[0]
-            np.minimum(t_next, t_other, out=t_next)
-            tm = 0.5 * (t + t_next)
-            a, o = Pa + tm * da, Po + tm * do
-            mark(a[:split], o[:split])  # in (x, y) order
-            mark(o[split:], a[split:])
-            tc, c = t[corner], np.searchsorted(corner, split)
-            a, o = Pa[corner] + tc * da[corner], Po[corner] + tc * do[corner]
-            mark(a[:c], o[:c])
-            mark(o[c:], a[c:])
-        mark(*(Pb + (0.5 * np.minimum(t_first[:m], t_first[m:])) * db))
+    # the hi - lo + 1 >= 0 gridlines in [min, max], none for a segment at rest along the axis
+    cnt = ((hi - lo + 1.0) * (d != 0)).astype(np.int64)
+    back = d < 0
+    first, last = np.where(back, hi, lo), np.where(back, lo, hi)
+    gap = np.abs(first - P)
+    size = float(max(shape))
+    end = (gap < _NEAR * size) | (np.abs(last - Q) < _NEAR * size)
+    # with no crossing near an end, |d_a| > 2 _NEAR size and the quotient is finite
+    r = np.divide(d[::-1], np.abs(d), out=np.zeros(d.shape), where=(cnt > 0) & ~end)
+    o0 = P[::-1] + gap * r
+    # |frac(o_j) - 1/2| above half flags a crossing; half = -1 flags them all
+    half = np.where(end, -1.0, 0.5 - _NEAR * (size + cnt) * np.maximum(1.0, np.abs(r)))
+    # a crossing's key is base + j inc + floor(o_j) times 1 (axis 0) or stride
+    w = np.array([[stride], [1.0]])
+    base = (first - back + 2.0) * w + 2.0 * w[::-1]
+    inc = np.where(back, -w, w)
+    n, o0, r, half, base, inc = (x.ravel() for x in (cnt, o0, r, half, base, inc))
+    M = P.shape[1]
+    flagged = []
+    for b0, b1 in _blocks(n, _CROSSING_BLOCK):
+        nb = n[b0:b1]
+        stop = np.cumsum(nb)
+        split = int(nb[: max(M - b0, 0)].sum())  # the crossings of axis 0 come first
+        sid = np.repeat(np.arange(b1 - b0), nb)  # the half-segment of each crossing
+        j = np.arange(stop[-1], dtype=float) - (stop - nb)[sid]
+        o = o0[b0:b1][sid] + j * r[b0:b1][sid]
+        fo = np.floor(o)
+        key = base[b0:b1][sid] + j * inc[b0:b1][sid]
+        key[:split] += fo[:split]
+        key[split:] += fo[split:] * stride
+        o -= fo
+        o -= 0.5
+        near = np.flatnonzero(np.abs(o, out=o) > half[b0:b1][sid])
+        key = key.astype(dtype)
+        if near.size:
+            key[near] = keys[0][0]
+            flagged.append((sid[near] + b0) % M)
+        keys.append(key)
+    if flagged:
+        g = np.unique(np.concatenate(flagged))
+        for g0, g1 in _blocks(cnt[:, g].sum(axis=0), _CROSSING_BLOCK):
+            s = g[g0:g1]
+            mark(*_pieces(P[:, s], d[:, s], lo[:, s], cnt[:, s]))
     cells = np.concatenate(keys)
     keys.clear()
     cells.sort()
@@ -248,11 +287,14 @@ def box_count(
     The grid is anchored at the bounding-box corner, so scaling the polyline
     and the eps values together reproduces the counts exactly.  offsets > 1
     adds random sub-cell grid translations (seeded) and averages.  Every
-    eps must be finite and positive, and offsets at least 1.
+    eps must be finite and positive, and offsets at least 1.  Each grid's
+    count is _supercover_count's: the cells of the pieces between gridline
+    crossings, read off the cell each crossing enters, with the crossing
+    parameters sorted only for segments that cross a gridline close to a
+    cell corner or to one of their ends.
     """
     epsilons = np.asarray(epsilons, dtype=float)
-    if not np.all(np.isfinite(epsilons) & (epsilons > 0)):
-        raise ValueError(f"every eps must be finite and positive, got {epsilons}")
+    check_positive_epsilons(epsilons)
     if offsets < 1:
         raise ValueError(f"offsets must be >= 1, got {offsets}")
     pts, seg = _finite_rows(polyline)
@@ -271,11 +313,11 @@ def box_count(
     counts = np.empty(len(epsilons))
     for i, eps in enumerate(epsilons):
         U = ((pts - lo) / eps).T
-        height = int(np.ceil(U[1].max())) + 3
+        shape = (int(np.ceil(U[0].max())) + 3, int(np.ceil(U[1].max())) + 3)
         UP, UQ = U[:, seg[:, 0]], U[:, seg[:, 1]]
         acc = 0
         for off in shifts:
-            acc += _supercover_count(UP + off, UQ + off, U + off, height)
+            acc += _supercover_count(UP + off, UQ + off, U + off, shape)
         counts[i] = acc / offsets
     return counts
 

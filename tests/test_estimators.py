@@ -6,16 +6,24 @@ Verified here:
 * box_count against hand-counted supercover oracles (single point, axis
   segment, corner-touching diagonal), NaN subpath splitting, connect=False,
   seed determinism, scale and axis-swap invariance (tall polylines count
-  like wide ones), and the exact grid-nesting inequalities
-  N(2 eps) <= N(eps) <= 4 N(2 eps) for halved anchored grids;
+  like wide ones; pinned: a segment whose run along x is subnormal, and a
+  zero-length segment beside a vertical one), and the exact grid-nesting
+  inequalities N(2 eps) <= N(eps) <= 4 N(2 eps) for halved anchored grids;
 * box_count equal, count for count, to a reference supercover that sorts
   the crossing parameters and floors piece midpoints, on lattice,
   half-lattice, gridline-aligned and generic polylines with NaN splits,
   repeated points and connect=False, on a lattice diagonal whose computed
   crossing points round off their corners, on vertices a few ulps from a
   cell corner, and on a chirp with four offsets, whole or split into blocks;
+* box_count's two paths, the cell each crossing enters and the sorting rule
+  for segments near a corner or an end: with the margin _NEAR infinite,
+  so that every segment crossing a gridline is sorted, the counts equal the
+  default's on the polylines above and on a chirp and a spiral with four
+  offsets; segments with generic ends whose interiors pass exactly through
+  lattice corners, or an ulp or a few beside them, match the reference;
 * box_count on a 50-point curve at eps = diam/30000 matches the reference
-  with a memory peak under 16 MB, far below its bounding grid's cell count;
+  with a memory peak under 16 MB, far below its bounding grid's cell count,
+  and on a grid of about 2^32 cells, whose keys need int64;
 * box_count input validation (eps finite and positive, offsets >= 1), and
   box_count and sausage_area refuse a polyline with no finite point;
 * estimate_dimension on exact power laws (recovered to machine precision),
@@ -165,6 +173,10 @@ def test_counts_invariant_under_dyadic_similarity(k):
     ),
     st.floats(1e-2, 1e2),
 )
+# a segment whose run along one axis is subnormal, and a zero-length segment
+# next to an axis-parallel one: a kernel dividing by that run warns
+@example(raw=[(0.0, 0.0), (2.2250738585072014e-308, 1.0)], aspect=4.0)
+@example(raw=[(0.0, 0.0), (0.0, 0.0), (0.0, 1.0)], aspect=1.0)
 def test_counts_invariant_under_axis_swap(raw, aspect):
     # the anchored grid maps onto itself when x and y trade places, so the
     # cell counts must too, for tall and for wide polylines alike
@@ -181,7 +193,8 @@ def _reference_supercover(P, Q, pts, height):
 
     Every gridline crossing splits its segment; the crossing parameters are
     sorted per segment and the floor of each piece's midpoint is its cell.
-    Kept as the reference for box_count's sort-free count.
+    Kept as the reference for box_count, which sorts only the segments with
+    a crossing near a cell corner or a segment end.
     """
     cells = [np.floor(pts).astype(np.int64)]
     if len(P):
@@ -353,6 +366,60 @@ def test_crossing_blocks_do_not_change_counts(monkeypatch):
     assert np.array_equal(box_count(pts, eps, offsets=2, seed=5), whole)
 
 
+@settings(max_examples=200, deadline=None)
+@given(_polylines(), st.sampled_from([1, 2, 4]), st.integers(0, 2**16))
+def test_defining_rule_everywhere_counts_the_same(pts, offsets, seed):
+    # with an infinite margin every segment that crosses a gridline takes the
+    # sorting rule, so the counts cannot depend on which path a segment took
+    finite = pts[np.isfinite(pts).all(axis=1)]
+    assume(len(finite) > 0)
+    diam = float(np.hypot(*np.ptp(finite, axis=0)))
+    eps = np.array([e for e in (4.0, 1.0, 0.5, 0.25, 0.3) if diam == 0.0 or e <= diam])
+    assume(len(eps) > 0)
+    counts = box_count(pts, eps, offsets=offsets, seed=seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimators, "_NEAR", math.inf)
+        assert np.array_equal(box_count(pts, eps, offsets=offsets, seed=seed), counts)
+
+
+@pytest.mark.parametrize(
+    "pts",
+    [gen_chirp(0.5, 1.0, t_min=0.01), gen_spiral(0.5, phi_max=30.0 * math.pi)],
+    ids=["chirp", "spiral"],
+)
+def test_defining_rule_everywhere_counts_curves_the_same(pts, monkeypatch):
+    eps = np.hypot(*np.ptp(pts, axis=0)) / np.array([20.0, 90.0, 400.0])
+    counts = box_count(pts, eps, offsets=4, seed=2)
+    monkeypatch.setattr(estimators, "_NEAR", math.inf)
+    assert np.array_equal(box_count(pts, eps, offsets=4, seed=2), counts)
+
+
+_UP = math.nextafter(1.0, 2.0) - 1.0  # one ulp of 1
+
+
+@pytest.mark.parametrize(
+    "start, end",
+    [
+        # generic ends, interiors through lattice corners such as (1, 1) and (2, 2)
+        ((0.25, 0.25), (2.75, 2.75)),
+        ((2.75, 0.25), (0.25, 2.75)),
+        ((0.5, 0.25), (3.5, 1.75)),
+        ((0.3, 0.2), (3.2, 11.8)),
+        # the same lines an ulp of the corner's coordinate beside it
+        ((0.25, 0.25 + _UP), (2.75, 2.75 + 4 * _UP)),
+        ((0.25, 0.25 - _UP), (2.75, 2.75 - 4 * _UP)),
+        ((0.5, 0.25 + _UP), (3.5, 1.75 + 2 * _UP)),
+        ((0.3, 0.2 - _UP), (3.2, 11.8 - 8 * _UP)),
+    ],
+)
+def test_segments_through_corners_match_sorting_reference(start, end):
+    # the isolated origin pins the grid so the vertices keep their coordinates
+    pts = np.array([(0.0, 0.0), (math.nan, math.nan), start, end])
+    for eps in (1.0, 0.5, 0.25):
+        counts = box_count(pts, [eps], offsets=1)
+        assert np.array_equal(counts, _reference_box_count(pts, [eps], 1, 0))
+
+
 def test_sparse_box_count_stays_small():
     # a short smooth curve at eps = diam/30000 spans a bounding grid of
     # about 10^9 cells but touches only about 10^5 of them: memory follows
@@ -368,6 +435,16 @@ def test_sparse_box_count_stays_small():
         tracemalloc.stop()
     assert peak < 16 * 2**20
     assert np.array_equal(counts, _reference_box_count(pts, eps, 4, 0))
+
+
+def test_grid_past_int32_keys_matches_sorting_reference():
+    # a bounding grid of about 2^32 cells needs int64 keys, however few
+    # cells the curve touches
+    th = np.linspace(0.0, 2.5, 20)
+    pts = np.column_stack([np.cos(th), np.sin(th)])
+    eps = np.array([np.hypot(*np.ptp(pts, axis=0)) / 80000.0])
+    counts = box_count(pts, eps, offsets=2)
+    assert np.array_equal(counts, _reference_box_count(pts, eps, 2, 0))
 
 
 @pytest.mark.parametrize(
