@@ -35,10 +35,12 @@ change the computed sum only by rounding:
   powers of their offset from the bin centre) meet the amplitude, its
   first derivative and half its second, replacing the n^3 tensor by
   per-bin sums plus three (n x bins) products over the bins that hold a
-  node pair.  The binning error is cubic in the bin width: at the default
-  2,048 bins the sum reads 8.6e-12 and 1.5e-11 off the unbinned one on the
-  sphere (tau_ref 20 and 60) and 7.2e-13 on x^4+y^4+z^4 (tau_ref 37.5),
-  orders of magnitude below the quadrature tolerance (see the tests).
+  node pair.  A tau gathers the pairs' products in runs of whole bins of
+  at most _BATCH_BYTES // 16 pairs, one run at a time.  The binning error
+  is cubic in the bin width: at the default 2,048 bins the sum reads
+  8.6e-12 and 1.5e-11 off the unbinned one on the sphere (tau_ref 20 and
+  60) and 7.2e-13 on x^4+y^4+z^4 (tau_ref 37.5), orders of magnitude below
+  the quadrature tolerance (see the tests).
 
 1D and mixed-variable phases share one path: their node tensor (a single
 axis in 1D) is built _DOT_TERMS nodes at a time, in C order, and each block
@@ -48,6 +50,15 @@ a grid over its budget (max_nodes for the tensor, memory_budget_mb for the
 separable tables and the peak of a 3D grid's build) raises
 NumericBudgetError rather than losing precision.
 
+Every pass runs with the OpenBLAS that numpy bundles held to one thread,
+and gives the caller's thread count back when it ends (_one_blas_thread).
+With two threads OpenBLAS split the sep2d and sep3d matrix products and
+left its worker spinning between them, so on 2 CPUs a multivar-verify pass
+took about twice its wall time in CPU and no less wall time.  The
+1D and mixed-variable dots ran on one thread already and keep their bits;
+sep2d and sep3d values may move in the last bit or two with the thread
+count.
+
 Everything here is pure: grids are built inside one call (sample_integral,
 or a refinement of a step it did not plan) and never cached across calls,
 and the only state a grid changes is the batch that values() hands out
@@ -56,8 +67,12 @@ through value().
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
+import glob
 import math
+import os
 import warnings
 from dataclasses import dataclass, field, fields
 from typing import Optional
@@ -162,10 +177,9 @@ _RESEED = 256
 # Working arrays of one batch of taus stay near this size, so batching does
 # not raise peak memory above what the grid tables already take.
 _BATCH_BYTES = 8 * 2**20
-# OpenBLAS runs a complex dot of at most 10^4 terms on one thread.  Longer
-# dots wake its worker threads, which on 2 CPUs doubled the CPU time and
-# saved no wall time (1d grid at tau 2000, 42,784 nodes: 316 against 151 us
-# CPU per tau), so the node tensor is streamed in blocks of this many nodes.
+# The node tensor is streamed in blocks of this many nodes, so a pass holds
+# one block and its phase rows whatever the node count.  The block size
+# also orders the 1D sums, and fold-verify's outputs keep their bits at it.
 _DOT_TERMS = 10_000
 # refined taus per phase step, at most
 _MAX_POINTS = 2_000_000
@@ -175,6 +189,45 @@ REFLECTED_STEP = 0.125
 
 def _batch_rows(bytes_per_tau: int) -> int:
     return max(1, _BATCH_BYTES // bytes_per_tau)
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS bundled with numpy, or None.
+
+    Looked up at first use, not at import, and once per process.
+    """
+    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")
+    for path in glob.glob(pattern):
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "")):
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with OpenBLAS on one thread, and restore the caller's count after it.
+
+    The count is the process's, so calls from several Python threads at
+    once could restore each other's; nothing here runs in threads.
+    """
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
 
 
 def _rotation_steps(taus: np.ndarray) -> np.ndarray:
@@ -229,10 +282,11 @@ def _phase_rows(taus: np.ndarray, steps: np.ndarray, g: np.ndarray, rows: int):
 def _weighted_sums(taus: np.ndarray, steps: np.ndarray, blocks) -> np.ndarray:
     """Sum over (g, a) blocks of sum(a * exp(i tau g)), for every tau.
 
-    Each block takes one dot per tau.  A matrix-vector product over a batch
-    of taus woke BLAS's worker threads, whose spin-wait added about 15% CPU
-    time to a fold-verify pass.  A block and its phase rows are freed
-    before the next block is built.
+    Each block takes one dot per tau.  A matrix-vector product per batch
+    of taus moved 1D values by 2.5e-15 relative, so fold-verify's outputs
+    would lose their bits, and it saved 0-20% of fold-verify's quadrature
+    CPU time (four timings on one BLAS thread).  A block and its phase rows
+    are freed before the next block is built.
     """
     core = np.zeros(taus.size, dtype=complex)
     if not taus.size:  # no phase rows, and so no block, to build
@@ -345,7 +399,7 @@ class _QuadGrid:
             self._table = amp.phi0 * bump_profile(u2)
             return
         self.mode = "sep3d"
-        # the grid keeps 24 bytes per node pair in the disc (_ii, _jj, _s_off)
+        # the grid keeps 24 bytes per node pair in the disc (ii, jj, s_off)
         # and three radial tables of one column per occupied bin.  Its build
         # peaks at those pairs plus the largest of: the m x m squares and
         # mask (9 bytes per entry), up to 5 more numbers per pair while the
@@ -372,14 +426,25 @@ class _QuadGrid:
         idx = np.minimum((s / width).astype(np.int64), nb - 1)
         # pairs sorted by bin: each occupied bin's sum is one reduceat segment
         order = np.argsort(idx, kind="stable")
-        self._ii, self._jj = ii[order], jj[order]
-        del ii, jj
+        ii, jj = ii[order], jj[order]
         idx = idx[order]
-        self._s_off = s[order] - (idx + 0.5) * width
+        s_off = s[order] - (idx + 0.5) * width
         del s, order
-        self._bin_starts = np.flatnonzero(np.diff(idx, prepend=-1))
-        centers = (idx[self._bin_starts] + 0.5) * width  # occupied bins only
+        starts = self._bin_starts = np.flatnonzero(np.diff(idx, prepend=-1))
+        centers = (idx[starts] + 0.5) * width  # occupied bins only
         del idx
+        # whole bins in runs of at most _BATCH_BYTES // 16 pairs (a larger bin
+        # is a run of its own), so that a tau gathers the complex products
+        # of one run at a time: (ii, jj, s_off, its bins, its bin starts)
+        ends = np.append(starts[1:], ii.size)
+        self._runs, b0 = [], 0
+        while b0 < starts.size:
+            lo = starts[b0]
+            b1 = max(b0 + 1, int(np.searchsorted(ends, lo + _BATCH_BYTES // 16, side="right")))
+            hi = ends[b1 - 1]
+            self._runs.append((ii[lo:hi], jj[lo:hi], s_off[lo:hi], slice(b0, b1), starts[b0:b1] - lo))
+            b0 = b1
+        del ii, jj, s_off
         r2 = (x[:, None] ** 2 + centers[None, :]) / R**2  # (nodes_z, bins)
         # at a pair radius s the amplitude is G(s) = phi0 exp(1 - q) with
         # q = 1/(1 - r2), r2 = (z^2 + s)/R^2, so G' = -G q^2/R^2 and
@@ -430,12 +495,13 @@ class _QuadGrid:
         if worst > self.tau_ref * (1.0 + 1e-9):
             raise ValueError(f"grid built for |tau| <= {self.tau_ref}, got {worst}")
         steps = _rotation_steps(taus)
-        if self.mode == "sep2d":
-            core = self._core_sep2d(taus, steps)
-        elif self.mode == "sep3d":
-            core = self._core_sep3d(taus, steps)
-        else:
-            core = _weighted_sums(taus, steps, self._iter_blocks())
+        with _one_blas_thread():
+            if self.mode == "sep2d":
+                core = self._core_sep2d(taus, steps)
+            elif self.mode == "sep3d":
+                core = self._core_sep3d(taus, steps)
+            else:
+                core = _weighted_sums(taus, steps, self._iter_blocks())
         return core * np.exp(1j * taus * self.f0)
 
     def _core_sep2d(self, taus: np.ndarray, steps: np.ndarray) -> np.ndarray:
@@ -462,12 +528,13 @@ class _QuadGrid:
             # rows 2jb..2(j+1)b hold Re, then Im, of the moments sum(pair s_off^j)
             w = np.empty((6 * b, starts.size))
             for k in range(b):
-                pair = u[k][self._ii] * v[k][self._jj]
-                for j in range(3):
-                    if j:
-                        pair *= self._s_off
-                    wj = np.add.reduceat(pair, starts)
-                    w[2 * j * b + k], w[(2 * j + 1) * b + k] = wj.real, wj.imag
+                for ii, jj, s_off, cols, run_starts in self._runs:
+                    pair = u[k][ii] * v[k][jj]
+                    for j in range(3):
+                        if j:
+                            pair *= s_off
+                        wj = np.add.reduceat(pair, run_starts)
+                        w[2 * j * b + k, cols], w[(2 * j + 1) * b + k, cols] = wj.real, wj.imag
             slab = sum(w[2 * j * b : 2 * (j + 1) * b] @ G.T for j, G in enumerate(tables))
             wz = E[:, 2 * m :] * wx
             core[lo:hi] = np.sum(wz * (slab[:b] + 1j * slab[b:]), axis=1)

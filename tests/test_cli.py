@@ -72,7 +72,9 @@ Verified here:
   memory_budget_mb, before any array of its 89.9 million node pairs exists;
 * a result that cannot be written (--out names an existing file) exits 2
   at [output], for predict and verify;
-* the module entry point through a real subprocess.
+* the module entry point through a real subprocess;
+* in a fresh interpreter, importing the package looks up no BLAS library,
+  and verify hands the caller's OpenBLAS thread count (2) back.
 """
 
 import json
@@ -1186,6 +1188,34 @@ def test_predict_leaves_scipy_unloaded(tmp_path):
     # main first prints the path it wrote; the last line is the script's
     assert proc.stdout.splitlines()[-1] == "0 []", proc.stderr
     assert (tmp_path / "out" / "predict.json").exists()
+
+
+def test_import_looks_up_no_blas_and_verify_gives_the_thread_count_back(tmp_path):
+    # a fresh interpreter: the parent test process has looked OpenBLAS up
+    # already.  The caller's count is 2, not the 1 the quadrature runs at.
+    # At its default eps windows this phase fails curve_dim (exit 1) after
+    # every stage has run
+    cfg = _cfg(tmp_path, X2_Y4_1_VERIFY)
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+    code = (
+        "from oscfract import integrals\n"
+        "from oscfract.cli import main\n"
+        "print('lookups', integrals._openblas_threads.cache_info().currsize)\n"
+        "blas = integrals._openblas_threads()\n"
+        "if blas is not None:\n"
+        "    blas[1](2)\n"
+        f"rc = main(['verify', '--config', {cfg!r}, '--out', {str(tmp_path / 'out')!r}])\n"
+        "print(rc, blas and blas[0]())\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "lookups 0", proc.stderr
+    assert lines[-1] in ("1 2", "1 None"), proc.stderr
+    assert (tmp_path / "out" / "report.json").exists()
 
 
 def test_module_entry_point_subprocess(tmp_path):

@@ -33,6 +33,15 @@ Verified here:
   1d, gen2d and gen3d modes; building one default block peaks below 1 MB,
   and a 3-tau pass over 2.56M nodes below 2 MB, since each block and its
   phase rows are freed before the next block is built;
+* a sep3d grid cut into runs of whole bins (of 3 or 1,000 pairs at most)
+  sums bit for bit as the one default run does, on the sphere and on
+  x^4+y^4+z^4+1; a 3-tau pass over 506,432 pairs in runs of 4,096 takes
+  less than three complex arrays of a run and 1 MiB above the grid's held
+  memory;
+* every grid core (sep2d, sep3d, the streamed dots) runs with numpy's
+  OpenBLAS on one thread, and the caller's count (set to 2 first) is back
+  when values() returns or a core raises; with no OpenBLAS found the values
+  match to 1e-14.  Where numpy's BLAS is not OpenBLAS the thread tests skip;
 * values() of an empty tau array is an empty complex array in every grid
   mode (1d, sep2d, sep3d, gen2d, gen3d);
 * gradient_bound samples the support sphere as well as the ball, so it
@@ -584,6 +593,128 @@ def test_streamed_sums_free_each_block_before_the_next():
     finally:
         tracemalloc.stop()
     assert peak < 2e6
+
+
+def _runs_of_bins(monkeypatch, limit_pairs, *grid_args):
+    """A grid built with sep3d runs of at most limit_pairs node pairs; its taus' batches keep their size."""
+    with monkeypatch.context() as patch:
+        patch.setattr(integrals, "_BATCH_BYTES", 16 * limit_pairs)
+        return _QuadGrid(*grid_args)
+
+
+@pytest.mark.parametrize("limit_pairs", [3, 1000])
+@pytest.mark.parametrize(
+    "phase, tau_ref",
+    [
+        (_SPHERE3, 20.0),
+        (_P(3, {(4, 0, 0): 1.0, (0, 4, 0): 1.0, (0, 0, 4): 1.0, (0, 0, 0): 1.0}), 37.5),
+    ],
+    ids=["sphere", "quartic"],
+)
+def test_sep3d_runs_of_whole_bins_sum_bit_for_bit(monkeypatch, phase, tau_ref, limit_pairs):
+    # every bin's pairs sit in one run, whose reduceat sums them as the
+    # single run of the default size does; a bin above the limit (all of
+    # them at 3 pairs) is a run of its own
+    args = (phase, AmplitudeSpec(3), QuadratureConfig(panel_order=2), tau_ref)
+    whole, cut = _QuadGrid(*args), _runs_of_bins(monkeypatch, limit_pairs, *args)
+    assert len(whole._runs) == 1 and len(cut._runs) > 1
+    sizes = np.diff(np.append(whole._bin_starts, whole._runs[0][0].size))
+    bins = 0
+    for ii, jj, s_off, cols, run_starts in cut._runs:
+        assert cols.start == bins and run_starts[0] == 0 and run_starts.size == cols.stop - cols.start
+        assert ii.size == jj.size == s_off.size == sizes[cols].sum()
+        assert ii.size <= limit_pairs or cols.stop - cols.start == 1
+        bins = cols.stop
+    assert bins == whole._bin_starts.size
+    taus = np.linspace(tau_ref / 2, tau_ref, 7)
+    assert np.array_equal(cut.values(taus), whole.values(taus))
+
+
+def test_sep3d_pass_peak_is_bounded_by_the_run_size(monkeypatch):
+    # the sphere at tau 150 holds 506,432 node pairs, whose complex
+    # products alone would take 8 MB per tau.  A pass above the grid's held
+    # memory takes three complex arrays of one run (the product, a gather
+    # in flight, the last run's product) and under 1 MiB of phase rows and
+    # bin sums for these three taus
+    limit = 2**12
+    grid = _runs_of_bins(monkeypatch, limit, _SPHERE3, AmplitudeSpec(3), QuadratureConfig(panel_order=2), 150.0)
+    assert sum(run[0].size for run in grid._runs) > 100 * limit
+    tracemalloc.start()
+    try:
+        grid.values(np.array([75.0, 110.0, 150.0]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * limit + 2**20
+
+
+@pytest.fixture
+def openblas():
+    """numpy's OpenBLAS (get, set), at 2 threads for the test and restored after it."""
+    blas = integrals._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    get, put = blas
+    before = get()
+    put(2)  # a caller's count other than the one the scope sets
+    try:
+        yield get
+    finally:
+        put(before)
+
+
+_BLAS_CASES = [
+    ("_core_sep2d", _P(2, {(2, 0): 1.0, (0, 4): 1.0, (0, 0): 1.0}), 0.6, 30.0),
+    ("_core_sep3d", _SPHERE3, 1.0, 20.0),
+    ("_weighted_sums", X2, 1.0, 200.0),
+]
+
+
+def _patch_core(monkeypatch, core, body):
+    """Run body(*args) in place of the grid core named core; it calls the core itself."""
+    owner = integrals if core == "_weighted_sums" else _QuadGrid
+    original = getattr(owner, core)
+    monkeypatch.setattr(owner, core, lambda *args: body(original, *args))
+
+
+@pytest.mark.parametrize("core, phase, radius, tau", _BLAS_CASES, ids=["sep2d", "sep3d", "1d"])
+def test_cores_run_on_one_blas_thread_and_restore_the_count(
+    monkeypatch, openblas, core, phase, radius, tau
+):
+    inside = []
+
+    def body(original, *args):
+        inside.append(openblas())
+        return original(*args)
+
+    _patch_core(monkeypatch, core, body)
+    grid = _QuadGrid(phase, AmplitudeSpec(phase.dimension, radius), QuadratureConfig(panel_order=2), tau)
+    grid.values(np.linspace(tau / 2, tau, 5))
+    assert inside == [1] and openblas() == 2
+
+
+@pytest.mark.parametrize("core, phase, radius, tau", _BLAS_CASES, ids=["sep2d", "sep3d", "1d"])
+def test_a_raising_core_restores_the_blas_count(monkeypatch, openblas, core, phase, radius, tau):
+    def body(original, *args):
+        raise FloatingPointError("core failed")
+
+    _patch_core(monkeypatch, core, body)
+    grid = _QuadGrid(phase, AmplitudeSpec(phase.dimension, radius), QuadratureConfig(panel_order=2), tau)
+    with pytest.raises(FloatingPointError, match="core failed"):
+        grid.values(np.array([tau]))
+    assert openblas() == 2
+
+
+@pytest.mark.parametrize("core, phase, radius, tau", _BLAS_CASES, ids=["sep2d", "sep3d", "1d"])
+def test_values_without_openblas_match(monkeypatch, core, phase, radius, tau):
+    # where no OpenBLAS is found the scope does nothing; BLAS threads may
+    # move the matrix products' last bits, and nothing more
+    grid = _QuadGrid(phase, AmplitudeSpec(phase.dimension, radius), QuadratureConfig(panel_order=2), tau)
+    taus = np.linspace(tau / 2, tau, 9)
+    scoped = grid.values(taus)
+    monkeypatch.setattr(integrals, "_openblas_threads", lambda: None)
+    unscoped = grid.values(taus)
+    assert np.max(np.abs(unscoped - scoped) / np.abs(scoped)) <= 1e-14
 
 
 def test_budget_tensor_nodes():
