@@ -21,12 +21,17 @@ change the computed sum only by rounding:
   taus of the curve and the reflected graphs depend only on the samples
   and f(0), so sample_integral plans them too: each octave grid is built
   once, takes every tau set in turn, and is freed before the next;
-* each octave grid takes all of its taus in one batched pass.  Within a
-  run of uniformly spaced taus (refinement fills every gap with one) the
-  node phases advance by rotation, E_{k+1} = E_k e^{i dtau f}: one complex
-  multiply per node instead of an exp.  A direct exp re-seeds the rotation
-  at every run start and at least every 256 steps, which bounds the
-  rounding drift to a few hundred ulps per node;
+* each octave grid takes all of its taus in one batched pass.  A run of
+  uniformly spaced taus (refinement fills every gap with one) is cut into
+  segments of K <= 257 taus tau_lo + k dtau, each seeded by direct exps.
+  In the separable modes the node phases advance by rotation,
+  E_{k+1} = E_k e^{i dtau f}: one complex multiply per node instead of an
+  exp, and a value rests on up to 256 rotations.  The streamed sums take
+  two levels of steps: with k = j b + i and b = ceil(sqrt K), b baby rows
+  e^{i i dtau f}, rotated by an exp of dtau f, and ceil(K/b) giant rows
+  e^{i (tau_lo + j b dtau) f}, rotated from an exp at tau_lo by an exp of
+  b dtau f, make the K sums one matrix product, so a value rests on at most
+  b + ceil(K/b) - 1 <= 32 rounded multiplies;
 * separable phases (every monomial touches one variable) factorize
   e^{i tau f} across axes, reducing the tensor sum to matrix products
   against a cached amplitude table, one product per batch of taus;
@@ -44,8 +49,9 @@ change the computed sum only by rounding:
 
 1D and mixed-variable phases share one path: their node tensor (a single
 axis in 1D) is built _DOT_TERMS nodes at a time, in C order, and each block
-takes one dot per tau, so a pass holds one block and one batch of phase
-rows whatever the node count.  Tables are float64 throughout;
+takes one matrix product per segment of taus and one matrix-vector product
+per batch of the other taus, so a pass holds one block and its phase rows
+whatever the node count.  Tables are float64 throughout;
 a grid over its budget (max_nodes for the tensor, memory_budget_mb for the
 separable tables and the peak of a 3D grid's build) raises
 NumericBudgetError rather than losing precision.
@@ -54,10 +60,8 @@ Every pass runs with the OpenBLAS that numpy bundles held to one thread,
 and gives the caller's thread count back when it ends (_one_blas_thread).
 With two threads OpenBLAS split the sep2d and sep3d matrix products and
 left its worker spinning between them, so on 2 CPUs a multivar-verify pass
-took about twice its wall time in CPU and no less wall time.  The
-1D and mixed-variable dots ran on one thread already and keep their bits;
-sep2d and sep3d values may move in the last bit or two with the thread
-count.
+took about twice its wall time in CPU and no less wall time.  Values may
+move in the last bit or two with the thread count.
 
 Everything here is pure: grids are built inside one call (sample_integral,
 or a refinement of a step it did not plan) and never cached across calls,
@@ -178,8 +182,8 @@ _RESEED = 256
 # not raise peak memory above what the grid tables already take.
 _BATCH_BYTES = 8 * 2**20
 # The node tensor is streamed in blocks of this many nodes, so a pass holds
-# one block and its phase rows whatever the node count.  The block size
-# also orders the 1D sums, and fold-verify's outputs keep their bits at it.
+# one block and its phase rows whatever the node count: a segment's baby,
+# giant and giant-step rows, at most 34 of them, take 5.4 MB of _BATCH_BYTES.
 _DOT_TERMS = 10_000
 # refined taus per phase step, at most
 _MAX_POINTS = 2_000_000
@@ -279,24 +283,63 @@ def _phase_rows(taus: np.ndarray, steps: np.ndarray, g: np.ndarray, rows: int):
         yield lo, hi, buf[: hi - lo]
 
 
+def _exp_rows(taus, g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write exp(i taus[k] g) into out[k], with no temporary array, and return out."""
+    out.real = 0.0
+    np.multiply.outer(taus, g, out=out.imag)
+    return np.exp(out, out=out)
+
+
+def _uniform_sums(tau0: float, step: float, count: int, g: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """sum(a * exp(i tau g)) at tau = tau0 + k step, k < count, by baby and giant steps.
+
+    With k = j b + i and b = ceil(sqrt(count)), the b baby rows
+    D_i = exp(i i step g) rotate by an exp of step g, and the ceil(count/b)
+    giant rows C_j = a exp(i (tau0 + j b step) g) rotate from an exp at tau0
+    by an exp of b step g.  The sums are the first count entries of C @ D.T.
+    """
+    b = math.isqrt(count - 1) + 1
+    D = np.empty((b, g.size), dtype=complex)
+    C = np.empty((-(-count // b), g.size), dtype=complex)
+    D[0] = 1.0
+    _exp_rows([step], g, D[1:2])
+    for i in range(2, b):
+        np.multiply(D[i - 1], D[1], out=D[i])
+    _exp_rows([tau0], g, C[:1])
+    C[0] *= a
+    (giant,) = _exp_rows([b * step], g, np.empty((1, g.size), dtype=complex))
+    for j in range(1, len(C)):
+        np.multiply(C[j - 1], giant, out=C[j])
+    return (C @ D.T).ravel()[:count]
+
+
 def _weighted_sums(taus: np.ndarray, steps: np.ndarray, blocks) -> np.ndarray:
     """Sum over (g, a) blocks of sum(a * exp(i tau g)), for every tau.
 
-    Each block takes one dot per tau.  A matrix-vector product per batch
-    of taus moved 1D values by 2.5e-15 relative, so fold-verify's outputs
-    would lose their bits, and it saved 0-20% of fold-verify's quadrature
-    CPU time (four timings on one BLAS thread).  A block and its phase rows
-    are freed before the next block is built.
+    Each segment of evenly spaced taus that _rotation_steps found (a
+    direct-exp tau and the taus rotated from it) takes one matrix product
+    per block (_uniform_sums), and each of its values rests on at most 32
+    rounded multiplies after three exps.  The other taus take direct-exp
+    rows, one matrix-vector product per batch of them.  A block and its
+    rows are freed before the next block is built.
     """
     core = np.zeros(taus.size, dtype=complex)
     if not taus.size:  # no phase rows, and so no block, to build
         return core
+    # every direct-exp tau starts a segment, which runs to the next one
+    starts = np.flatnonzero(np.isnan(steps))
+    ends = np.append(starts[1:], taus.size)
+    segments = [(lo, hi) for lo, hi in zip(starts.tolist(), ends.tolist()) if hi - lo > 1]
+    lone = starts[ends - starts == 1]
     for g, a in blocks:
         a = a.astype(complex)
-        for lo, hi, E in _phase_rows(taus, steps, g, _batch_rows(16 * g.size)):
-            for k in range(hi - lo):
-                core[lo + k] += E[k] @ a
-        del g, a, E
+        for lo, hi in segments:
+            core[lo:hi] += _uniform_sums(taus[lo], steps[lo + 1], hi - lo, g, a)
+        rows = _batch_rows(16 * g.size)
+        for k in range(0, lone.size, rows):
+            sel = lone[k : k + rows]
+            core[sel] += _exp_rows(taus[sel], g, np.empty((sel.size, g.size), dtype=complex)) @ a
+        del g, a
     return core
 
 
@@ -535,6 +578,7 @@ class _QuadGrid:
                             pair *= s_off
                         wj = np.add.reduceat(pair, run_starts)
                         w[2 * j * b + k, cols], w[(2 * j + 1) * b + k, cols] = wj.real, wj.imag
+                    del pair  # before the next run's gather
             slab = sum(w[2 * j * b : 2 * (j + 1) * b] @ G.T for j, G in enumerate(tables))
             wz = E[:, 2 * m :] * wx
             core[lo:hi] = np.sum(wz * (slab[:b] + 1j * slab[b:]), axis=1)

@@ -33,12 +33,18 @@ Verified here:
   1d, gen2d and gen3d modes; building one default block peaks below 1 MB,
   and a 3-tau pass over 2.56M nodes below 2 MB, since each block and its
   phase rows are freed before the next block is built;
+* the streamed sums match the direct sum exp(i tau g) @ a to 1e-13 of
+  sum |a| on 1d and gen2d grids in blocks of 97 nodes, for tau sets of
+  evenly spaced runs of 1 to 257 taus of either sign, tau = 0 and lone
+  taus between runs (hypothesis); a 257-tau run over 16 default blocks
+  peaks below _BATCH_BYTES, one block and 1 MiB;
 * a sep3d grid cut into runs of whole bins (of 3 or 1,000 pairs at most)
   sums bit for bit as the one default run does, on the sphere and on
   x^4+y^4+z^4+1; a 3-tau pass over 506,432 pairs in runs of 4,096 takes
   less than three complex arrays of a run and 1 MiB above the grid's held
-  memory;
-* every grid core (sep2d, sep3d, the streamed dots) runs with numpy's
+  memory, and in their one default run less than two and 1 MiB, with the
+  values of the runs of 4,096 bit for bit;
+* every grid core (sep2d, sep3d, the streamed sums) runs with numpy's
   OpenBLAS on one thread, and the caller's count (set to 2 first) is back
   when values() returns or a core raises; with no OpenBLAS found the values
   match to 1e-14.  Where numpy's BLAS is not OpenBLAS the thread tests skip;
@@ -595,6 +601,81 @@ def test_streamed_sums_free_each_block_before_the_next():
     assert peak < 2e6
 
 
+@functools.cache
+def _small_streamed_grid(mode):
+    phase, amp, tau_ref = {
+        "1d": (X3, AmplitudeSpec(1, radius=0.6), 40.0),
+        "gen2d": (_MIXED_400[0], AmplitudeSpec(2), 4.0),
+    }[mode]
+    return _QuadGrid(phase, amp, QuadratureConfig(panel_order=2, min_panels=12), tau_ref)
+
+
+# a lone tau (0 among them) or an evenly spaced run of 1 to 257, in units of tau_ref
+_TAU_PIECES = st.one_of(
+    st.just([0.0]),
+    st.floats(-1.0, 1.0).map(lambda t: [t]),
+    st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.integers(1, 257)).map(
+        lambda run: np.linspace(*run).tolist()
+    ),
+)
+
+
+@pytest.mark.parametrize("mode", ["1d", "gen2d"])
+@settings(max_examples=30, deadline=None)
+@given(pieces=st.lists(_TAU_PIECES, min_size=1, max_size=4))
+@example(pieces=[[0.5], np.linspace(-1.0, 1.0, 257).tolist(), [0.0], np.linspace(0.2, 0.3, 3).tolist()])
+def test_runs_of_evenly_spaced_taus_match_the_direct_sum(mode, pieces):
+    # each segment's baby- and giant-step product, and the direct-exp rows of
+    # the taus between segments, over blocks of 97 nodes
+    grid = _small_streamed_grid(mode)
+    taus = grid.tau_ref * np.concatenate(pieces)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(integrals, "_DOT_TERMS", 97)
+        blocks = list(grid._iter_blocks())
+        got = integrals._weighted_sums(taus, integrals._rotation_steps(taus), iter(blocks))
+    assert len(blocks) > 1
+    g, a = (np.concatenate(parts) for parts in zip(*blocks))
+    direct = np.exp(1j * np.multiply.outer(taus, g)) @ a
+    assert np.max(np.abs(got - direct)) <= 1e-13 * np.sum(np.abs(a))
+
+
+def test_a_long_uniform_run_holds_one_segment_of_rows():
+    # 257 evenly spaced taus, one segment, over 16 blocks: a block's baby
+    # and giant rows (34 rows of 10,000 nodes) stay within one batch
+    phase, amp, _ = _MIXED_400
+    grid = _QuadGrid(phase, amp, QuadratureConfig(min_panels=100), 1.0)
+    assert grid.nodes_per_axis**2 == 16 * integrals._DOT_TERMS
+    taus = np.linspace(0.5, 1.0, 257)
+    assert np.isnan(integrals._rotation_steps(taus)).sum() == 1
+    tracemalloc.start()
+    try:
+        grid.values(taus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < integrals._BATCH_BYTES + 32 * integrals._DOT_TERMS + 2**20
+
+
+def test_sep3d_pass_frees_each_product_before_the_next_gather(monkeypatch):
+    # the sphere at tau 150 in one run of 506,432 pairs: a 3-tau pass above
+    # the grid's held memory takes two complex arrays of the run (a product
+    # and a gather in flight) and under 1 MiB more, and its values are those
+    # of runs of 4,096 pairs, bit for bit
+    args = (_SPHERE3, AmplitudeSpec(3), QuadratureConfig(panel_order=2), 150.0)
+    grid = _QuadGrid(*args)
+    assert len(grid._runs) == 1
+    pairs = grid._runs[0][0].size
+    taus = np.array([75.0, 110.0, 150.0])
+    tracemalloc.start()
+    try:
+        values = grid.values(taus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * pairs + 2**20
+    assert np.array_equal(values, _runs_of_bins(monkeypatch, 2**12, *args).values(taus))
+
+
 def _runs_of_bins(monkeypatch, limit_pairs, *grid_args):
     """A grid built with sep3d runs of at most limit_pairs node pairs; its taus' batches keep their size."""
     with monkeypatch.context() as patch:
@@ -633,9 +714,9 @@ def test_sep3d_runs_of_whole_bins_sum_bit_for_bit(monkeypatch, phase, tau_ref, l
 def test_sep3d_pass_peak_is_bounded_by_the_run_size(monkeypatch):
     # the sphere at tau 150 holds 506,432 node pairs, whose complex
     # products alone would take 8 MB per tau.  A pass above the grid's held
-    # memory takes three complex arrays of one run (the product, a gather
-    # in flight, the last run's product) and under 1 MiB of phase rows and
-    # bin sums for these three taus
+    # memory takes at most three complex arrays of one run (two since each
+    # product is freed before the next gather) and under 1 MiB of phase
+    # rows and bin sums for these three taus
     limit = 2**12
     grid = _runs_of_bins(monkeypatch, limit, _SPHERE3, AmplitudeSpec(3), QuadratureConfig(panel_order=2), 150.0)
     assert sum(run[0].size for run in grid._runs) > 100 * limit
