@@ -46,9 +46,10 @@ from oscfract.estimators import (
 from oscfract.integrals import (
     REFLECTED_STEP,
     CurvePolyline,
-    IntegralSamples,
     NumericBudgetError,
     QuadratureConfig,
+    check_step,
+    check_window,
     curve_from_samples,
     reflected_pair,
     sample_integral,
@@ -126,17 +127,6 @@ def _phase_from(cfg: dict) -> PolynomialPhase:
     if "phase" not in cfg:
         raise ValueError('config needs a "phase" entry: {"n": ..., "terms": [...]}')
     return PolynomialPhase.from_dict(cfg["phase"])
-
-
-def _quad_from(cfg: dict, n: int) -> QuadratureConfig:
-    # panel_order 2 suffices in 3D and keeps the radial tables small
-    q = dict(_section(cfg, "quadrature"))
-    if n >= 3:
-        q.setdefault("panel_order", 2)
-    try:
-        return QuadratureConfig(**q)
-    except TypeError as exc:
-        raise ValueError(f"malformed quadrature config: {exc}") from exc
 
 
 def _read(spec: dict, key: str, kind: str, default=None):
@@ -304,14 +294,11 @@ def _diagram(phase: PolynomialPhase) -> Optional[DiagramInfo]:
     return diagram
 
 
-def _sampled(
-    cfg: dict, phase: PolynomialPhase, amp: AmplitudeSpec, refine: tuple[float, ...] = ()
-) -> IntegralSamples:
-    """I(tau) on the configured tau window (min, max, count).
+def _sampling(cfg: dict, phase: PolynomialPhase) -> tuple[float, float, int, QuadratureConfig]:
+    """sample_integral's window (min, max, count) and quadrature config, checked before it runs.
 
     The default window depends on n.  A 1D phase with a linear term or with
-    f(0) = 0 traces a rectifiable curve and gets a shorter one.  refine goes
-    to sample_integral: the phase steps the curve and graphs will refine at.
+    f(0) = 0 traces a rectifiable curve and gets a shorter one.
     """
     n = phase.dimension
     if n == 1:
@@ -324,13 +311,21 @@ def _sampled(
     t = _section(cfg, "tau")
     lo, hi = _read(t, "min", "number", lo), _read(t, "max", "number", hi)
     count = _read(t, "count", "count", count)
-    return sample_integral(phase, amp, lo, hi, count, _quad_from(cfg, n), refine=refine)
+    check_window(lo, hi, count)
+    # panel_order 2 suffices in 3D and keeps the radial tables small
+    q = dict(_section(cfg, "quadrature"))
+    if n >= 3:
+        q.setdefault("panel_order", 2)
+    try:
+        return lo, hi, count, QuadratureConfig(**q)
+    except TypeError as exc:
+        raise ValueError(f"malformed quadrature config: {exc}") from exc
 
 
 def _curve_step(cfg: dict, phase: PolynomialPhase) -> float:
-    """The curve's max phase step: configured, else pi/16 in 1D and pi/8 above."""
+    """The curve's max phase step, checked: configured, else pi/16 in 1D and pi/8 above."""
     default_step = math.pi / 16 if phase.dimension == 1 else math.pi / 8
-    return _read(_section(cfg, "curve"), "max_step", "number", default_step)
+    return check_step(_read(_section(cfg, "curve"), "max_step", "number", default_step))
 
 
 def _dimension(pts: np.ndarray, eps: np.ndarray, seed: int, **box_opts):
@@ -417,8 +412,9 @@ def cmd_predict(cfg: dict, args: argparse.Namespace) -> int:
 def cmd_integrate(cfg: dict, args: argparse.Namespace) -> int:
     with _stage("input"):
         phase, amp = _inputs(cfg)
+        sampling = _sampling(cfg, phase)
     with _stage("integrate"):
-        samples = _sampled(cfg, phase, amp)
+        samples = sample_integral(phase, amp, *sampling)
     _emit(args, "samples.csv", _csv_text(samples.tau, samples.values))
     return 0
 
@@ -426,9 +422,10 @@ def cmd_integrate(cfg: dict, args: argparse.Namespace) -> int:
 def cmd_curve(cfg: dict, args: argparse.Namespace) -> int:
     with _stage("input"):
         phase, amp = _inputs(cfg)
+        sampling = _sampling(cfg, phase)
         step = _curve_step(cfg, phase)
     with _stage("integrate"):
-        samples = _sampled(cfg, phase, amp, refine=(step,))
+        samples = sample_integral(phase, amp, *sampling, refine=(step,))
     with _stage("curve"):
         curve = curve_from_samples(samples, max_step=step)
     _emit_curve(args, curve)
@@ -614,6 +611,7 @@ def verify(cfg: dict, seed: int = 0, tolerance: str = "desk") -> tuple[dict, Cur
     with _stage("input"):
         phase, amp = _inputs(cfg)
         tol_d = PROFILES[tolerance]
+        sampling = _sampling(cfg, phase)
         step = _curve_step(cfg, phase)
         # every key is checked before the quadrature; only the eps defaults
         # wait for the curve's diameter
@@ -630,7 +628,7 @@ def verify(cfg: dict, seed: int = 0, tolerance: str = "desk") -> tuple[dict, Cur
     with _stage("predict"):
         pred = _predict(phase, amp, diagram)
     with _stage("integrate"):
-        samples = _sampled(cfg, phase, amp, refine=(step, REFLECTED_STEP))
+        samples = sample_integral(phase, amp, *sampling, refine=(step, REFLECTED_STEP))
     with _stage("curve"):
         curve = curve_from_samples(samples, max_step=step)
         graph_re, graph_im = reflected_pair(samples)

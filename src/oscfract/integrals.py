@@ -23,15 +23,15 @@ change the computed sum only by rounding:
   once, takes every tau set in turn, and is freed before the next;
 * each octave grid takes all of its taus in one batched pass.  A run of
   uniformly spaced taus (refinement fills every gap with one) is cut into
-  segments of K <= 257 taus tau_lo + k dtau, each seeded by direct exps.
-  In the separable modes the node phases advance by rotation,
-  E_{k+1} = E_k e^{i dtau f}: one complex multiply per node instead of an
-  exp, and a value rests on up to 256 rotations.  The streamed sums take
-  two levels of steps: with k = j b + i and b = ceil(sqrt K), b baby rows
-  e^{i i dtau f}, rotated by an exp of dtau f, and ceil(K/b) giant rows
-  e^{i (tau_lo + j b dtau) f}, rotated from an exp at tau_lo by an exp of
-  b dtau f, make the K sums one matrix product, so a value rests on at most
-  b + ceil(K/b) - 1 <= 32 rounded multiplies;
+  segments of 3 <= K <= 257 taus tau_lo + k dtau; the other taus take a
+  direct exp each.  Every mode steps a segment in two levels: with
+  k = j b + i and b = ceil(sqrt K), b baby rows D_i = e^{i i dtau f},
+  rotated by an exp of dtau f, and ceil(K/b) giant rows
+  C_j = a e^{i (tau_lo + j b dtau) f}, rotated from an exp at tau_lo by an
+  exp of b dtau f.  The streamed sums take the K sums as one matrix product
+  C @ D.T, and the separable modes take tau k's phase row as C_j D_i, so a
+  value rests on at most b + ceil(K/b) - 1 <= 32 rounded multiplies after
+  three exps;
 * separable phases (every monomial touches one variable) factorize
   e^{i tau f} across axes, reducing the tensor sum to matrix products
   against a cached amplitude table, one product per batch of taus;
@@ -107,10 +107,6 @@ class QuadratureConfig:
     # building its node pairs binned by radius and its radial tables.  Both
     # are checked before they are built
     memory_budget_mb: int = 1400
-    # r^2 bins of width R^2/radial_bins for the 3D separable path, each
-    # corrected to second order within the bin; its tables hold only the
-    # bins a node pair falls in
-    radial_bins: int = 2048
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -175,9 +171,14 @@ def gradient_bound(phase: PolynomialPhase, amp: AmplitudeSpec) -> float:
     return 1.05 * float(gradient_norm(phase, pts).max())
 
 
-# A rotated phase E_{k+1} = E_k e^{i dtau g} gains about one rounding error
-# per step, so a direct exp re-seeds it at least this often.
+# A run of evenly spaced taus takes at most this many steps from the exps
+# that seed it, so with b = 17 baby rows and 16 giant rows each of its values
+# rests on at most 32 rounded multiplies.
 _RESEED = 256
+# r^2 bins of width R^2/_RADIAL_BINS for the 3D separable path, each
+# corrected to second order within the bin; its tables hold only the bins a
+# node pair falls in
+_RADIAL_BINS = 2048
 # Working arrays of one batch of taus stay near this size, so batching does
 # not raise peak memory above what the grid tables already take.
 _BATCH_BYTES = 8 * 2**20
@@ -234,53 +235,23 @@ def _one_blas_thread():
         put(before)
 
 
-def _rotation_steps(taus: np.ndarray) -> np.ndarray:
-    """Per tau, the step it is rotated by from the tau before it; NaN = direct exp.
+def _segments(taus: np.ndarray) -> list[tuple[int, int]]:
+    """taus cut into segments [lo, hi): runs of 3 to _RESEED + 1 evenly spaced taus, and single taus.
 
-    A run of equal steps (to rounding), such as one gap that _refinement
-    fills with a linspace, is cut into segments of at most _RESEED steps.
-    Every segment of three or more taus rotates by its mean step, so a
-    rotated tau stays within a few ulps of the given one; shorter segments
-    gain nothing and are computed directly.
+    Steps equal to rounding are even, such as those of a gap that
+    _refinement fills with a linspace; a run steps by its mean step.
     """
     n = taus.size
-    steps = np.full(n, np.nan)
     d = np.diff(taus).tolist()
     tol = 16.0 * np.finfo(float).eps * float(np.abs(taus).max(initial=0.0))
-    lo = 0
+    segments, lo = [], 0
     while lo < n:
         hi = lo + 1
         while hi < n and hi - lo <= _RESEED and abs(d[hi - 1] - d[lo]) <= tol:
             hi += 1
-        if hi - lo >= 3:
-            steps[lo + 1 : hi] = (taus[hi - 1] - taus[lo]) / (hi - 1 - lo)
+        segments += [(lo, hi)] if hi - lo >= 3 else [(k, k + 1) for k in range(lo, hi)]
         lo = hi
-    return steps
-
-
-def _phase_rows(taus: np.ndarray, steps: np.ndarray, g: np.ndarray, rows: int):
-    """Yield (lo, hi, E) with E = exp(i taus[lo:hi, None] g), rows taus at a time.
-
-    Where steps[k] is set, row k is row k-1 times exp(i steps[k] g) instead of
-    a fresh exp.  Every block is written into the same buffer, so the caller
-    must be done with E before it asks for the next block.
-    """
-    n = taus.size
-    taus, steps = taus.tolist(), steps.tolist()  # cheap scalar access per row
-    buf = np.empty((min(rows, n), g.size), dtype=complex)
-    r = None
-    for lo in range(0, n, rows):
-        hi = min(n, lo + rows)
-        for k in range(lo, hi):
-            # blocks start at multiples of rows, so tau k sits in row k % rows
-            row = buf[k % rows]
-            if math.isnan(steps[k]):
-                np.exp(1j * taus[k] * g, out=row)
-            else:
-                if math.isnan(steps[k - 1]):
-                    r = np.exp(1j * steps[k] * g)
-                np.multiply(buf[(k - 1) % rows], r, out=row)
-        yield lo, hi, buf[: hi - lo]
+    return segments
 
 
 def _exp_rows(taus, g: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -290,51 +261,73 @@ def _exp_rows(taus, g: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.exp(out, out=out)
 
 
-def _uniform_sums(tau0: float, step: float, count: int, g: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """sum(a * exp(i tau g)) at tau = tau0 + k step, k < count, by baby and giant steps.
+def _step_rows(run: np.ndarray, g: np.ndarray, a) -> tuple[np.ndarray, np.ndarray]:
+    """Giant rows C and baby rows D with a exp(i run[k] g) = C_j D_i, k = j b + i.
 
-    With k = j b + i and b = ceil(sqrt(count)), the b baby rows
-    D_i = exp(i i step g) rotate by an exp of step g, and the ceil(count/b)
-    giant rows C_j = a exp(i (tau0 + j b step) g) rotate from an exp at tau0
-    by an exp of b step g.  The sums are the first count entries of C @ D.T.
+    run holds one tau or K >= 3 evenly spaced taus tau_lo + k dtau, dtau
+    their mean step.  With b = ceil(sqrt(K)), the b baby rows
+    D_i = exp(i i dtau g) rotate by an exp of dtau g, and the ceil(K/b)
+    giant rows C_j = a exp(i (tau_lo + j b dtau) g) rotate from an exp at
+    tau_lo by an exp of b dtau g: three exps (one for one tau), and
+    b + ceil(K/b) - 1 <= 32 rounded multiplies under each product C_j D_i.
     """
+    count = run.size
     b = math.isqrt(count - 1) + 1
     D = np.empty((b, g.size), dtype=complex)
     C = np.empty((-(-count // b), g.size), dtype=complex)
     D[0] = 1.0
-    _exp_rows([step], g, D[1:2])
+    _exp_rows(run[:1], g, C[:1])
+    C[0] *= a
+    if count > 1:
+        step = (run[-1] - run[0]) / (count - 1)
+        _exp_rows([step], g, D[1:2])
+        (giant,) = _exp_rows([b * step], g, np.empty((1, g.size), dtype=complex))
     for i in range(2, b):
         np.multiply(D[i - 1], D[1], out=D[i])
-    _exp_rows([tau0], g, C[:1])
-    C[0] *= a
-    (giant,) = _exp_rows([b * step], g, np.empty((1, g.size), dtype=complex))
     for j in range(1, len(C)):
         np.multiply(C[j - 1], giant, out=C[j])
-    return (C @ D.T).ravel()[:count]
+    return C, D
 
 
-def _weighted_sums(taus: np.ndarray, steps: np.ndarray, blocks) -> np.ndarray:
+def _phase_rows(taus: np.ndarray, segments, g: np.ndarray, a, rows: int):
+    """Yield (lo, hi, E) with E = a exp(i taus[lo:hi, None] g), rows taus at a time.
+
+    Row k is C_j D_i of its segment's _step_rows.  Every block is written
+    into the same buffer, across segments, so the caller must be done with
+    E before it asks for the next block.
+    """
+    n = taus.size
+    buf = np.empty((min(rows, n), g.size), dtype=complex)
+    for lo, hi in segments:
+        C, D = _step_rows(taus[lo:hi], g, a)
+        for k in range(lo, hi):
+            # blocks start at multiples of rows, so tau k sits in row k % rows
+            r = k % rows
+            j, i = divmod(k - lo, len(D))
+            np.multiply(C[j], D[i], out=buf[r])
+            if r == rows - 1 or k == n - 1:
+                yield k - r, k + 1, buf[: r + 1]
+
+
+def _weighted_sums(taus: np.ndarray, segments, blocks) -> np.ndarray:
     """Sum over (g, a) blocks of sum(a * exp(i tau g)), for every tau.
 
-    Each segment of evenly spaced taus that _rotation_steps found (a
-    direct-exp tau and the taus rotated from it) takes one matrix product
-    per block (_uniform_sums), and each of its values rests on at most 32
-    rounded multiplies after three exps.  The other taus take direct-exp
-    rows, one matrix-vector product per batch of them.  A block and its
-    rows are freed before the next block is built.
+    Each run of _segments takes one matrix product C @ D.T of its
+    _step_rows per block, whose first K entries are its K sums.  The single
+    taus take direct-exp rows, one matrix-vector product per batch of them.
+    A block and its rows are freed before the next block is built.
     """
     core = np.zeros(taus.size, dtype=complex)
     if not taus.size:  # no phase rows, and so no block, to build
         return core
-    # every direct-exp tau starts a segment, which runs to the next one
-    starts = np.flatnonzero(np.isnan(steps))
-    ends = np.append(starts[1:], taus.size)
-    segments = [(lo, hi) for lo, hi in zip(starts.tolist(), ends.tolist()) if hi - lo > 1]
-    lone = starts[ends - starts == 1]
+    runs = [(lo, hi) for lo, hi in segments if hi - lo > 1]
+    lone = np.array([lo for lo, hi in segments if hi - lo == 1], dtype=np.intp)
     for g, a in blocks:
         a = a.astype(complex)
-        for lo, hi in segments:
-            core[lo:hi] += _uniform_sums(taus[lo], steps[lo + 1], hi - lo, g, a)
+        for lo, hi in runs:
+            C, D = _step_rows(taus[lo:hi], g, a)
+            core[lo:hi] += (C @ D.T).ravel()[: hi - lo]
+            del C, D  # before the next segment's rows, or the next block
         rows = _batch_rows(16 * g.size)
         for k in range(0, lone.size, rows):
             sel = lone[k : k + rows]
@@ -428,8 +421,10 @@ class _QuadGrid:
             self.mode = "1d" if n == 1 else f"gen{n}d"
             return
         budget = cfg.memory_budget_mb * 2**20
-        # phases of the per-axis factors (u, v and, in 3D, wz), rotated together
+        # phases and weights of the per-axis factors, stepped together: the
+        # inner axes x (and y in 3D) and the outer axis, the last one
         self._g = np.concatenate([eval_phase_array(p, x[:, None]) for p in split])
+        self._a = np.tile(w, n)
         m = x.size
         if n == 2:
             self.mode = "sep2d"
@@ -439,7 +434,7 @@ class _QuadGrid:
                     f"({cfg.memory_budget_mb} MB); reduce tau or panel_order"
                 )
             u2 = (x[:, None] ** 2 + x[None, :] ** 2) / R**2
-            self._table = amp.phi0 * bump_profile(u2)
+            self._tables = (amp.phi0 * bump_profile(u2),)
             return
         self.mode = "sep3d"
         # the grid keeps 24 bytes per node pair in the disc (ii, jj, s_off)
@@ -451,7 +446,7 @@ class _QuadGrid:
         # squares, before any m x m array exists
         sq = np.sort(x**2)
         pairs = int(np.searchsorted(sq, R * R - sq, side="right").sum())
-        bins = min(cfg.radial_bins, pairs)
+        bins = min(_RADIAL_BINS, pairs)
         peak = 24 * pairs + max(9 * m * m, 40 * pairs, 5 * m * bins * 8)
         if peak > budget:
             raise NumericBudgetError(
@@ -464,7 +459,7 @@ class _QuadGrid:
         ii, jj = np.nonzero(keep)
         s = s[keep]
         del keep
-        nb = cfg.radial_bins
+        nb = _RADIAL_BINS
         width = R * R / nb
         idx = np.minimum((s / width).astype(np.int64), nb - 1)
         # pairs sorted by bin: each occupied bin's sum is one reduceat segment
@@ -493,14 +488,14 @@ class _QuadGrid:
         # q = 1/(1 - r2), r2 = (z^2 + s)/R^2, so G' = -G q^2/R^2 and
         # G'' = G (q^4 - 2 q^3)/R^4.  Inside the ball 1 - r2 >= 2^-53, so
         # q^4 stays finite
-        self._G0 = amp.phi0 * bump_profile(r2)
+        G0 = amp.phi0 * bump_profile(r2)
         with np.errstate(divide="ignore"):
             q = np.where(r2 < 1.0, 1.0 / (1.0 - r2), 0.0)
         del r2
         # G2 first, and G1 negating q^2 rather than a copy of G0: the fill
         # then holds at most two temporaries of the tables' shape at a time
-        self._G2 = self._G0 * (q**4 - 2.0 * q**3) / (2.0 * R**4)
-        self._G1 = self._G0 * -(q**2) / R**2
+        G2 = G0 * (q**4 - 2.0 * q**3) / (2.0 * R**4)
+        self._tables = (G0, G0 * -(q**2) / R**2, G2)
 
     def _iter_blocks(self):
         """Yield (f - f0, w * phi) on C-order runs of at most _DOT_TERMS tensor nodes."""
@@ -537,51 +532,43 @@ class _QuadGrid:
         worst = float(np.abs(taus).max(initial=0.0))
         if worst > self.tau_ref * (1.0 + 1e-9):
             raise ValueError(f"grid built for |tau| <= {self.tau_ref}, got {worst}")
-        steps = _rotation_steps(taus)
+        segments = _segments(taus)
         with _one_blas_thread():
-            if self.mode == "sep2d":
-                core = self._core_sep2d(taus, steps)
-            elif self.mode == "sep3d":
-                core = self._core_sep3d(taus, steps)
+            if self.mode in ("sep2d", "sep3d"):
+                core = self._core_separable(taus, segments)
             else:
-                core = _weighted_sums(taus, steps, self._iter_blocks())
+                core = _weighted_sums(taus, segments, self._iter_blocks())
         return core * np.exp(1j * taus * self.f0)
 
-    def _core_sep2d(self, taus: np.ndarray, steps: np.ndarray) -> np.ndarray:
-        m, wx, tbl = self._x.size, self._w, self._table
-        core = np.empty(taus.size, dtype=complex)
-        # phase row, u, v, stacked real parts, product, tv: ~8 complex per node
-        rows = _batch_rows(128 * m)
-        for lo, hi, E in _phase_rows(taus, steps, self._g, rows):
-            b = hi - lo
-            u, v = E[:, :m] * wx, E[:, m:] * wx
-            tv = np.concatenate([v.real, v.imag]) @ tbl.T
-            core[lo:hi] = np.sum(u * (tv[:b] + 1j * tv[b:]), axis=1)
-        return core
+    def _core_separable(self, taus: np.ndarray, segments) -> np.ndarray:
+        """Per tau, the last axis's row against the sum over tables T[last, inner] of moments @ T.T.
 
-    def _core_sep3d(self, taus: np.ndarray, steps: np.ndarray) -> np.ndarray:
-        m, wx = self._x.size, self._w
-        starts, tables = self._bin_starts, (self._G0, self._G1, self._G2)
+        The inner moments, Re over Im, are the x row in 2D, and in 3D the
+        sums of pair s_off^j over each bin's node pairs, j = 0, 1, 2.
+        """
+        m = self._x.size
         core = np.empty(taus.size, dtype=complex)
-        # six real rows of bin sums and the per-node rows: ~64 bytes per bin, 48 per node
-        rows = _batch_rows(64 * starts.size + 48 * m)
-        for lo, hi, E in _phase_rows(taus, steps, self._g, rows):
+        # a phase row, and ~64 bytes per inner column: its moments and what they meet
+        rows = _batch_rows(16 * self._g.size + 64 * self._tables[0].shape[1])
+        for lo, hi, E in _phase_rows(taus, segments, self._g, self._a, rows):
             b = hi - lo
-            u, v = E[:, :m] * wx, E[:, m : 2 * m] * wx
-            # rows 2jb..2(j+1)b hold Re, then Im, of the moments sum(pair s_off^j)
-            w = np.empty((6 * b, starts.size))
-            for k in range(b):
-                for ii, jj, s_off, cols, run_starts in self._runs:
-                    pair = u[k][ii] * v[k][jj]
-                    for j in range(3):
-                        if j:
-                            pair *= s_off
-                        wj = np.add.reduceat(pair, run_starts)
-                        w[2 * j * b + k, cols], w[(2 * j + 1) * b + k, cols] = wj.real, wj.imag
-                    del pair  # before the next run's gather
-            slab = sum(w[2 * j * b : 2 * (j + 1) * b] @ G.T for j, G in enumerate(tables))
-            wz = E[:, 2 * m :] * wx
-            core[lo:hi] = np.sum(wz * (slab[:b] + 1j * slab[b:]), axis=1)
+            if self.mode == "sep2d":
+                moments = [np.concatenate([E[:, :m].real, E[:, :m].imag])]
+            else:
+                u, v = E[:, :m], E[:, m : 2 * m]
+                w = np.empty((6 * b, self._bin_starts.size))
+                for k in range(b):
+                    for ii, jj, s_off, cols, run_starts in self._runs:
+                        pair = u[k][ii] * v[k][jj]
+                        for j in range(3):
+                            if j:
+                                pair *= s_off
+                            wj = np.add.reduceat(pair, run_starts)
+                            w[2 * j * b + k, cols], w[(2 * j + 1) * b + k, cols] = wj.real, wj.imag
+                        del pair  # before the next run's gather
+                moments = [w[2 * j * b : 2 * (j + 1) * b] for j in range(3)]
+            slab = sum(W @ T.T for W, T in zip(moments, self._tables))
+            core[lo:hi] = np.sum(E[:, -m:] * (slab[:b] + 1j * slab[b:]), axis=1)
         return core
 
 
@@ -653,13 +640,10 @@ def sample_integral(
     grids built for the samples, and kept on the result for those two to
     read.
     """
-    if not 0 < tau_min < tau_max < math.inf:
-        raise ValueError(f"need 0 < tau_min < tau_max < inf, got [{tau_min}, {tau_max}]")
-    if count < 2:
-        raise ValueError(f"count must be >= 2, got {count}")
+    check_window(tau_min, tau_max, count)
     steps = list(dict.fromkeys(float(step) for step in refine))
     for step in steps:
-        _check_step(step)
+        check_step(step)
     cfg = cfg or QuadratureConfig()
     taus = np.geomspace(tau_min, tau_max, count)
     L = gradient_bound(phase, amp)
@@ -694,9 +678,19 @@ def _refinement(
     return full, ~np.isin(full, taus)
 
 
-def _check_step(phase_step: float) -> None:
+def check_window(tau_min: float, tau_max: float, count: int) -> None:
+    """Raise ValueError unless sample_integral takes this window: 0 < tau_min < tau_max < inf, count >= 2."""
+    if not 0 < tau_min < tau_max < math.inf:
+        raise ValueError(f"need 0 < tau_min < tau_max < inf, got [{tau_min}, {tau_max}]")
+    if count < 2:
+        raise ValueError(f"count must be >= 2, got {count}")
+
+
+def check_step(phase_step: float) -> float:
+    """phase_step, if it is a refinement step in (0, pi/8]; else ValueError."""
     if not 0 < phase_step <= math.pi / 8.0 + 1e-12:
         raise ValueError(f"max_step must be in (0, pi/8], got {phase_step}")
+    return phase_step
 
 
 def curve_from_samples(samples: IntegralSamples, max_step: float = math.pi / 8.0) -> CurvePolyline:
@@ -709,7 +703,7 @@ def curve_from_samples(samples: IntegralSamples, max_step: float = math.pi / 8.0
     sample_integral evaluated at this step; only the other new taus are
     evaluated, on the octave grids of the samples' top tau.
     """
-    _check_step(max_step)
+    check_step(max_step)
     full, new = _refinement(samples.tau, samples.phase, max_step)
     values = np.empty(full.size, dtype=complex)
     values[~new] = samples.values[np.searchsorted(samples.tau, full[~new])]

@@ -53,7 +53,10 @@ Verified here:
   at most one grid alive at a time; a bad eps or content key exits 2 in
   the input stage, before any grid is built, and so does an eps window the
   estimators would refuse on its keys alone (a box-count count below 8, min
-  above max, a content count below 2, a content max above 1/e); dim and
+  above max, a content count below 2, a content max above 1/e), a tau
+  window sample_integral would refuse (a float count, min above max), a
+  quadrature key that is unknown (radial_bins among them) or not a count,
+  and a curve max_step above pi/8; dim and
   content refuse the same windows at [input], before any estimator runs,
   and dim on a polyline with no finite point exits 2 at [estimate];
 * config sections (amplitude, quadrature, tau, curve, eps, content) that are
@@ -494,11 +497,10 @@ def test_non_object_config_section_is_an_input_error(tmp_path, capsys, command, 
 
 @pytest.mark.parametrize(
     "key, value",
-    [("radial_bins", 0), ("radial_bins", -3), ("panel_order", 2.5), ("panel_order", True),
-     ("min_panels", 0), ("max_panels", "400000"), ("max_panels", True),
-     ("max_nodes", "200000000"), ("max_nodes", True), ("memory_budget_mb", "1400"),
-     ("memory_budget_mb", True), ("points_per_wavelength", 8.5),
-     ("points_per_wavelength", "8")],
+    [("panel_order", 2.5), ("panel_order", True), ("min_panels", 0),
+     ("max_panels", "400000"), ("max_panels", True), ("max_nodes", "200000000"),
+     ("max_nodes", True), ("memory_budget_mb", "1400"), ("memory_budget_mb", True),
+     ("points_per_wavelength", 8.5), ("points_per_wavelength", "8")],
 )
 def test_bad_quadrature_count_is_an_input_error(tmp_path, capsys, key, value):
     sphere = [{"k": [2 if j == i else 0 for j in range(3)], "c": 1.0} for i in range(3)]
@@ -610,9 +612,17 @@ def test_non_numeric_float_key_is_an_input_error(tmp_path, capsys, command, extr
         ({"eps": {"reflected_re": {"max": 1e-3, "min": 1e-2}}}, "need 0 < eps_min < eps_max"),
         ({"content": {"enabled": True, "eps": {"count": 1}}}, "count must be >= 2, got 1"),
         ({"content": {"enabled": True, "eps": {"max": 0.5}}}, "content grid needs eps < 1/e"),
+        ({"tau": {"count": 2.5}}, '"count" must be an integer >= 1, got 2.5'),
+        ({"tau": {"min": 50.0, "max": 10.0}}, "need 0 < tau_min < tau_max < inf, got [50.0, 10.0]"),
+        ({"quadrature": {"radial_bins": 0}}, "malformed quadrature config"),
+        ({"quadrature": {"bogus": 1}}, "malformed quadrature config"),
+        ({"quadrature": {"min_panels": 0}}, '"min_panels" must be an integer >= 1, got 0'),
+        ({"curve": {"max_step": 1.0}}, "max_step must be in (0, pi/8], got 1.0"),
     ],
     ids=["eps.max", "eps.count", "content.d", "content.eps.min", "eps.count-5",
-         "eps.min-above-max", "content.eps.count-1", "content.eps.max-0.5"],
+         "eps.min-above-max", "content.eps.count-1", "content.eps.max-0.5", "tau.count",
+         "tau.min-above-max", "quadrature.radial_bins", "quadrature.bogus",
+         "quadrature.min_panels", "curve.max_step"],
 )
 def test_verify_checks_estimator_keys_before_integrating(tmp_path, capsys, monkeypatch, extra, message):
     builds = []

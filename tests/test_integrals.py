@@ -17,8 +17,9 @@ Verified here:
   node at 0 when the node count is odd; phases odd in some variable keep
   every node, and the 3D radial tables hold one column per occupied bin;
 * per-octave shared grids reproduce single-tau evaluations, and the
-  batched, phase-rotated pass over refined taus matches per-tau evaluation
-  on the same octave grid to 1e-12 in every grid mode, across re-seeds;
+  batched pass over refined taus, stepped by baby and giant rows, matches
+  per-tau evaluation on the same octave grid to 1e-12 in every grid mode,
+  across several segments;
 * sample_integral evaluates the refined taus of the steps it is asked to
   plan on the sample grids, building each octave grid once and evaluating
   a step listed twice once, and the curve and reflected graphs read them
@@ -34,10 +35,13 @@ Verified here:
   and a 3-tau pass over 2.56M nodes below 2 MB, since each block and its
   phase rows are freed before the next block is built;
 * the streamed sums match the direct sum exp(i tau g) @ a to 1e-13 of
-  sum |a| on 1d and gen2d grids in blocks of 97 nodes, for tau sets of
-  evenly spaced runs of 1 to 257 taus of either sign, tau = 0 and lone
-  taus between runs (hypothesis); a 257-tau run over 16 default blocks
-  peaks below _BATCH_BYTES, one block and 1 MiB;
+  sum |a| on 1d and gen2d grids in blocks of 97 nodes, and a sep2d or
+  sep3d grid's batched values, in batches of 7 taus, match its one-tau
+  values to 1e-13 of I(0) = sum w phi, for tau sets of evenly spaced runs
+  of 1 to 257 taus of either sign, tau = 0 and lone taus between runs
+  (hypothesis); a 257-tau run over 16 default blocks is one segment and
+  peaks below _BATCH_BYTES, one block and 1 MiB; a lone tau costs one exp
+  row and no step or giant exp in every mode;
 * a sep3d grid cut into runs of whole bins (of 3 or 1,000 pairs at most)
   sums bit for bit as the one default run does, on the sphere and on
   x^4+y^4+z^4+1; a 3-tau pass over 506,432 pairs in runs of 4,096 takes
@@ -165,15 +169,15 @@ def test_separable_3d_matches_tensor_path():
     assert abs(a - b) <= 1e-6 * abs(b)
 
 
-def test_radial_binning_insensitive():
+def test_radial_binning_insensitive(monkeypatch):
     sphere = PolynomialPhase(
         3, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0, (0, 0, 0): 1.0}
     )
     amp = AmplitudeSpec(3)
     coarse = eval_integral(sphere, amp, 30.0, QuadratureConfig(panel_order=2))
-    fine_bins = eval_integral(
-        sphere, amp, 30.0, QuadratureConfig(panel_order=2, radial_bins=65536)
-    )
+    with monkeypatch.context() as patch:
+        patch.setattr(integrals, "_RADIAL_BINS", 65536)
+        fine_bins = eval_integral(sphere, amp, 30.0, QuadratureConfig(panel_order=2))
     fine_order = eval_integral(sphere, amp, 30.0, QuadratureConfig(panel_order=4))
     assert abs(coarse - fine_bins) <= 1e-8 * abs(coarse)
     assert abs(coarse - fine_order) <= 1e-6 * abs(coarse)
@@ -207,7 +211,7 @@ def _unbinned_sep3d_sums(grid, taus):
     ],
     ids=["sphere-20", "sphere-60", "quartic-37.5"],
 )
-def test_default_radial_bins_match_unbinned_sum(terms, tau_ref):
+def test_default_radial_bins_match_unbinned_sum(monkeypatch, terms, tau_ref):
     # the in-bin error is cubic in the bin width: at the default bins the
     # binned sum reads 7e-13 to 1.5e-11 off the unbinned one (first order at
     # 16,384 bins read 6e-10 to 7e-9)
@@ -218,8 +222,9 @@ def test_default_radial_bins_match_unbinned_sum(terms, tau_ref):
     want = _unbinned_sep3d_sums(grid, taus)
     if tau_ref == 20.0:
         # the reference is what 2^40 bins give, bin offsets of 1e-12 R^2
-        exact_bins = QuadratureConfig(panel_order=2, radial_bins=2**40)
-        fine = _QuadGrid(phase, amp, exact_bins, tau_ref).values(taus)
+        with monkeypatch.context() as patch:
+            patch.setattr(integrals, "_RADIAL_BINS", 2**40)
+            fine = _QuadGrid(phase, amp, QuadratureConfig(panel_order=2), tau_ref).values(taus)
         assert np.max(np.abs(fine - want) / np.abs(want)) <= 1e-13
     got = grid.values(taus)
     assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-10
@@ -271,13 +276,15 @@ def test_folded_sums_match_full_grid(case, order, min_panels, radius, tau):
     amp = AmplitudeSpec(phase.dimension, radius=radius)
     # with 2^40 bins every pair radius sits within 1e-12 R^2 of its bin
     # centre, so the binned 3D sum equals the tensor sum to rounding
-    cfg = QuadratureConfig(panel_order=order, min_panels=min_panels, radial_bins=2**40)
-    grid = _QuadGrid(phase, amp, cfg, tau)
+    cfg = QuadratureConfig(panel_order=order, min_panels=min_panels)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(integrals, "_RADIAL_BINS", 2**40)
+        grid = _QuadGrid(phase, amp, cfg, tau)
     assert grid.mode == mode
     m = grid.panels * order
     assert grid.nodes_per_axis == ((m + 1) // 2 if even else m)
     if mode == "sep3d":
-        assert grid._G0.shape == (grid.nodes_per_axis, grid._bin_starts.size)
+        assert grid._tables[0].shape == (grid.nodes_per_axis, grid._bin_starts.size)
     taus = np.array([-tau, 0.5 * tau, tau])
     want = _full_grid_sums(phase, amp, grid.panels, order, taus)
     got = grid.values(taus)
@@ -334,16 +341,16 @@ def test_refined_values_match_direct_evaluation():
     got = complex(curve.points[i, 0], curve.points[i, 1])
     assert abs(got - direct) <= 1e-7 * abs(direct)
 
-    # every refined point, batched and phase-rotated, against a per-tau
-    # evaluation on the same octave grid (an octave of the samples' top
-    # tau), in each grid mode
+    # every refined point, batched and stepped by baby and giant rows,
+    # against a per-tau evaluation on the same octave grid (an octave of the
+    # samples' top tau), in each grid mode
     sphere = PolynomialPhase(
         3, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0, (0, 0, 0): 1.0}
     )
     mixed = PolynomialPhase(2, {(2, 0): 1.0, (1, 1): 2.0, (0, 2): 1.0, (0, 0): 1.0})
     cases = [
         # one gap refined in steps of pi/64: its top octave is a single
-        # uniform run several re-seed intervals long
+        # uniform run several segments long
         ("1d", X2, A1, (10.0, 60.0, 2), math.pi / 64.0, None),
         ("sep2d", PolynomialPhase(2, {(2, 0): 1.0, (0, 4): 1.0, (0, 0): 1.0}),
          AmplitudeSpec(2, radius=0.6), (5.0, 20.0, 3), math.pi / 8.0, None),
@@ -457,19 +464,22 @@ def test_budget_separable_table_memory():
 
 
 @pytest.mark.parametrize(
-    "phase, cfg",
+    "phase, cfg, bins",
     [
-        (_P(2, {(2, 0): 1.0, (0, 4): 1.0, (0, 0): 1.0}), QuadratureConfig(min_panels=200)),
+        (_P(2, {(2, 0): 1.0, (0, 4): 1.0, (0, 0): 1.0}), QuadratureConfig(min_panels=200), None),
         (_P(3, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0, (0, 0, 0): 1.0}),
-         QuadratureConfig(panel_order=2, min_panels=100, radial_bins=512)),
+         QuadratureConfig(panel_order=2, min_panels=100), 512),
     ],
     ids=["sep2d", "sep3d"],
 )
-def test_budget_separable_tables_stay_float64(phase, cfg):
+def test_budget_separable_tables_stay_float64(monkeypatch, phase, cfg, bins):
     # tables that fit 1 MB only at float32 raise instead of losing digits
+    if bins is not None:
+        monkeypatch.setattr(integrals, "_RADIAL_BINS", bins)
     amp = AmplitudeSpec(phase.dimension)
     grid = _QuadGrid(phase, amp, cfg, 1.0)
-    tables = [grid._table] if grid.mode == "sep2d" else [grid._G0, grid._G1, grid._G2]
+    tables = grid._tables
+    assert len(tables) == (1 if grid.mode == "sep2d" else 3)
     assert all(t.dtype == np.float64 for t in tables)
     nbytes = sum(t.nbytes for t in tables)
     assert nbytes // 2 <= 2**20 < nbytes
@@ -490,12 +500,13 @@ _SPHERE3 = _P(3, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0, (0, 0, 0): 1.0
     ],
     ids=["sphere-tables", "sphere-sort", "odd-z"],
 )
-def test_sep3d_budget_bounds_the_build_peak(phase, radius, tau, bins):
+def test_sep3d_budget_bounds_the_build_peak(monkeypatch, phase, radius, tau, bins):
     # the check names what the build takes, in whole MiB; the tightest budget
     # it accepts (one MB above that) bounds the peak the build reaches.  The
     # three grids peak while the tables are filled, while the pairs are
     # sorted (64 bins), and on a full axis (z^3 is odd, so no mirror fold)
-    amp, cfg = AmplitudeSpec(3, radius), QuadratureConfig(panel_order=2, radial_bins=bins)
+    monkeypatch.setattr(integrals, "_RADIAL_BINS", bins)
+    amp, cfg = AmplitudeSpec(3, radius), QuadratureConfig(panel_order=2)
     L = gradient_bound(phase, amp)
     with pytest.raises(NumericBudgetError) as refused:
         _QuadGrid(phase, amp, replace(cfg, memory_budget_mb=1), tau, L)
@@ -602,12 +613,16 @@ def test_streamed_sums_free_each_block_before_the_next():
 
 
 @functools.cache
-def _small_streamed_grid(mode):
+def _small_grid(mode):
     phase, amp, tau_ref = {
         "1d": (X3, AmplitudeSpec(1, radius=0.6), 40.0),
         "gen2d": (_MIXED_400[0], AmplitudeSpec(2), 4.0),
+        "sep2d": (_P(2, {(2, 0): 1.0, (0, 3): 1.0, (0, 0): 1.0}), AmplitudeSpec(2), 20.0),
+        "sep3d": (_SPHERE3, AmplitudeSpec(3), 10.0),
     }[mode]
-    return _QuadGrid(phase, amp, QuadratureConfig(panel_order=2, min_panels=12), tau_ref)
+    grid = _QuadGrid(phase, amp, QuadratureConfig(panel_order=2, min_panels=12), tau_ref)
+    assert grid.mode == mode
+    return grid
 
 
 # a lone tau (0 among them) or an evenly spaced run of 1 to 257, in units of tau_ref
@@ -620,23 +635,52 @@ _TAU_PIECES = st.one_of(
 )
 
 
-@pytest.mark.parametrize("mode", ["1d", "gen2d"])
+@pytest.mark.parametrize("mode", ["1d", "gen2d", "sep2d", "sep3d"])
 @settings(max_examples=30, deadline=None)
 @given(pieces=st.lists(_TAU_PIECES, min_size=1, max_size=4))
 @example(pieces=[[0.5], np.linspace(-1.0, 1.0, 257).tolist(), [0.0], np.linspace(0.2, 0.3, 3).tolist()])
 def test_runs_of_evenly_spaced_taus_match_the_direct_sum(mode, pieces):
     # each segment's baby- and giant-step product, and the direct-exp rows of
-    # the taus between segments, over blocks of 97 nodes
-    grid = _small_streamed_grid(mode)
+    # the taus between segments, over blocks of 97 nodes; a separable grid's
+    # phase rows C_j D_i, in batches of 7 taus that segments straddle,
+    # against its one-tau values, each a direct exp
+    grid = _small_grid(mode)
     taus = grid.tau_ref * np.concatenate(pieces)
+    if mode in ("sep2d", "sep3d"):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(integrals, "_batch_rows", lambda bytes_per_tau: 7)
+            got = grid.values(taus)
+        single = np.array([grid.value(t) for t in taus])
+        assert np.max(np.abs(got - single)) <= 1e-13 * abs(grid.value(0.0))
+        return
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(integrals, "_DOT_TERMS", 97)
         blocks = list(grid._iter_blocks())
-        got = integrals._weighted_sums(taus, integrals._rotation_steps(taus), iter(blocks))
+        got = integrals._weighted_sums(taus, integrals._segments(taus), iter(blocks))
     assert len(blocks) > 1
     g, a = (np.concatenate(parts) for parts in zip(*blocks))
     direct = np.exp(1j * np.multiply.outer(taus, g)) @ a
     assert np.max(np.abs(got - direct)) <= 1e-13 * np.sum(np.abs(a))
+
+
+@pytest.mark.parametrize("mode", ["1d", "gen2d", "sep2d", "sep3d"])
+def test_a_lone_tau_costs_one_exp_row(monkeypatch, mode):
+    # and no step or giant exp: two taus are no run, and each stands alone
+    grid = _small_grid(mode)
+    calls = []
+    exp_rows = integrals._exp_rows
+
+    def counting(taus, g, out):
+        calls.append(len(taus))
+        return exp_rows(taus, g, out)
+
+    monkeypatch.setattr(integrals, "_exp_rows", counting)
+    blocks = 1 if mode.startswith("sep") else len(list(grid._iter_blocks()))
+    grid.values(np.array([grid.tau_ref]))
+    assert calls == [1] * blocks
+    calls.clear()
+    grid.values(grid.tau_ref * np.array([0.5, 1.0]))
+    assert sum(calls) == 2 * blocks
 
 
 def test_a_long_uniform_run_holds_one_segment_of_rows():
@@ -646,7 +690,7 @@ def test_a_long_uniform_run_holds_one_segment_of_rows():
     grid = _QuadGrid(phase, amp, QuadratureConfig(min_panels=100), 1.0)
     assert grid.nodes_per_axis**2 == 16 * integrals._DOT_TERMS
     taus = np.linspace(0.5, 1.0, 257)
-    assert np.isnan(integrals._rotation_steps(taus)).sum() == 1
+    assert integrals._segments(taus) == [(0, 257)]
     tracemalloc.start()
     try:
         grid.values(taus)
@@ -745,8 +789,8 @@ def openblas():
 
 
 _BLAS_CASES = [
-    ("_core_sep2d", _P(2, {(2, 0): 1.0, (0, 4): 1.0, (0, 0): 1.0}), 0.6, 30.0),
-    ("_core_sep3d", _SPHERE3, 1.0, 20.0),
+    ("_core_separable", _P(2, {(2, 0): 1.0, (0, 4): 1.0, (0, 0): 1.0}), 0.6, 30.0),
+    ("_core_separable", _SPHERE3, 1.0, 20.0),
     ("_weighted_sums", X2, 1.0, 200.0),
 ]
 
