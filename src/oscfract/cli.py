@@ -167,6 +167,8 @@ def _eps_window(pts: np.ndarray, keys: dict, window: tuple[float, float, int]) -
     The diameter is the largest per-axis extent of pts' finite points.
     """
     diam = float(np.ptp(_finite_rows(pts)[0], axis=0).max())
+    if diam == 0.0 and not {"max", "min"} <= keys.keys():
+        raise ValueError("the polyline's finite points all coincide, so eps max and min must be set")
     big, small, count = window
     hi, lo = keys.get("max", diam / big), keys.get("min", diam / small)
     return geometric_epsilons(hi, lo, keys.get("count", count))

@@ -23,9 +23,9 @@ change the computed sum only by rounding:
   once, takes every tau set in turn, and is freed before the next;
 * each octave grid takes all of its taus in one batched pass.  A run of
   uniformly spaced taus (refinement fills every gap with one) is cut into
-  segments of 3 <= K <= 257 taus tau_lo + k dtau; the other taus take a
-  direct exp each.  Every mode steps a segment in two levels: with
-  k = j b + i and b = ceil(sqrt K), b baby rows D_i = e^{i i dtau f},
+  segments of 3 <= K <= 257 taus tau_lo + k dtau, and every other tau is a
+  segment of one, a direct exp.  Every mode steps a segment in two levels:
+  with k = j b + i and b = ceil(sqrt K), b baby rows D_i = e^{i i dtau f},
   rotated by an exp of dtau f, and ceil(K/b) giant rows
   C_j = a e^{i (tau_lo + j b dtau) f}, rotated from an exp at tau_lo by an
   exp of b dtau f.  The streamed sums take the K sums as one matrix product
@@ -49,12 +49,11 @@ change the computed sum only by rounding:
 
 1D and mixed-variable phases share one path: their node tensor (a single
 axis in 1D) is built _DOT_TERMS nodes at a time, in C order, and each block
-takes one matrix product per segment of taus and one matrix-vector product
-per batch of the other taus, so a pass holds one block and its phase rows
-whatever the node count.  Tables are float64 throughout;
-a grid over its budget (max_nodes for the tensor, memory_budget_mb for the
-separable tables and the peak of a 3D grid's build) raises
-NumericBudgetError rather than losing precision.
+takes one matrix product per segment of taus, single taus included, so a
+pass holds one block and one segment's phase rows whatever the node count.
+Tables are float64 throughout; a grid over its budget (max_nodes for the
+tensor, memory_budget_mb for the separable tables and the peak of a 3D
+grid's build) raises NumericBudgetError rather than losing precision.
 
 Every pass runs with the OpenBLAS that numpy bundles held to one thread,
 and gives the caller's thread count back when it ends (_one_blas_thread).
@@ -99,7 +98,6 @@ from oscfract.phases import (
 class QuadratureConfig:
     points_per_wavelength: int = 8
     panel_order: int = 4
-    min_panels: int = 48  # resolve the amplitude bump even at tiny tau
     max_panels: int = 400_000  # per-axis cap
     # budgets raise NumericBudgetError; no path falls back to lower precision
     max_nodes: int = 200_000_000  # node cap of the streamed tensor, 1D included
@@ -171,6 +169,8 @@ def gradient_bound(phase: PolynomialPhase, amp: AmplitudeSpec) -> float:
     return 1.05 * float(gradient_norm(phase, pts).max())
 
 
+# panels per axis at least, so the amplitude bump is resolved even at tiny tau
+_MIN_PANELS = 48
 # A run of evenly spaced taus takes at most this many steps from the exps
 # that seed it, so with b = 17 baby rows and 16 giant rows each of its values
 # rests on at most 32 rounded multiplies.
@@ -312,26 +312,20 @@ def _phase_rows(taus: np.ndarray, segments, g: np.ndarray, a, rows: int):
 def _weighted_sums(taus: np.ndarray, segments, blocks) -> np.ndarray:
     """Sum over (g, a) blocks of sum(a * exp(i tau g)), for every tau.
 
-    Each run of _segments takes one matrix product C @ D.T of its
-    _step_rows per block, whose first K entries are its K sums.  The single
-    taus take direct-exp rows, one matrix-vector product per batch of them.
-    A block and its rows are freed before the next block is built.
+    Each segment of _segments takes one matrix product C @ D.T of its
+    _step_rows per block, whose first K entries are its K sums; a single
+    tau's is its one exp row against D_0 = 1.  A block and its rows are
+    freed before the next block is built.
     """
     core = np.zeros(taus.size, dtype=complex)
     if not taus.size:  # no phase rows, and so no block, to build
         return core
-    runs = [(lo, hi) for lo, hi in segments if hi - lo > 1]
-    lone = np.array([lo for lo, hi in segments if hi - lo == 1], dtype=np.intp)
     for g, a in blocks:
         a = a.astype(complex)
-        for lo, hi in runs:
+        for lo, hi in segments:
             C, D = _step_rows(taus[lo:hi], g, a)
             core[lo:hi] += (C @ D.T).ravel()[: hi - lo]
             del C, D  # before the next segment's rows, or the next block
-        rows = _batch_rows(16 * g.size)
-        for k in range(0, lone.size, rows):
-            sel = lone[k : k + rows]
-            core[sel] += _exp_rows(taus[sel], g, np.empty((sel.size, g.size), dtype=complex)) @ a
         del g, a
     return core
 
@@ -386,9 +380,9 @@ class _QuadGrid:
         L = gradient_bound(phase, amp) if grad_bound is None else grad_bound
         if L > 0 and tau_ref > 0:
             h_max = 2.0 * math.pi / (cfg.points_per_wavelength * tau_ref * L)
-            panels = max(cfg.min_panels, math.ceil(2.0 * R / h_max))
+            panels = max(_MIN_PANELS, math.ceil(2.0 * R / h_max))
         else:
-            panels = cfg.min_panels
+            panels = _MIN_PANELS
         if panels > cfg.max_panels:
             raise NumericBudgetError(
                 f"needs {panels} panels/axis at tau={tau_ref:g} "
@@ -439,26 +433,27 @@ class _QuadGrid:
         self.mode = "sep3d"
         # the grid keeps 24 bytes per node pair in the disc (ii, jj, s_off)
         # and three radial tables of one column per occupied bin.  Its build
-        # peaks at those pairs plus the largest of: the m x m squares and
-        # mask (9 bytes per entry), up to 5 more numbers per pair while the
-        # pairs are sorted by bin, and up to 5 arrays of the tables' shape
-        # while the tables are filled.  The pairs are counted off the sorted
-        # squares, before any m x m array exists
-        sq = np.sort(x**2)
-        pairs = int(np.searchsorted(sq, R * R - sq, side="right").sum())
+        # peaks at those pairs plus the larger of: up to 5 more numbers per
+        # pair while the pairs are listed and sorted by bin, and up to 5
+        # arrays of the tables' shape while the tables are filled.  Node i
+        # pairs with the first row[i] nodes in x^2 order, so row both counts
+        # the pairs for the budget and lists them: i ascending, and each i's
+        # partners in x^2 order, which is index order on a mirror-folded axis
+        x2 = x**2
+        by_x2 = np.argsort(x2, kind="stable")
+        row = np.searchsorted(x2[by_x2], R * R - x2, side="right")
+        pairs = int(row.sum())
         bins = min(_RADIAL_BINS, pairs)
-        peak = 24 * pairs + max(9 * m * m, 40 * pairs, 5 * m * bins * 8)
+        peak = 24 * pairs + max(40 * pairs, 5 * m * bins * 8)
         if peak > budget:
             raise NumericBudgetError(
                 f"{pairs} node pairs and radial tables 3 x ({m}, {bins}) take "
                 f"{peak / 2**20:.0f} MiB to build, which exceeds memory_budget_mb "
                 f"({cfg.memory_budget_mb} MB); reduce tau or panel_order"
             )
-        s = x[:, None] ** 2 + x[None, :] ** 2
-        keep = s <= R * R
-        ii, jj = np.nonzero(keep)
-        s = s[keep]
-        del keep
+        ii = np.repeat(np.arange(m), row)
+        jj = np.concatenate([by_x2[:r] for r in row])
+        s = x2[ii] + x2[jj]
         nb = _RADIAL_BINS
         width = R * R / nb
         idx = np.minimum((s / width).astype(np.int64), nb - 1)
@@ -468,7 +463,7 @@ class _QuadGrid:
         idx = idx[order]
         s_off = s[order] - (idx + 0.5) * width
         del s, order
-        starts = self._bin_starts = np.flatnonzero(np.diff(idx, prepend=-1))
+        starts = np.flatnonzero(np.diff(idx, prepend=-1))
         centers = (idx[starts] + 0.5) * width  # occupied bins only
         del idx
         # whole bins in runs of at most _BATCH_BYTES // 16 pairs (a larger bin
@@ -546,17 +541,17 @@ class _QuadGrid:
         The inner moments, Re over Im, are the x row in 2D, and in 3D the
         sums of pair s_off^j over each bin's node pairs, j = 0, 1, 2.
         """
-        m = self._x.size
+        m, width = self._x.size, self._tables[0].shape[1]
         core = np.empty(taus.size, dtype=complex)
         # a phase row, and ~64 bytes per inner column: its moments and what they meet
-        rows = _batch_rows(16 * self._g.size + 64 * self._tables[0].shape[1])
+        rows = _batch_rows(16 * self._g.size + 64 * width)
         for lo, hi, E in _phase_rows(taus, segments, self._g, self._a, rows):
             b = hi - lo
             if self.mode == "sep2d":
                 moments = [np.concatenate([E[:, :m].real, E[:, :m].imag])]
             else:
                 u, v = E[:, :m], E[:, m : 2 * m]
-                w = np.empty((6 * b, self._bin_starts.size))
+                w = np.empty((6 * b, width))
                 for k in range(b):
                     for ii, jj, s_off, cols, run_starts in self._runs:
                         pair = u[k][ii] * v[k][jj]

@@ -59,6 +59,10 @@ Verified here:
   and a curve max_step above pi/8; dim and
   content refuse the same windows at [input], before any estimator runs,
   and dim on a polyline with no finite point exits 2 at [estimate];
+* dim and content on a polyline whose finite points all coincide exit 2 at
+  [estimate] when an eps default is needed (a fraction of a zero
+  diameter), saying that eps max and min must be set; dim with both set
+  counts one box at every eps and reads d_hat 0;
 * config sections (amplitude, quadrature, tau, curve, eps, content) that are
   not JSON objects, quadrature counts and budgets that are not integers
   >= 1 (strings and bools included), a float or bool tau count, eps count,
@@ -497,7 +501,7 @@ def test_non_object_config_section_is_an_input_error(tmp_path, capsys, command, 
 
 @pytest.mark.parametrize(
     "key, value",
-    [("panel_order", 2.5), ("panel_order", True), ("min_panels", 0),
+    [("panel_order", 2.5), ("panel_order", True),
      ("max_panels", "400000"), ("max_panels", True), ("max_nodes", "200000000"),
      ("max_nodes", True), ("memory_budget_mb", "1400"), ("memory_budget_mb", True),
      ("points_per_wavelength", 8.5), ("points_per_wavelength", "8")],
@@ -616,13 +620,14 @@ def test_non_numeric_float_key_is_an_input_error(tmp_path, capsys, command, extr
         ({"tau": {"min": 50.0, "max": 10.0}}, "need 0 < tau_min < tau_max < inf, got [50.0, 10.0]"),
         ({"quadrature": {"radial_bins": 0}}, "malformed quadrature config"),
         ({"quadrature": {"bogus": 1}}, "malformed quadrature config"),
-        ({"quadrature": {"min_panels": 0}}, '"min_panels" must be an integer >= 1, got 0'),
+        ({"quadrature": {"min_panels": 48}}, "malformed quadrature config"),
+        ({"quadrature": {"max_panels": 0}}, '"max_panels" must be an integer >= 1, got 0'),
         ({"curve": {"max_step": 1.0}}, "max_step must be in (0, pi/8], got 1.0"),
     ],
     ids=["eps.max", "eps.count", "content.d", "content.eps.min", "eps.count-5",
          "eps.min-above-max", "content.eps.count-1", "content.eps.max-0.5", "tau.count",
          "tau.min-above-max", "quadrature.radial_bins", "quadrature.bogus",
-         "quadrature.min_panels", "curve.max_step"],
+         "quadrature.min_panels", "quadrature.max_panels", "curve.max_step"],
 )
 def test_verify_checks_estimator_keys_before_integrating(tmp_path, capsys, monkeypatch, extra, message):
     builds = []
@@ -663,6 +668,32 @@ def test_dim_refuses_a_polyline_with_no_finite_point(tmp_path, capsys):
     csv.write_text("x,y\nnan,nan\nnan,nan\n", encoding="utf-8")
     assert main(["dim", "--config", _cfg(tmp_path, {"polyline_csv": str(csv)})]) == 2
     assert capsys.readouterr().err == "error [estimate] polyline has no finite points\n"
+
+
+_COINCIDE = "error [estimate] the polyline's finite points all coincide, so eps max and min must be set\n"
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [("dim", {}), ("dim", {"eps": {"max": 0.1}}), ("content", {"d": 1.0})],
+    ids=["dim", "dim-max-only", "content"],
+)
+def test_eps_defaults_refuse_a_polyline_with_no_extent(tmp_path, capsys, command, extra):
+    # a default eps is a fraction of the diameter, which is 0 here
+    csv = tmp_path / "point.csv"
+    csv.write_text("x,y\n0.5,0.5\n0.5,0.5\nnan,nan\n0.5,0.5\n", encoding="utf-8")
+    cfg = _cfg(tmp_path, dict(extra, polyline_csv=str(csv)))
+    assert main([command, "--config", cfg]) == 2
+    assert capsys.readouterr().err == _COINCIDE
+
+
+def test_dim_of_a_polyline_with_no_extent_takes_a_set_eps_window(tmp_path, capsys):
+    csv = tmp_path / "point.csv"
+    csv.write_text("x,y\n0.5,0.5\n0.5,0.5\n", encoding="utf-8")
+    cfg = _cfg(tmp_path, {"polyline_csv": str(csv), "eps": {"max": 0.1, "min": 0.01}})
+    assert main(["dim", "--config", cfg]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["counts"] == [1.0] * 12 and out["estimate"]["d_hat"] == 0.0
 
 
 @pytest.mark.parametrize(

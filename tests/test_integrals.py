@@ -39,9 +39,14 @@ Verified here:
   sep3d grid's batched values, in batches of 7 taus, match its one-tau
   values to 1e-13 of I(0) = sum w phi, for tau sets of evenly spaced runs
   of 1 to 257 taus of either sign, tau = 0 and lone taus between runs
-  (hypothesis); a 257-tau run over 16 default blocks is one segment and
-  peaks below _BATCH_BYTES, one block and 1 MiB; a lone tau costs one exp
-  row and no step or giant exp in every mode;
+  (hypothesis), single taus summed as segments of one; a 257-tau run over
+  16 default blocks is one segment and peaks below _BATCH_BYTES, one block
+  and 1 MiB; a lone tau costs one exp row and no step or giant exp in
+  every mode;
+* a sep3d grid's runs hold exactly the node pairs with x_i^2 + x_j^2 <= R^2,
+  each bin whole in one run, on the mirror-folded sphere and on the
+  unfolded x^3+y^2+z^2+1 (R 0.7), and the pair count that a refused
+  memory budget names is the count a large enough budget builds;
 * a sep3d grid cut into runs of whole bins (of 3 or 1,000 pairs at most)
   sums bit for bit as the one default run does, on the sphere and on
   x^4+y^4+z^4+1; a 3-tau pass over 506,432 pairs in runs of 4,096 takes
@@ -276,15 +281,17 @@ def test_folded_sums_match_full_grid(case, order, min_panels, radius, tau):
     amp = AmplitudeSpec(phase.dimension, radius=radius)
     # with 2^40 bins every pair radius sits within 1e-12 R^2 of its bin
     # centre, so the binned 3D sum equals the tensor sum to rounding
-    cfg = QuadratureConfig(panel_order=order, min_panels=min_panels)
+    cfg = QuadratureConfig(panel_order=order)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(integrals, "_RADIAL_BINS", 2**40)
+        patch.setattr(integrals, "_MIN_PANELS", min_panels)
         grid = _QuadGrid(phase, amp, cfg, tau)
     assert grid.mode == mode
     m = grid.panels * order
     assert grid.nodes_per_axis == ((m + 1) // 2 if even else m)
     if mode == "sep3d":
-        assert grid._tables[0].shape == (grid.nodes_per_axis, grid._bin_starts.size)
+        occupied = sum(run_starts.size for *_, run_starts in grid._runs)
+        assert grid._tables[0].shape == (grid.nodes_per_axis, occupied)
     taus = np.array([-tau, 0.5 * tau, tau])
     want = _full_grid_sums(phase, amp, grid.panels, order, taus)
     got = grid.values(taus)
@@ -464,16 +471,17 @@ def test_budget_separable_table_memory():
 
 
 @pytest.mark.parametrize(
-    "phase, cfg, bins",
+    "phase, cfg, min_panels, bins",
     [
-        (_P(2, {(2, 0): 1.0, (0, 4): 1.0, (0, 0): 1.0}), QuadratureConfig(min_panels=200), None),
+        (_P(2, {(2, 0): 1.0, (0, 4): 1.0, (0, 0): 1.0}), QuadratureConfig(), 200, None),
         (_P(3, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0, (0, 0, 0): 1.0}),
-         QuadratureConfig(panel_order=2, min_panels=100), 512),
+         QuadratureConfig(panel_order=2), 100, 512),
     ],
     ids=["sep2d", "sep3d"],
 )
-def test_budget_separable_tables_stay_float64(monkeypatch, phase, cfg, bins):
+def test_budget_separable_tables_stay_float64(monkeypatch, phase, cfg, min_panels, bins):
     # tables that fit 1 MB only at float32 raise instead of losing digits
+    monkeypatch.setattr(integrals, "_MIN_PANELS", min_panels)
     if bins is not None:
         monkeypatch.setattr(integrals, "_RADIAL_BINS", bins)
     amp = AmplitudeSpec(phase.dimension)
@@ -537,7 +545,8 @@ def test_sep3d_budget_bounds_the_build_peak(monkeypatch, phase, radius, tau, bin
 def test_streamed_blocks_match_one_block(monkeypatch, mode, phase, amp, tau):
     # blocks of seven nodes concatenate to (f - f0, w phi) built on the
     # whole meshgrid, and their sums agree with the default blocks'
-    cfg = QuadratureConfig(panel_order=2, min_panels=12)
+    cfg = QuadratureConfig(panel_order=2)
+    monkeypatch.setattr(integrals, "_MIN_PANELS", 12)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # non-separable 3D
         grid = _QuadGrid(phase, amp, cfg, tau)
@@ -577,15 +586,18 @@ def test_values_of_no_tau_is_an_empty_complex_array(mode, phase):
     assert out.dtype == complex and out.shape == (0,)
 
 
-_MIXED_400 = (
-    _P(2, {(2, 0): 1.0, (1, 1): 2.0, (0, 2): 1.0, (0, 0): 1.0}),
-    AmplitudeSpec(2),
-    QuadratureConfig(min_panels=400),
-)
+_MIXED = _P(2, {(2, 0): 1.0, (1, 1): 2.0, (0, 2): 1.0, (0, 0): 1.0})
+
+
+def _grid(phase, amp, cfg, tau_ref, min_panels):
+    """A _QuadGrid of at least min_panels panels per axis."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(integrals, "_MIN_PANELS", min_panels)
+        return _QuadGrid(phase, amp, cfg, tau_ref)
 
 
 def test_tensor_block_build_peaks_below_1_mb():
-    grid = _QuadGrid(*_MIXED_400, 1.0)
+    grid = _grid(_MIXED, AmplitudeSpec(2), QuadratureConfig(), 1.0, 400)
     assert grid.mode == "gen2d"
     blocks = grid._iter_blocks()
     tracemalloc.start()
@@ -601,7 +613,7 @@ def test_tensor_block_build_peaks_below_1_mb():
 def test_streamed_sums_free_each_block_before_the_next():
     # 2.56M nodes, whose f - f0 and w phi alone would take 41 MB: a pass
     # holds one block and one batch of phase rows at a time
-    grid = _QuadGrid(*_MIXED_400, 1.0)
+    grid = _grid(_MIXED, AmplitudeSpec(2), QuadratureConfig(), 1.0, 400)
     assert grid.mode == "gen2d" and grid.nodes_per_axis**2 == 2_560_000
     tracemalloc.start()
     try:
@@ -616,11 +628,11 @@ def test_streamed_sums_free_each_block_before_the_next():
 def _small_grid(mode):
     phase, amp, tau_ref = {
         "1d": (X3, AmplitudeSpec(1, radius=0.6), 40.0),
-        "gen2d": (_MIXED_400[0], AmplitudeSpec(2), 4.0),
+        "gen2d": (_MIXED, AmplitudeSpec(2), 4.0),
         "sep2d": (_P(2, {(2, 0): 1.0, (0, 3): 1.0, (0, 0): 1.0}), AmplitudeSpec(2), 20.0),
         "sep3d": (_SPHERE3, AmplitudeSpec(3), 10.0),
     }[mode]
-    grid = _QuadGrid(phase, amp, QuadratureConfig(panel_order=2, min_panels=12), tau_ref)
+    grid = _grid(phase, amp, QuadratureConfig(panel_order=2), tau_ref, 12)
     assert grid.mode == mode
     return grid
 
@@ -640,8 +652,8 @@ _TAU_PIECES = st.one_of(
 @given(pieces=st.lists(_TAU_PIECES, min_size=1, max_size=4))
 @example(pieces=[[0.5], np.linspace(-1.0, 1.0, 257).tolist(), [0.0], np.linspace(0.2, 0.3, 3).tolist()])
 def test_runs_of_evenly_spaced_taus_match_the_direct_sum(mode, pieces):
-    # each segment's baby- and giant-step product, and the direct-exp rows of
-    # the taus between segments, over blocks of 97 nodes; a separable grid's
+    # each segment's baby- and giant-step product, a single tau's being its
+    # one exp row, over blocks of 97 nodes; a separable grid's
     # phase rows C_j D_i, in batches of 7 taus that segments straddle,
     # against its one-tau values, each a direct exp
     grid = _small_grid(mode)
@@ -686,8 +698,7 @@ def test_a_lone_tau_costs_one_exp_row(monkeypatch, mode):
 def test_a_long_uniform_run_holds_one_segment_of_rows():
     # 257 evenly spaced taus, one segment, over 16 blocks: a block's baby
     # and giant rows (34 rows of 10,000 nodes) stay within one batch
-    phase, amp, _ = _MIXED_400
-    grid = _QuadGrid(phase, amp, QuadratureConfig(min_panels=100), 1.0)
+    grid = _grid(_MIXED, AmplitudeSpec(2), QuadratureConfig(), 1.0, 100)
     assert grid.nodes_per_axis**2 == 16 * integrals._DOT_TERMS
     taus = np.linspace(0.5, 1.0, 257)
     assert integrals._segments(taus) == [(0, 257)]
@@ -743,16 +754,57 @@ def test_sep3d_runs_of_whole_bins_sum_bit_for_bit(monkeypatch, phase, tau_ref, l
     args = (phase, AmplitudeSpec(3), QuadratureConfig(panel_order=2), tau_ref)
     whole, cut = _QuadGrid(*args), _runs_of_bins(monkeypatch, limit_pairs, *args)
     assert len(whole._runs) == 1 and len(cut._runs) > 1
-    sizes = np.diff(np.append(whole._bin_starts, whole._runs[0][0].size))
+    starts = whole._runs[0][4]
+    sizes = np.diff(np.append(starts, whole._runs[0][0].size))
     bins = 0
     for ii, jj, s_off, cols, run_starts in cut._runs:
         assert cols.start == bins and run_starts[0] == 0 and run_starts.size == cols.stop - cols.start
         assert ii.size == jj.size == s_off.size == sizes[cols].sum()
         assert ii.size <= limit_pairs or cols.stop - cols.start == 1
         bins = cols.stop
-    assert bins == whole._bin_starts.size
+    assert bins == starts.size
     taus = np.linspace(tau_ref / 2, tau_ref, 7)
     assert np.array_equal(cut.values(taus), whole.values(taus))
+
+
+# (phase, radius, tau_ref, whether its axes are mirror-folded)
+_DISC_CASES = [
+    (_SPHERE3, 1.0, 20.0, True),
+    (_P(3, {(3, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0, (0, 0, 0): 1.0}), 0.7, 20.0, False),
+]
+
+
+@pytest.mark.parametrize("phase, radius, tau_ref, folded", _DISC_CASES, ids=["sphere", "x3-unfolded"])
+def test_sep3d_runs_hold_the_disc_pairs_in_whole_bins(monkeypatch, phase, radius, tau_ref, folded):
+    # the runs list each pair (i, j) with x_i^2 + x_j^2 <= R^2 once, their
+    # pairs' bins never decrease, and every run and every bin start is where
+    # the bin changes, so no bin is split between runs
+    args = (phase, AmplitudeSpec(3, radius), QuadratureConfig(panel_order=2), tau_ref)
+    grid = _runs_of_bins(monkeypatch, 1000, *args)
+    x, R, nb = grid._x, radius, integrals._RADIAL_BINS
+    assert (grid.nodes_per_axis < 2 * grid.panels) == folded and len(grid._runs) > 1
+    codes, bins, starts, offset = [], [], [], 0
+    for ii, jj, s_off, cols, run_starts in grid._runs:
+        codes.append(ii * x.size + jj)
+        s = x[ii] ** 2 + x[jj] ** 2
+        bins.append(np.minimum((s / (R * R / nb)).astype(np.int64), nb - 1))
+        starts.append(offset + run_starts)
+        offset += ii.size
+    disc = np.flatnonzero(x[:, None] ** 2 + x[None, :] ** 2 <= R * R)
+    assert np.array_equal(np.sort(np.concatenate(codes)), disc)
+    bins = np.concatenate(bins)
+    assert np.all(np.diff(bins) >= 0)
+    assert np.array_equal(np.concatenate(starts), np.flatnonzero(np.diff(bins, prepend=-1)))
+
+
+@pytest.mark.parametrize("phase, radius, tau_ref, folded", _DISC_CASES, ids=["sphere", "x3-unfolded"])
+def test_sep3d_budget_counts_the_pairs_it_builds(phase, radius, tau_ref, folded):
+    args = (phase, AmplitudeSpec(3, radius), QuadratureConfig(panel_order=2), tau_ref)
+    with pytest.raises(NumericBudgetError) as refused:
+        _QuadGrid(*args[:2], replace(args[2], memory_budget_mb=1), tau_ref)
+    counted = int(re.match(r"(\d+) node pairs", str(refused.value)).group(1))
+    grid = _QuadGrid(*args)
+    assert counted == sum(run[0].size for run in grid._runs) > 1000
 
 
 def test_sep3d_pass_peak_is_bounded_by_the_run_size(monkeypatch):
