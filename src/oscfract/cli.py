@@ -155,7 +155,9 @@ def _eps_keys(spec: dict, content: bool = False) -> dict:
         keys["count"] = _read(spec, "count", "count")
     check_grid(keys.get("max"), keys.get("min"), keys.get("count"))
     if content:
-        check_content_epsilons(np.array([keys[k] for k in ("max", "min") if k in keys]))
+        given = [keys[k] for k in ("max", "min") if k in keys]
+        if given:
+            check_content_epsilons(np.array(given))
     elif "count" in keys:
         check_fit_size(keys["count"])
     return keys
@@ -187,10 +189,11 @@ def _json_text(obj) -> str:
 
 
 def _csv_text(tau: np.ndarray, values: np.ndarray) -> str:
-    lines = ["tau,re,im,abs"]
-    for t, v in zip(tau, values):
-        lines.append(f"{t:.17g},{v.real:.17g},{v.imag:.17g},{abs(v):.17g}")
-    return "\n".join(lines) + "\n"
+    # np.hypot gives abs(complex)'s bits; np.abs can differ in the last one
+    re, im = values.real, values.imag
+    rows = np.column_stack([tau, re, im, np.hypot(re, im)])
+    body = "%.17g,%.17g,%.17g,%.17g\n" * len(rows) % tuple(rows.ravel().tolist())
+    return "tau,re,im,abs\n" + body
 
 
 def _svg_text(points: np.ndarray) -> str:
@@ -201,19 +204,14 @@ def _svg_text(points: np.ndarray) -> str:
     lo = pts[ok].min(axis=0)
     span = pts[ok].max(axis=0) - lo
     scale = (size - 2.0 * margin) / max(float(span.max()), 1e-300)
-    xy = (pts - lo) * scale + margin
-    parts = []
-    pen_down = False
-    for i in range(len(xy)):
-        if not ok[i]:
-            pen_down = False
-            continue
-        cmd = "L" if pen_down else "M"
-        parts.append(f"{cmd}{xy[i, 0]:.2f} {size - xy[i, 1]:.2f}")
-        pen_down = True
+    xy = (pts[ok] - lo) * scale + margin
+    # a vertex after a NaN row, or the first, starts a subpath
+    move = ~np.concatenate([[False], ok[:-1]])[ok]
+    path = "".join(np.where(move, "M%.2f %.2f", "L%.2f %.2f").tolist())
+    path %= tuple(np.column_stack([xy[:, 0], size - xy[:, 1]]).ravel().tolist())
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {size} {size}">\n'
-        f'  <path d="{"".join(parts)}" fill="none" stroke="#1a1a1a" stroke-width="0.6"/>\n'
+        f'  <path d="{path}" fill="none" stroke="#1a1a1a" stroke-width="0.6"/>\n'
         "</svg>\n"
     )
 

@@ -105,7 +105,9 @@ def check_fit_size(count: int) -> None:
 
 
 def check_positive_epsilons(epsilons: np.ndarray) -> None:
-    """box_count's rule, and estimate_content's first: every eps finite and positive."""
+    """box_count's rule, and estimate_content's first: a non-empty 1-D array of finite, positive eps."""
+    if epsilons.ndim != 1 or epsilons.size == 0:
+        raise ValueError(f"eps must be a non-empty 1-D array, got shape {epsilons.shape}")
     if not np.all(np.isfinite(epsilons) & (epsilons > 0)):
         raise ValueError(f"every eps must be finite and positive, got {epsilons}")
 
@@ -136,8 +138,9 @@ def _finite_rows(polyline: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pts[ok], seg
 
 
-# gridline crossings handled per block of half-segments: bounds the working arrays
-_CROSSING_BLOCK = 1 << 15
+# gridline crossings expanded per block: each block's float temporaries hold
+# about _CROSSING_BLOCK values (64 KiB each), small enough to stay in cache
+_CROSSING_BLOCK = 1 << 13
 
 # relative margin around segment ends and gridlines, in units of the grid's
 # size (see _supercover_count): 512 times the unit roundoff 2^-53
@@ -152,9 +155,21 @@ def _blocks(counts: np.ndarray, size: int) -> list[tuple[int, int]]:
     """
     ends = np.cumsum(counts)
     total = int(ends[-1]) if len(ends) else 0
+    if total <= size:
+        return [(0, len(counts))] if len(counts) else []
     cuts = np.searchsorted(ends, np.arange(size, total, size))
     bounds = np.unique(np.concatenate([[0], cuts, [len(counts)]])).tolist()
     return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _gridlines(P: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, cnt), per axis: the lowest gridline in [min, max] of segments P->Q and how many lie there.
+
+    A segment at rest along an axis crosses none of its gridlines.
+    """
+    lo = np.ceil(np.minimum(P, Q))
+    cnt = ((np.floor(np.maximum(P, Q)) - lo + 1.0) * (P != Q)).astype(np.int64)
+    return lo, cnt
 
 
 def _pieces(P: np.ndarray, d: np.ndarray, lo: np.ndarray, cnt: np.ndarray) -> np.ndarray:
@@ -206,71 +221,96 @@ def _supercover_count(P: np.ndarray, Q: np.ndarray, pts: np.ndarray, shape: tupl
     (P + d, where the defining rule's pieces end, lies within 2^-53 size of
     Q).  A flagged crossing's key is replaced by one already marked, and its
     segment takes the defining rule, whose cells include the keys of its
-    other crossings.  The crossings of axis 1 are those of axis 0 on the
-    segment with its coordinates swapped, so both axes run through one pass
-    over the half-segments [axis 0 | swapped].  A marked cell (i, j)
-    becomes the key (i + 2) (height + 4) + (j + 2), int32 when (width + 4)
-    (height + 4) < 2^31 and int64 otherwise; the keys are sorted once and
+    other crossings.
+
+    The crossings of axis 1 are those of axis 0 on the segment with its
+    coordinates swapped, so the half-segments [axis 0 | swapped] share one
+    set-up, and it runs only on those that cross a gridline: one at rest
+    along its axis, or with no gridline of it in [min, max], adds no key.
+    Each half-segment's key base and step carry its axis's weight, a
+    scalar per axis, and the crossings are expanded in place a block of
+    about _CROSSING_BLOCK at a time, axis 0's ahead of axis 1's, whose
+    floor(o_j) alone is scaled by the stride.  A marked cell (i, j) becomes
+    the key (i + 2) (height + 4) + (j + 2), built exactly in float64
+    (box_count refuses grids whose keys could pass 2^53) and written as
+    int32 when (width + 4) (height + 4) < 2^31 and int64 otherwise into one
+    array sized for every vertex and crossing; the keys are sorted once and
     the distinct ones counted, so memory grows with the marks, not with the
     bounding box.
     """
     width, height = shape
     stride = height + 4
     dtype = np.int32 if (width + 4) * stride < 2**31 else np.int64
-    keys = []
 
-    def mark(x: np.ndarray, y: np.ndarray) -> None:
-        keys.append((np.floor(x) * stride + np.floor(y) + (2 * stride + 2)).astype(dtype))
+    def key(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return (np.floor(x) * stride + np.floor(y) + (2 * stride + 2)).astype(dtype)
 
-    mark(*pts)
-    d = Q - P
-    lo = np.ceil(np.minimum(P, Q))
-    hi = np.floor(np.maximum(P, Q))
-    # the hi - lo + 1 >= 0 gridlines in [min, max], none for a segment at rest along the axis
-    cnt = ((hi - lo + 1.0) * (d != 0)).astype(np.int64)
+    M, N = P.shape[1], pts.shape[1]
+    lo, cnt = _gridlines(P, Q)
+    sel = np.flatnonzero(cnt)
+    split = int(np.searchsorted(sel, M))  # the half-segments of axis 0 come first
+    other = sel + M
+    other[split:] -= 2 * M
+    n, lo = cnt.reshape(-1)[sel], lo.reshape(-1)[sel]
+    Pa, Qa = P.reshape(-1)[sel], Q.reshape(-1)[sel]
+    Po, Qo = P.reshape(-1)[other], Q.reshape(-1)[other]
+    del cnt, other  # the full-length arrays go before the set-up's
+    d = Qa - Pa
     back = d < 0
+    hi = lo + (n - 1)
     first, last = np.where(back, hi, lo), np.where(back, lo, hi)
-    gap = np.abs(first - P)
+    gap = np.abs(first - Pa)
     size = float(max(shape))
-    end = (gap < _NEAR * size) | (np.abs(last - Q) < _NEAR * size)
+    end = (gap < _NEAR * size) | (np.abs(last - Qa) < _NEAR * size)
     # with no crossing near an end, |d_a| > 2 _NEAR size and the quotient is finite
-    r = np.divide(d[::-1], np.abs(d), out=np.zeros(d.shape), where=(cnt > 0) & ~end)
-    o0 = P[::-1] + gap * r
+    r = np.divide(Qo - Po, np.abs(d), out=np.zeros(len(d)), where=~end)
+    o0 = Po + gap * r
     # |frac(o_j) - 1/2| above half flags a crossing; half = -1 flags them all
-    half = np.where(end, -1.0, 0.5 - _NEAR * (size + cnt) * np.maximum(1.0, np.abs(r)))
-    # a crossing's key is base + j inc + floor(o_j) times 1 (axis 0) or stride
-    w = np.array([[stride], [1.0]])
-    base = (first - back + 2.0) * w + 2.0 * w[::-1]
-    inc = np.where(back, -w, w)
-    n, o0, r, half, base, inc = (x.ravel() for x in (cnt, o0, r, half, base, inc))
-    M = P.shape[1]
+    half = np.where(end, -1.0, 0.5 - _NEAR * (size + n) * np.maximum(1.0, np.abs(r)))
+    # a crossing's key is base + j inc + floor(o_j) (axis 0) or stride floor(o_j) (axis 1)
+    base = first - back + 2.0
+    inc = np.where(back, -1.0, 1.0)
+    base[:split] *= stride
+    base[:split] += 2.0
+    base[split:] += 2.0 * stride
+    inc[:split] *= stride
+    cells = np.empty(N + int(n.sum()), dtype)
+    cells[:N] = key(*pts)
+    pos = N
     flagged = []
     for b0, b1 in _blocks(n, _CROSSING_BLOCK):
         nb = n[b0:b1]
         stop = np.cumsum(nb)
-        split = int(nb[: max(M - b0, 0)].sum())  # the crossings of axis 0 come first
         sid = np.repeat(np.arange(b1 - b0), nb)  # the half-segment of each crossing
-        j = np.arange(stop[-1], dtype=float) - (stop - nb)[sid]
-        o = o0[b0:b1][sid] + j * r[b0:b1][sid]
+        j = np.arange(stop[-1], dtype=float)
+        j -= (stop - nb)[sid]
+        o = r[b0:b1][sid]
+        o *= j
+        o += o0[b0:b1][sid]
         fo = np.floor(o)
-        key = base[b0:b1][sid] + j * inc[b0:b1][sid]
-        key[:split] += fo[:split]
-        key[split:] += fo[split:] * stride
+        k = inc[b0:b1][sid]
+        k *= j
+        k += base[b0:b1][sid]
         o -= fo
+        fo[int(nb[: max(split - b0, 0)].sum()) :] *= stride  # axis 1's crossings, after axis 0's
+        k += fo
         o -= 0.5
         near = np.flatnonzero(np.abs(o, out=o) > half[b0:b1][sid])
-        key = key.astype(dtype)
+        out = cells[pos : pos + len(k)]
+        out[:] = k
         if near.size:
-            key[near] = keys[0][0]
-            flagged.append((sid[near] + b0) % M)
-        keys.append(key)
+            out[near] = cells[0]
+            flagged.append(sel[b0:b1][sid[near]] % M)
+        pos += len(k)
     if flagged:
         g = np.unique(np.concatenate(flagged))
-        for g0, g1 in _blocks(cnt[:, g].sum(axis=0), _CROSSING_BLOCK):
-            s = g[g0:g1]
-            mark(*_pieces(P[:, s], d[:, s], lo[:, s], cnt[:, s]))
-    cells = np.concatenate(keys)
-    keys.clear()
+        Pg, Qg = P[:, g], Q[:, g]
+        lo, cnt = _gridlines(Pg, Qg)
+        marks = [cells]
+        for g0, g1 in _blocks(cnt.sum(axis=0), _CROSSING_BLOCK):
+            s = slice(g0, g1)
+            marks.append(key(*_pieces(Pg[:, s], Qg[:, s] - Pg[:, s], lo[:, s], cnt[:, s])))
+        cells = np.concatenate(marks)
     cells.sort()
     return 1 + int(np.count_nonzero(cells[1:] != cells[:-1]))
 
@@ -306,15 +346,26 @@ def box_count(
         raise ValueError(
             f"eps {epsilons.max():g} exceeds bounding-box diameter {diam:g}"
         )
+    # axis first and contiguous, so each grid's gathers and shifts run along rows
+    X = np.ascontiguousarray((pts - lo).T)
+    # the smallest eps has the widest grid, (width, height) = ceil(X.max / eps) + 3;
+    # its cell keys, below (width + 4)(height + 4), are built in float64
+    top = np.ceil(X.max(axis=1) / epsilons.min()) + 3.0
+    if not np.all(top < 2.0**53) or (int(top[0]) + 4) * (int(top[1]) + 4) > 2**53:
+        raise ValueError(
+            f"eps {epsilons.min():g} needs a grid of {top[0]:.0f} x {top[1]:.0f} cells, too many "
+            "for exact cell keys: (width + 4)(height + 4) must not pass 2^53; raise eps"
+        )
     rng = np.random.default_rng(seed)
     shifts = np.vstack([[0.0, 0.0], rng.random((offsets - 1, 2))])[:, :, None]
     if not connect:
         seg = seg[:0]
+    ends = np.ascontiguousarray(seg.T)
     counts = np.empty(len(epsilons))
     for i, eps in enumerate(epsilons):
-        U = ((pts - lo) / eps).T
+        U = X / eps
         shape = (int(np.ceil(U[0].max())) + 3, int(np.ceil(U[1].max())) + 3)
-        UP, UQ = U[:, seg[:, 0]], U[:, seg[:, 1]]
+        UP, UQ = U.take(ends[0], axis=1), U.take(ends[1], axis=1)
         acc = 0
         for off in shifts:
             acc += _supercover_count(UP + off, UQ + off, U + off, shape)

@@ -29,7 +29,10 @@ Verified here:
   x^4 + y^4 + z^4 + 1, none on x^2 + xy^2 + y^4 + 1, and a fresh
   interpreter that runs it never loads scipy; a constant phase exits 2 at
   [newton] in 1D and 2D alike;
-* integrate / curve: CSV header and row count, SVG path structure;
+* integrate / curve: CSV header and row count, SVG path structure; the
+  curve CSV and SVG writers equal their row-by-row references byte for
+  byte (hypothesis: NaN splits, leading and trailing NaN rows, single
+  points, values whose np.abs differs from abs() in the last bit);
 * curve and verify sample a 1D phase with f(0) = 0 on the same default tau
   window, so they write the same curve.csv;
 * dim / content: polyline CSV round trips (named re/im and x/y columns,
@@ -58,7 +61,8 @@ Verified here:
   quadrature key that is unknown (radial_bins among them) or not a count,
   and a curve max_step above pi/8; dim and
   content refuse the same windows at [input], before any estimator runs,
-  and dim on a polyline with no finite point exits 2 at [estimate];
+  and dim on a polyline with no finite point exits 2 at [estimate], as
+  does dim at an eps whose grid's cell keys could pass 2^53;
 * dim and content on a polyline whose finite points all coincide exit 2 at
   [estimate] when an eps default is needed (a fraction of a zero
   diameter), saying that eps max and min must be set; dim with both set
@@ -96,6 +100,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oscfract.cli as cli
 from oscfract import integrals, newton
@@ -477,6 +483,65 @@ def test_curve_emits_csv_and_svg(tmp_path):
     assert svg.count("M") == 1  # single connected path
 
 
+def _reference_csv_text(tau, values) -> str:
+    """_csv_text row by row; kept as the reference for the one-format writer."""
+    lines = ["tau,re,im,abs"]
+    for t, v in zip(tau, values):
+        lines.append(f"{t:.17g},{v.real:.17g},{v.imag:.17g},{abs(v):.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def _reference_svg_text(points) -> str:
+    """_svg_text with its pen carried through a loop over rows; kept as the reference."""
+    size, margin = 720, 24
+    pts = np.asarray(points, dtype=float)
+    ok = np.isfinite(pts).all(axis=1)
+    lo = pts[ok].min(axis=0)
+    span = pts[ok].max(axis=0) - lo
+    scale = (size - 2.0 * margin) / max(float(span.max()), 1e-300)
+    xy = (pts - lo) * scale + margin
+    parts = []
+    pen_down = False
+    for i in range(len(xy)):
+        if not ok[i]:
+            pen_down = False
+            continue
+        cmd = "L" if pen_down else "M"
+        parts.append(f"{cmd}{xy[i, 0]:.2f} {size - xy[i, 1]:.2f}")
+        pen_down = True
+    return (
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {size} {size}">\n'
+        f'  <path d="{"".join(parts)}" fill="none" stroke="#1a1a1a" stroke-width="0.6"/>\n'
+        "</svg>\n"
+    )
+
+
+_NAN_ROW = (math.nan, math.nan)
+# np.abs(1.3040000451301372 - 0.30702894342210585j) differs from abs() in the last bit
+_ABS_DIFFERS = (1.3040000451301372, -0.30702894342210585)
+_ROWS = st.lists(
+    st.one_of(st.just(_NAN_ROW), st.tuples(*[st.floats(-1e3, 1e3, allow_nan=False)] * 2)),
+    min_size=1,
+    max_size=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ROWS)
+@example([_ABS_DIFFERS])
+@example([_NAN_ROW, _ABS_DIFFERS, (0.5, -0.0), _NAN_ROW])
+@example([(1e-300, 2.5), _NAN_ROW, _NAN_ROW, _ABS_DIFFERS, (3.0, 4.0)])
+def test_curve_writers_match_their_row_by_row_references(rows):
+    # NaN splits, leading and trailing NaN rows and single points; about a
+    # third of random values read a different |I| from np.abs than from abs()
+    pts = np.array(rows, dtype=float)
+    tau = np.linspace(20.0, 400.0, len(pts))
+    values = pts[:, 0] + 1j * pts[:, 1]
+    assert cli._csv_text(tau, values) == _reference_csv_text(tau, values)
+    if np.isfinite(pts).all(axis=1).any():
+        assert cli._svg_text(pts) == _reference_svg_text(pts)
+
+
 @pytest.mark.parametrize(
     "command, extra, key",
     [
@@ -668,6 +733,17 @@ def test_dim_refuses_a_polyline_with_no_finite_point(tmp_path, capsys):
     csv.write_text("x,y\nnan,nan\nnan,nan\n", encoding="utf-8")
     assert main(["dim", "--config", _cfg(tmp_path, {"polyline_csv": str(csv)})]) == 2
     assert capsys.readouterr().err == "error [estimate] polyline has no finite points\n"
+
+
+def test_dim_refuses_an_eps_whose_cell_keys_pass_2_53(tmp_path, capsys):
+    # eps 0.1 over a 1e9 square: a grid of 1e10 x 1e10 cells, whose keys the
+    # float64 build would round (4 isolated points counted as 3)
+    csv = tmp_path / "far.csv"
+    csv.write_text("x,y\n0,0\nnan,nan\n1e9,1e9\nnan,nan\n5e8,0\nnan,nan\n0,1e9\n", encoding="utf-8")
+    cfg = _cfg(tmp_path, {"polyline_csv": str(csv), "eps": {"max": 0.2, "min": 0.1}})
+    assert main(["dim", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [estimate] eps 0.1 needs a grid of 10000000003 x 10000000003 cells")
 
 
 _COINCIDE = "error [estimate] the polyline's finite points all coincide, so eps max and min must be set\n"

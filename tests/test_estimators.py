@@ -15,6 +15,11 @@ Verified here:
   repeated points and connect=False, on a lattice diagonal whose computed
   crossing points round off their corners, on vertices a few ulps from a
   cell corner, and on a chirp with four offsets, whole or split into blocks;
+  on one polyline whose half-segments cross no gridline, exactly one or
+  many, rest along an axis, repeat a point, end on a gridline or a corner
+  and are split by NaN rows, at crossing blocks of 7 and the default; and
+  on a graph as tall and chirped as fold-verify's reflected graphs, at
+  their eps;
 * box_count's two paths, the cell each crossing enters and the sorting rule
   for segments near a corner or an end: with the margin _NEAR infinite,
   so that every segment crossing a gridline is sorted, the counts equal the
@@ -26,6 +31,10 @@ Verified here:
   and on a grid of about 2^32 cells, whose keys need int64;
 * box_count input validation (eps finite and positive, offsets >= 1), and
   box_count and sausage_area refuse a polyline with no finite point;
+  box_count and estimate_content refuse an eps array that is 2-D or empty;
+  box_count refuses a grid whose cell keys could pass 2^53, where float64
+  rounds them (four isolated points once read 3 cells), and counts a grid
+  whose keys lie just below 2^53 exactly;
 * estimate_dimension on exact power laws (recovered to machine precision),
   plateau selection across a regime crossover, the smallest-eps tiebreak,
   the inconclusive fallback on drifting slopes, and input validation;
@@ -366,6 +375,45 @@ def test_crossing_blocks_do_not_change_counts(monkeypatch):
     assert np.array_equal(box_count(pts, eps, offsets=2, seed=5), whole)
 
 
+# the isolated origin pins the grid, so at eps 1 and no offset the vertices
+# keep their coordinates: half-segments cross no gridline ((0.2, 0.3) ->
+# (0.7, 0.6)), exactly one ((0.7, 0.6) -> (1.4, 0.9) along x) or many, at
+# rest along x or y, through repeated points, a zero-length segment, ends
+# on a gridline and on a lattice corner, split by NaN rows
+_MIXED = np.array(
+    [(0.0, 0.0), (math.nan, math.nan),
+     (0.2, 0.3), (0.7, 0.6), (1.4, 0.9), (1.4, 3.6), (1.4, 3.6), (9.3, 7.2), (math.nan, math.nan),
+     (2.5, 2.5), (2.5, 2.5), (5.5, 2.5), (5.5, 2.0), (3.0, 1.0), (0.6, 7.7), (math.nan, math.nan),
+     (8.1, 0.4)]
+)
+
+
+@pytest.mark.parametrize("block", [7, estimators._CROSSING_BLOCK])
+def test_mixed_crossing_counts_match_sorting_reference(block, monkeypatch):
+    pts, seg = _finite_rows(_MIXED)
+    P, Q = pts[seg[:, 0]].T, pts[seg[:, 1]].T
+    cnt = estimators._gridlines(P, Q)[1]
+    assert {0, 1} <= set(cnt.ravel().tolist()) and cnt.max() > 1
+    assert (P == Q).any(axis=1).all()  # at rest along each axis somewhere
+    monkeypatch.setattr(estimators, "_CROSSING_BLOCK", block)
+    eps = np.array([1.0, 0.5, 0.3, 0.25, 0.1])
+    for offsets, seed in ((1, 0), (3, 7)):
+        counts = box_count(_MIXED, eps, offsets=offsets, seed=seed)
+        assert np.array_equal(counts, _reference_box_count(_MIXED, eps, offsets, seed))
+
+
+def test_tall_reflected_graph_counts_match_sorting_reference():
+    # like fold-verify's reflected graphs (t, Re I(1/t)): t in [1/400, 1/20]
+    # in steps of 1/8 radian of the chirp, 15 times taller than wide, so
+    # most half-segments along t cross no gridline; the benchmark's eps
+    tau = np.arange(400.0, 20.0, -0.125)
+    t = 1.0 / tau
+    pts = np.column_stack([t, np.sqrt(math.pi * t) * np.cos(tau + math.pi / 4)])
+    eps = geometric_epsilons(2e-2, 2e-3, 8)
+    counts = box_count(pts, eps, offsets=4, seed=3)
+    assert np.array_equal(counts, _reference_box_count(pts, eps, 4, 3))
+
+
 @settings(max_examples=200, deadline=None)
 @given(_polylines(), st.sampled_from([1, 2, 4]), st.integers(0, 2**16))
 def test_defining_rule_everywhere_counts_the_same(pts, offsets, seed):
@@ -445,6 +493,37 @@ def test_grid_past_int32_keys_matches_sorting_reference():
     eps = np.array([np.hypot(*np.ptp(pts, axis=0)) / 80000.0])
     counts = box_count(pts, eps, offsets=2)
     assert np.array_equal(counts, _reference_box_count(pts, eps, 2, 0))
+
+
+def test_grid_with_keys_past_2_53_is_refused():
+    # the keys are built in float64: past 2^53 they round, and past 2^63
+    # the int64 cast overflows, so these four isolated points read 3 cells
+    nan = (math.nan, math.nan)
+    pts = np.array([(0, 0), nan, (1e9, 1e9), nan, (5e8, 0), nan, (0, 1e9)])
+    with pytest.raises(ValueError, match=r"eps 0.1 needs a grid of 10000000003 x 10000000003 cells"):
+        box_count(pts, [0.1], offsets=1)
+
+
+def test_grid_with_keys_just_below_2_53_counts_exactly():
+    # (width + 4)(height + 4) = 2^27 * 2^26 = 2^53 exactly: the corner
+    # points' keys lie within 2^29 of 2^53 and stay four distinct cells
+    nan = (math.nan, math.nan)
+    x, y = 2.0**27 - 7, 2.0**26 - 7
+    pts = np.array([(0, 0), nan, (x, 0), nan, (0, y), nan, (x, y)])
+    assert box_count(pts, [1.0], offsets=1).tolist() == [4.0]
+    pts[2, 0] = pts[6, 0] = x + 1  # one column more passes 2^53
+    with pytest.raises(ValueError, match="2\\^53"):
+        box_count(pts, [1.0], offsets=1)
+
+
+@pytest.mark.parametrize("eps", [[[0.1, 0.2]], []], ids=["2-D", "empty"])
+def test_box_count_and_content_refuse_eps_not_a_nonempty_1d_array(eps):
+    # a 2-D eps once counted rectangular 0.1 x 0.2 cells
+    pts = gen_chirp(0.5, 1.0, t_min=0.05)
+    with pytest.raises(ValueError, match="eps must be a non-empty 1-D array"):
+        box_count(pts, eps)
+    with pytest.raises(ValueError, match="eps must be a non-empty 1-D array"):
+        estimate_content(pts, 1.0, eps)
 
 
 @pytest.mark.parametrize(
