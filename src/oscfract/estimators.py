@@ -348,9 +348,10 @@ def box_count(
         )
     # axis first and contiguous, so each grid's gathers and shifts run along rows
     X = np.ascontiguousarray((pts - lo).T)
-    # the smallest eps has the widest grid, (width, height) = ceil(X.max / eps) + 3;
-    # its cell keys, below (width + 4)(height + 4), are built in float64
-    top = np.ceil(X.max(axis=1) / epsilons.min()) + 3.0
+    # grid i is (width, height) = shapes[:, i] cells; its cell keys, below
+    # (width + 4)(height + 4), are built in float64, and the smallest eps's is the widest
+    shapes = np.ceil(X.max(axis=1)[:, None] / epsilons) + 3.0
+    top = shapes.max(axis=1)
     if not np.all(top < 2.0**53) or (int(top[0]) + 4) * (int(top[1]) + 4) > 2**53:
         raise ValueError(
             f"eps {epsilons.min():g} needs a grid of {top[0]:.0f} x {top[1]:.0f} cells, too many "
@@ -364,7 +365,7 @@ def box_count(
     counts = np.empty(len(epsilons))
     for i, eps in enumerate(epsilons):
         U = X / eps
-        shape = (int(np.ceil(U[0].max())) + 3, int(np.ceil(U[1].max())) + 3)
+        shape = (int(shapes[0, i]), int(shapes[1, i]))
         UP, UQ = U.take(ends[0], axis=1), U.take(ends[1], axis=1)
         acc = 0
         for off in shifts:

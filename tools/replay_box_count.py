@@ -15,8 +15,8 @@ call's counts and CPU time.
 
 It prints one line per workload: how many calls counted differently, and
 the sum over its calls of each call's median CPU time on each tree, with
-their ratio.  `--seed` is the workload seed, so the pass is the first of a
-benchmark run at that seed.  The exit status is 1 when any call's counts
+their ratio.  The pass is the first of a benchmark run at workload seed
+SEED.  The exit status is 1 when any call's counts
 differ between the trees or between rounds, 0 otherwise.
 """
 
@@ -34,9 +34,10 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("fold-verify", "multivar-verify", "measure-zoo")
+SEED = 3
 
 
-def record(path: str, seed: int) -> None:
+def record(path: str) -> None:
     """Run one pass of each workload and pickle its box_count calls into path."""
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     sys.dont_write_bytecode = True  # leave no cache under perfbench/
@@ -59,7 +60,7 @@ def record(path: str, seed: int) -> None:
             inputs = os.path.join(work, name)
             os.makedirs(inputs)
             workload.write_inputs(inputs)
-            for op in workload.ops(inputs, workloads.pass_seed(seed, 0)):
+            for op in workload.ops(inputs, workloads.pass_seed(SEED, 0)):
                 if cli.main(list(op.argv) + ["--out", os.path.join(work, "out")]) != 0:
                     raise RuntimeError(f"{name}: {op.label} failed")
     with open(path, "wb") as fh:
@@ -93,12 +94,11 @@ def main(argv=None) -> int:
     parser.add_argument("old_src", nargs="?")
     parser.add_argument("new_src", nargs="?")
     parser.add_argument("--rounds", type=int, default=11)
-    parser.add_argument("--seed", type=int, default=3)
     parser.add_argument("--record-into", help=argparse.SUPPRESS)
     parser.add_argument("--replay-from", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.record_into:
-        record(args.record_into, args.seed)
+        record(args.record_into)
         return 0
     if args.replay_from:
         replay(args.replay_from)
@@ -108,7 +108,7 @@ def main(argv=None) -> int:
     trees = (args.old_src, args.new_src)
     with tempfile.TemporaryDirectory(prefix="replay_box_count_") as work:
         path = os.path.join(work, "calls.pickle")
-        _run(args.old_src, "--record-into", path, "--seed", str(args.seed))
+        _run(args.old_src, "--record-into", path)
         with open(path, "rb") as fh:
             labels = [call[0] for call in pickle.load(fh)]
         runs = [[], []]
