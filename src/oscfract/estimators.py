@@ -274,7 +274,7 @@ def _supercover_count(P: np.ndarray, Q: np.ndarray, pts: np.ndarray, shape: tupl
     base[:split] += 2.0
     base[split:] += 2.0 * stride
     inc[:split] *= stride
-    del Pa, Qa, Po, Qo, d, back, hi, first, last, gap, end, lo  # the loop's temporaries reuse them
+    del Pa, Qa, Po, Qo, d, back, hi, first, last, gap, end, lo  # the loop's temporaries reuse their memory
     cells = np.empty(N + int(n.sum()), dtype)
     cells[:N] = key(*pts)
     pos = N
